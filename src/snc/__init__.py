@@ -51,7 +51,6 @@ from .median_order import (
     feedback_check,
     local_median_order,
     order_objective,
-    perturb_weights,
 )
 from .oracle import (
     SweepReport,

@@ -291,9 +291,8 @@ def cmd_verify(args) -> int:
     elif kind == "certified_order":
         wd, _labels = formats.digraph_from_instance_dict(doc["instance"])
         order = tuple(int(v) for v in doc["order"])
-        wt = median_order.perturb_weights(wd.weights)
-        violations = median_order.feedback_check(wd.digraph, wt, order)
-        objective = median_order.order_objective(wd.digraph, wt, order)
+        violations = median_order.feedback_check(wd.digraph, wd.weights, order)
+        objective = median_order.order_objective(wd.digraph, wd.weights, order)
         checks = [
             ("order_feedback", not violations),
             ("objective_matches", objective == median_order.perturbed_from_dict(doc["objective"])),
@@ -432,7 +431,11 @@ def main(argv=None) -> int:
         _emit_error(
             "MoveLimitExceeded",
             str(exc),
-            {"last_order": list(exc.order), "remaining_violations": len(exc.violations)},
+            {
+                "instance": formats.digraph_instance_dict(WeightedDigraph(exc.tournament, exc.weights)),
+                "last_order": list(exc.order),
+                "remaining_violations": len(exc.violations),
+            },
         )
         return 1
     except json.JSONDecodeError as exc:

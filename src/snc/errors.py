@@ -97,11 +97,14 @@ class NoWitnessFound(SncError):
 
 
 class MoveLimitExceeded(SncError):
-    """Local search ran out of moves; carries the last order and the
-    violations that remained."""
+    """Local search ran out of moves; carries the tournament, the weights,
+    the last order and the violations that remained, so the run can be
+    replayed."""
 
-    def __init__(self, order, violations, moves: int):
+    def __init__(self, order, violations, moves: int, tournament, weights):
         super().__init__(f"no certified order after {moves} moves; {len(violations)} violations remain")
         self.order = order
         self.violations = violations
         self.moves = moves
+        self.tournament = tournament
+        self.weights = weights

@@ -34,7 +34,6 @@ from .median_order import (
     feed_vertex,
     feedback_check,
     local_median_order,
-    perturb_weights,
 )
 
 
@@ -189,7 +188,6 @@ class WitnessCertificate:
     rhs: Fraction
     first_neighborhood: tuple[int, ...]
     second_neighborhood: tuple[int, ...]
-    certified: bool = True
 
     def to_dict(self) -> dict:
         return {
@@ -218,7 +216,6 @@ class FallbackWitness:
     rhs: Fraction
     snp_vertices: tuple[int, ...]
     not_good_edges: tuple[tuple[int, int], ...]
-    certified: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -253,8 +250,7 @@ def find_witness_good(
     missing = d.missing_pairs()
     t2 = reorient_at_feed(t, missing, f)
 
-    wt = perturb_weights(w)
-    recheck = feedback_check(t2, wt, co.order)
+    recheck = feedback_check(t2, w, co.order)
     if recheck:
         raise InternalTheoremViolation(
             CounterexampleReport(
@@ -421,15 +417,14 @@ def verify_certificate(wd: WeightedDigraph, cert: WitnessCertificate) -> list[tu
         extends = False
     checks.append(("completion_is_tournament", extends))
 
-    wt = perturb_weights(w)
-    checks.append(("order_feedback_on_t", extends and not feedback_check(t, wt, cert.order.order)))
+    checks.append(("order_feedback_on_t", extends and not feedback_check(t, w, cert.order.order)))
 
     f = cert.witness
     checks.append(("witness_is_feed_vertex", bool(cert.order.order) and cert.order.order[-1] == f))
 
     if extends:
         t2 = reorient_at_feed(t, sorted(missing), f)
-        checks.append(("order_feedback_on_t_prime", not feedback_check(t2, wt, cert.order.order)))
+        checks.append(("order_feedback_on_t_prime", not feedback_check(t2, w, cert.order.order)))
     else:
         checks.append(("order_feedback_on_t_prime", False))
 

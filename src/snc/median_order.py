@@ -8,9 +8,13 @@ feedback property is a weighted local median order; its last vertex is a
 feed vertex.
 
 Zero weights would let exchange arguments stall, so every computation
-runs on perturbed weights w(v) + eps for a symbolic infinitesimal eps
-(exact lexicographic arithmetic, truncated at degree two; weight products
-never exceed degree two).  Final conclusions are re-checked under the
+runs on perturbed weights w(v) + eps for a symbolic infinitesimal eps.
+Each perturbed weight is one Python int: the weights are scaled by the
+LCM of their denominators and eps is the unit digit of a base large
+enough that no eps-coefficient of a sum of weights, or of a sum of
+products of two weights, carries.  Plain int comparison is then exactly
+the lexicographic order on (c0, c1, c2), and PerturbedRational appears
+only in what is reported.  Final conclusions are re-checked under the
 original weights by the callers that need them.
 
 Two order constructions are provided:
@@ -20,10 +24,11 @@ Two order constructions are provided:
   perturbed forward-arc objective, so no order repeats and the search
   terminates (a move limit turns pathological slowness into an error).
 * exact_median_order: subset dynamic program maximizing the perturbed
-  objective globally; feasible to about twenty vertices.
+  objective globally; feasible to twenty vertices.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,72 +38,23 @@ from .errors import (
     CounterexampleReport,
     InternalTheoremViolation,
     MoveLimitExceeded,
-    NegativeWeight,
     NotATournament,
     TooLarge,
 )
 
-_ZERO = Fraction(0)
 
-
+@dataclass(frozen=True, order=True)
 class PerturbedRational:
-    """Value c0 + c1*eps + c2*eps^2 with exact rational coefficients.
+    """Reported value c0 + c1*eps + c2*eps^2 with exact rational coefficients.
 
-    eps is an unnamed positive infinitesimal: comparison is lexicographic
-    on (c0, c1, c2).  Multiplication truncates at degree two, which is
-    exact for every product formed here (weights have degree at most one).
+    eps is an unnamed positive infinitesimal, so comparison is
+    lexicographic on (c0, c1, c2).  All arithmetic happens on integer keys
+    (see _perturbed_keys); this class only carries results out.
     """
 
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0=0, c1=0, c2=0):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
-
-    @classmethod
-    def from_weight(cls, w) -> "PerturbedRational":
-        """The perturbed weight w + eps; strictly positive for any w >= 0."""
-        return cls(w, 1, 0)
-
-    def key(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.c0, self.c1, self.c2)
-
-    def __add__(self, other: "PerturbedRational") -> "PerturbedRational":
-        return PerturbedRational(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other: "PerturbedRational") -> "PerturbedRational":
-        return PerturbedRational(self.c0 - other.c0, self.c1 - other.c1, self.c2 - other.c2)
-
-    def __mul__(self, other: "PerturbedRational") -> "PerturbedRational":
-        return PerturbedRational(
-            self.c0 * other.c0,
-            self.c0 * other.c1 + self.c1 * other.c0,
-            self.c0 * other.c2 + self.c1 * other.c1 + self.c2 * other.c0,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PerturbedRational):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __lt__(self, other: "PerturbedRational") -> bool:
-        return self.key() < other.key()
-
-    def __le__(self, other: "PerturbedRational") -> bool:
-        return self.key() <= other.key()
-
-    def __gt__(self, other: "PerturbedRational") -> bool:
-        return self.key() > other.key()
-
-    def __ge__(self, other: "PerturbedRational") -> bool:
-        return self.key() >= other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
-    def is_positive(self) -> bool:
-        return self.key() > (_ZERO, _ZERO, _ZERO)
+    c0: Fraction = Fraction(0)
+    c1: Fraction = Fraction(0)
+    c2: Fraction = Fraction(0)
 
     def to_dict(self) -> dict:
         return {
@@ -107,17 +63,6 @@ class PerturbedRational:
             "c2": {"num": self.c2.numerator, "den": self.c2.denominator},
         }
 
-    def __repr__(self) -> str:
-        return f"PerturbedRational({self.c0}, {self.c1}, {self.c2})"
-
-
-def perturb_weights(w: WeightMap) -> list[PerturbedRational]:
-    """Perturbed weight list, indexed by vertex."""
-    for v, wv in enumerate(w):
-        if wv < 0:
-            raise NegativeWeight(f"weight of vertex {v} is negative")
-    return [PerturbedRational.from_weight(wv) for wv in w]
-
 
 def _rational(doc: dict) -> Fraction:
     return Fraction(int(doc["num"]), int(doc["den"]))
@@ -125,6 +70,33 @@ def _rational(doc: dict) -> Fraction:
 
 def perturbed_from_dict(doc: dict) -> PerturbedRational:
     return PerturbedRational(_rational(doc["c0"]), _rational(doc["c1"]), _rational(doc["c2"]))
+
+
+def _perturbed_keys(w: WeightMap) -> tuple[list[int], int, int]:
+    """Perturbed weights w(v) + eps as ints, with their scale and base.
+
+    With L the LCM of the weight denominators and B = n^2 (max L*w + 1) + 1,
+    w(v) + eps is the int L*w(v)*B + 1.  Every eps-coefficient of a sum of
+    at most n weights, or of at most n^2/2 products of two, stays below B,
+    so int order is exactly lexicographic (c0, c1, c2) order; _sum_value
+    and _product_value read such sums back.
+    """
+    n = len(w)
+    scale = math.lcm(*(x.denominator for x in w))
+    scaled = [x.numerator * (scale // x.denominator) for x in w]
+    base = n * n * (max(scaled, default=0) + 1) + 1
+    return [s * base + 1 for s in scaled], scale, base
+
+
+def _sum_value(k: int, scale: int, base: int) -> PerturbedRational:
+    c0, c1 = divmod(k, base)
+    return PerturbedRational(Fraction(c0, scale), Fraction(c1))
+
+
+def _product_value(k: int, scale: int, base: int) -> PerturbedRational:
+    high, c2 = divmod(k, base)
+    c0, c1 = divmod(high, base)
+    return PerturbedRational(Fraction(c0, scale * scale), Fraction(c1, scale), Fraction(c2))
 
 
 Order = tuple[int, ...]
@@ -189,87 +161,57 @@ def _check_order(t: Digraph, order: Sequence[int]) -> None:
         raise ValueError("order is not a permutation of the vertex set")
 
 
-def order_objective(
-    t: Digraph, wt: Sequence[PerturbedRational], order: Sequence[int]
-) -> PerturbedRational:
+def order_objective(t: Digraph, w: WeightMap, order: Sequence[int]) -> PerturbedRational:
     """Sum of w~(tail) * w~(head) over arcs pointing forward in the order."""
     _require_tournament(t)
     _check_order(t, order)
-    total = PerturbedRational()
+    keys, scale, base = _perturbed_keys(w)
+    total = 0
     for i, u in enumerate(order):
         out = t._out[u]
         for v in order[i + 1 :]:
             if v in out:
-                total = total + wt[u] * wt[v]
-    return total
+                total += keys[u] * keys[v]
+    return _product_value(total, scale, base)
 
 
-def feedback_check(
-    t: Digraph, wt: Sequence[PerturbedRational], order: Sequence[int]
-) -> list[FeedbackViolation]:
+def feedback_check(t: Digraph, w: WeightMap, order: Sequence[int]) -> list[FeedbackViolation]:
     """Every strict interval failure, sorted by (i, j, prefix-before-suffix).
 
-    Interval sums of perturbed weights have no eps^2 component, so the
-    inner loops track (rational part, eps count) pairs and only build
-    PerturbedRational values for reported violations.
+    The inner loops add integer keys and only build PerturbedRational
+    values for reported violations.
     """
     _require_tournament(t)
     _check_order(t, order)
     n = t.n
     violations: list[FeedbackViolation] = []
     out_adj = t._out
-    w0 = [wt[v].c0 for v in range(n)]
-    w1 = [wt[v].c1 for v in range(n)]
+    keys, scale, base = _perturbed_keys(w)
 
-    # prefix conditions: leading vertex v_i against each interval [i, j]
-    for i in range(n):
-        vi = order[i]
-        out = out_adj[vi]
-        out0 = out1 = _ZERO
-        in0 = in1 = _ZERO
-        for j in range(i + 1, n):
-            vj = order[j]
-            if vj in out:
-                out0 += w0[vj]
-                out1 += w1[vj]
-            else:
-                in0 += w0[vj]
-                in1 += w1[vj]
-            if (out0, out1) < (in0, in1):
-                violations.append(
-                    FeedbackViolation(
-                        PREFIX,
-                        i + 1,
-                        j + 1,
-                        PerturbedRational(out0, out1),
-                        PerturbedRational(in0, in1),
+    for a, va in enumerate(order):
+        out = out_adj[va]
+        # prefix: v_a leads each interval [a, b] and must out-weigh its in-weight there;
+        # suffix: v_a trails each interval [b, a] and must in-weigh its out-weight there
+        for kind, others in ((PREFIX, range(a + 1, n)), (SUFFIX, range(a - 1, -1, -1))):
+            out_k = in_k = 0
+            for b in others:
+                vb = order[b]
+                if vb in out:
+                    out_k += keys[vb]
+                else:
+                    in_k += keys[vb]
+                lhs, rhs = (out_k, in_k) if kind == PREFIX else (in_k, out_k)
+                if lhs < rhs:
+                    i, j = sorted((a, b))
+                    violations.append(
+                        FeedbackViolation(
+                            kind,
+                            i + 1,
+                            j + 1,
+                            _sum_value(lhs, scale, base),
+                            _sum_value(rhs, scale, base),
+                        )
                     )
-                )
-
-    # suffix conditions: trailing vertex v_j against each interval [i, j]
-    for j in range(n):
-        vj = order[j]
-        out = out_adj[vj]
-        out0 = out1 = _ZERO
-        in0 = in1 = _ZERO
-        for i in range(j - 1, -1, -1):
-            vi = order[i]
-            if vi in out:
-                out0 += w0[vi]
-                out1 += w1[vi]
-            else:
-                in0 += w0[vi]
-                in1 += w1[vi]
-            if (in0, in1) < (out0, out1):
-                violations.append(
-                    FeedbackViolation(
-                        SUFFIX,
-                        i + 1,
-                        j + 1,
-                        PerturbedRational(in0, in1),
-                        PerturbedRational(out0, out1),
-                    )
-                )
 
     violations.sort(key=FeedbackViolation.scan_key)
     return violations
@@ -319,7 +261,7 @@ def local_median_order(
         move_limit = default_move_limit(t.n)
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
-    wt = perturb_weights(w)
+    keys, _scale, _base = _perturbed_keys(w)
     order: Order = tuple(range(t.n))
     if seed is not None:
         from .generators import Rng  # local import; generators depend on digraph only
@@ -330,17 +272,23 @@ def local_median_order(
 
     moves = 0
     while True:
-        violations = feedback_check(t, wt, order)
+        violations = feedback_check(t, w, order)
         if not violations:
             break
         first = violations[0]
         if moves >= move_limit:
-            raise MoveLimitExceeded(order, violations, moves)
-        # the moved vertex gains w~(v) * (rhs - lhs) > 0 in the objective
-        gain = wt[order[first.i - 1] if first.kind == PREFIX else order[first.j - 1]] * (
-            first.rhs - first.lhs
-        )
-        if not gain.is_positive():
+            raise MoveLimitExceeded(order, violations, moves, t, w)
+        # the moved vertex flips its arcs to the vertices it passes, so the
+        # objective gains w~(v) * (in - out) for a prefix move, (out - in) for a suffix move
+        i, j = first.i - 1, first.j - 1
+        if first.kind == PREFIX:
+            moved, passed = order[i], order[i + 1 : j + 1]
+        else:
+            moved, passed = order[j], order[i:j]
+        out = t._out[moved]
+        out_minus_in = sum(keys[u] if u in out else -keys[u] for u in passed)
+        gain = keys[moved] * (out_minus_in if first.kind == SUFFIX else -out_minus_in)
+        if gain <= 0:
             raise InternalTheoremViolation(
                 CounterexampleReport(
                     stage="local-search-gain",
@@ -357,7 +305,7 @@ def local_median_order(
         if trace is not None:
             trace.append({"move": moves, "order": list(order), "repaired": first.to_dict()})
 
-    return CertifiedOrder(order, order_objective(t, wt, order), _conditions_count(t.n))
+    return CertifiedOrder(order, order_objective(t, w, order), _conditions_count(t.n))
 
 
 EXACT_MEDIAN_MAX_N = 20
@@ -375,33 +323,30 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
     n = t.n
     if n > EXACT_MEDIAN_MAX_N:
         raise TooLarge(f"exact search limited to {EXACT_MEDIAN_MAX_N} vertices, got {n}")
-    wt = perturb_weights(w)
+    keys, scale, base = _perturbed_keys(w)
     in_mask = [0] * n
     for v in range(n):
         for u in t._in[v]:
             in_mask[v] |= 1 << u
 
     size = 1 << n
-    dp: list[Optional[PerturbedRational]] = [None] * size
+    # subset_key[S]: sum of the keys of S, built from S minus its lowest vertex
+    subset_key = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        subset_key[mask] = subset_key[mask ^ low] + keys[low.bit_length() - 1]
+    dp = [-1] * size
     parent = [-1] * size
-    dp[0] = PerturbedRational()
+    dp[0] = 0
     for mask in range(size):
-        base = dp[mask]
-        if base is None:
-            continue
+        base_value = dp[mask]
         for v in range(n):
             bit = 1 << v
             if mask & bit:
                 continue
-            gain = PerturbedRational()
-            hits = mask & in_mask[v]
-            while hits:
-                low = hits & -hits
-                gain = gain + wt[low.bit_length() - 1]
-                hits ^= low
-            cand = base + wt[v] * gain
+            cand = base_value + keys[v] * subset_key[mask & in_mask[v]]
             nxt = mask | bit
-            if dp[nxt] is None or dp[nxt] < cand:
+            if dp[nxt] < cand:
                 dp[nxt] = cand
                 parent[nxt] = v
 
@@ -412,10 +357,8 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
         rev.append(v)
         mask ^= 1 << v
     order = tuple(reversed(rev))
-    objective = dp[size - 1]
-    assert objective is not None
 
-    violations = feedback_check(t, wt, order)
+    violations = feedback_check(t, w, order)
     if violations:
         raise InternalTheoremViolation(
             CounterexampleReport(
@@ -429,7 +372,7 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
                 },
             )
         )
-    return CertifiedOrder(order, objective, _conditions_count(n))
+    return CertifiedOrder(order, _product_value(dp[size - 1], scale, base), _conditions_count(n))
 
 
 def feed_vertex(co: CertifiedOrder) -> int:

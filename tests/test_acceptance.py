@@ -2,8 +2,8 @@
 
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to watch
 them).  Criteria 1 to 5 run through the command-line interface so that
-criterion 8 can hash the exact bytes a user would see; each command runs
-twice and both outputs are kept.  Expected instance counts: 33867 labeled
+criterion 8 can hash the exact bytes a user would see and compare them
+with pinned digests; each command runs twice and both outputs are kept.  Expected instance counts: 33867 labeled
 tournaments on 1..6 vertices, 1099 labeled graphs on 1..5 vertices, 622
 exhaustive orientation checks on up to 4 vertices (every completion of
 every square-free graph, one adversarial build per violating graph).
@@ -25,7 +25,6 @@ from snc import (
     gamma_bracket,
     gamma_constant,
     local_median_order,
-    perturb_weights,
     sweep_gamma,
 )
 from snc.cli import main
@@ -41,6 +40,17 @@ COMMANDS = {
     "theorem3_routes": ["sweep", "theorem3", "--n", "5", "--samples", "2000",
                         "--min-n", "6", "--max-n", "9", "--seed", "13"],
     "theorem3_orientations": ["sweep", "theorem3", "--n", "4"],
+}
+
+
+# SHA-256 of each command's stdout.  A change that alters these bytes on
+# purpose re-pins them and names the change.
+PINNED_SHA256 = {
+    "theorem1": "9dff0c7f78dd7f93b5db434cea8217904b5f62a6b84c561ad4f573160a01696d",
+    "prop1": "6d767227786e13bb6f90b060c0a63aaaf71b5d5564fb91f12887542337b912d4",
+    "theorem2": "f9d3ee9092cbec3724983340357d90b828fc9b2838219d7fb7e94fbe458078e3",
+    "theorem3_routes": "b3effed223a17899228b6374517843b1ae480de1aa905e202791bf85e0ececbc",
+    "theorem3_orientations": "fb9ff716e9f717e98ab7550cb15e2e4c71aeec791560145652a1817ffdd77708",
 }
 
 
@@ -153,8 +163,7 @@ def test_criterion_6_exact_order_sanity():
         t = random_tournament(n, rng.next_u64())
         w = random_weights(n, rng.next_u64(), 10)
         exact = exact_median_order(t, w)
-        wt = perturb_weights(w)
-        if feedback_check(t, wt, exact.order):
+        if feedback_check(t, w, exact.order):
             failures += 1
             continue
         local = local_median_order(t, w)
@@ -196,12 +205,12 @@ def test_criterion_8_byte_identical_reruns(runs):
         first = hashlib.sha256(result["outputs"][0].encode()).hexdigest()
         second = hashlib.sha256(result["outputs"][1].encode()).hexdigest()
         digests[name] = first[:12]
-        if first != second:
+        if not first == second == PINNED_SHA256[name]:
             mismatched.append(name)
     ok = not mismatched
     _report(
-        "8 determinism, criteria 1-5 hashed twice",
+        "8 determinism, criteria 1-5 hashed twice and against the pinned digests",
         ok,
-        "all digests stable" if ok else f"mismatch in {mismatched}",
+        "all digests stable and pinned" if ok else f"mismatch in {mismatched}",
     )
-    assert ok, f"outputs differ between reruns: {mismatched} ({digests})"
+    assert ok, f"outputs differ between reruns or from the pins: {mismatched} ({digests})"

@@ -332,6 +332,21 @@ class TestContracts:
         _, b, _ = run_cli("sweep", "theorem2", "--samples", "5", "--max-n", "8", "--seed", "3")
         assert a == b
 
+    def test_move_limit_dump_replays(self, tmp_path):
+        # reversed transitive triangle: the ascending start needs two repairs
+        f = tmp_path / "r.dg"
+        f.write_text("digraph 3\narc 2 1\narc 2 0\narc 1 0\nweight 0 1 2\n")
+        code, out, err = run_cli("median-order", "-i", str(f), "--move-limit", "1")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "MoveLimitExceeded"
+        assert doc["last_order"] == [1, 0, 2] and doc["remaining_violations"] >= 1
+        replay = tmp_path / "replay.json"
+        replay.write_text(json.dumps(doc["instance"]))
+        code, out, _ = run_cli("median-order", "-i", str(replay))
+        assert code == 0 and json.loads(out)["order"] == [2, 1, 0]
+        assert json.loads(out)["instance"]["weights"][0] == {"num": 1, "den": 2}
+
     def test_internal_violation_maps_to_exit_2(self, monkeypatch, tmp_path):
         # force the science-alarm path; honest inputs cannot reach it
         import snc.good_edges as ge

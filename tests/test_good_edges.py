@@ -12,6 +12,7 @@ from snc import (
     NotMissing,
     WeightMap,
     WeightedDigraph,
+    WitnessCertificate,
     all_missing_edges_good,
     classify_missing_edge,
     complete_to_tournament,
@@ -19,7 +20,6 @@ from snc import (
     find_witness,
     find_witness_good,
     has_weighted_snp,
-    perturb_weights,
     reorient_at_feed,
     verify_certificate,
 )
@@ -167,12 +167,11 @@ class TestWitnessPipeline:
 class TestDispatch:
     def test_certified_path_taken_for_good_instances(self):
         result = find_witness(WeightedDigraph(single_missing(), WeightMap.uniform(3)))
-        assert result.certified
+        assert isinstance(result, WitnessCertificate)
 
     def test_fallback_still_finds_witness_on_two_k2(self):
         result = find_witness(WeightedDigraph(two_k2(), WeightMap.uniform(4)))
         assert isinstance(result, FallbackWitness)
-        assert not result.certified
         assert result.snp_vertices == (0, 1, 2, 3)
         assert result.witness == 0
         assert result.not_good_edges == ((0, 1), (2, 3))
@@ -211,8 +210,7 @@ def test_pipeline_invariants_on_random_good_instances():
         for o in cert.orientations:
             t.add_arc(o.tail, o.head)
         t2 = reorient_at_feed(t, d.missing_pairs(), cert.witness)
-        wt = perturb_weights(w)
-        assert feedback_check(t2, wt, cert.order.order) == []
+        assert feedback_check(t2, w, cert.order.order) == []
         # closure of the second neighborhood
         np_d = d.out_neighbors(cert.witness)
         assert t2.out_neighbors(cert.witness) == np_d

@@ -1,8 +1,9 @@
 """Certified orders: perturbed arithmetic, feedback checks, both searches.
 
 Expected values tagged as derived were computed by the independent
-oracles used in this file (exhaustive enumeration of all orders) before
-being frozen into assertions.
+oracles used in this file (exhaustive enumeration of all orders, and a
+Fraction-triple model of w + eps arithmetic) before being frozen into
+assertions.
 """
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snc import (
     CertifiedOrder,
@@ -25,10 +28,9 @@ from snc import (
     has_weighted_snp,
     local_median_order,
     order_objective,
-    perturb_weights,
 )
-from snc.generators import random_tournament, random_weights
-from snc.median_order import PREFIX, default_move_limit
+from snc.generators import Rng, random_tournament, random_weights
+from snc.median_order import PREFIX, _perturbed_keys, _product_value, _sum_value, default_move_limit
 from snc.oracle import enumerate_tournaments
 
 
@@ -44,59 +46,119 @@ def pr(c0, c1=0, c2=0) -> PerturbedRational:
     return PerturbedRational(c0, c1, c2)
 
 
+def rational_weights(n: int, seed: int) -> WeightMap:
+    """Weights in [0, 6] over mixed denominators 1..6, zeros included."""
+    rng = Rng(seed)
+    return WeightMap([Fraction(rng.below(7), 1 + rng.below(6)) for _ in range(n)])
+
+
+# Reference model of w + eps: (c0, c1, c2) Fraction triples, products
+# truncated at degree two, compared lexicographically as tuples.
+ZERO = (Fraction(0), Fraction(0), Fraction(0))
+
+
+def ref_weight(x: Fraction) -> tuple:
+    return (Fraction(x), Fraction(1), Fraction(0))
+
+
+def ref_add(a: tuple, b: tuple) -> tuple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def ref_mul(a: tuple, b: tuple) -> tuple:
+    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[1] * b[1] + a[2] * b[0])
+
+
+def ref_objective(t: Digraph, w: WeightMap, order) -> tuple:
+    total = ZERO
+    for i, u in enumerate(order):
+        for v in order[i + 1 :]:
+            if t.has_arc(u, v):
+                total = ref_add(total, ref_mul(ref_weight(w[u]), ref_weight(w[v])))
+    return total
+
+
 def brute_force_best(t: Digraph, w: WeightMap) -> PerturbedRational:
-    """Independent oracle: maximize over every permutation."""
-    wt = perturb_weights(w)
-    return max(order_objective(t, wt, p) for p in itertools.permutations(range(t.n)))
+    """Independent oracle: maximize the reference objective over every permutation."""
+    return pr(*max(ref_objective(t, w, p) for p in itertools.permutations(range(t.n))))
 
 
 class TestPerturbedRational:
     def test_comparison_is_lexicographic(self):
         assert pr(1, 1) < pr(1, 2)
         assert pr(1, 5, 5) < pr(2)
-        assert pr(0, 1).is_positive()
-        assert not pr(0).is_positive()
-
-    def test_arithmetic(self):
-        x = pr(Fraction(3, 2), 1)
-        y = pr(2, 1)
-        assert x + y == pr(Fraction(7, 2), 2)
-        assert x * y == pr(3, Fraction(7, 2), 1)
-        assert y - x == pr(Fraction(1, 2), 0)
-
-    def test_truncation_at_degree_two(self):
-        # eps^2 * eps^1 contributions vanish
-        assert pr(0, 0, 1) * pr(0, 1) == pr(0, 0, 0)
+        assert pr(0) < pr(0, 1)
+        assert not pr(0) < pr(0)
 
 
-def test_perturb_weights_examples():
-    wt = perturb_weights(WeightMap([Fraction(3, 2), 0]))
-    assert wt[0] == pr(Fraction(3, 2), 1)
-    assert wt[1] == pr(0, 1)
-    assert wt[1].is_positive()
+weights_st = st.lists(
+    st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)), min_size=1, max_size=9
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_st, st.data())
+def test_integer_keys_match_reference(values, data):
+    """Decoded key sums and products equal the Fraction-triple reference,
+    and int order on keys is the reference's lexicographic order."""
+    w = WeightMap(values)
+    n = len(w)
+    keys, scale, base = _perturbed_keys(w)
+    ref = [ref_weight(x) for x in w]
+    vertex_sets = st.lists(st.integers(0, n - 1), max_size=n, unique=True)
+    # at most n(n-1)/2 products of two, as in any forward-arc objective
+    pair_lists = st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n * (n - 1) // 2
+    )
+
+    sums = []
+    for _ in range(2):
+        a = data.draw(vertex_sets)
+        k = sum(keys[v] for v in a)
+        expect = ZERO
+        for v in a:
+            expect = ref_add(expect, ref[v])
+        assert _sum_value(k, scale, base) == pr(*expect)
+        sums.append((k, expect, w.total(a)))
+    (ka, ra, wa), (kb, rb, wb) = sums
+    assert (ka < kb) == (ra < rb) and (ka == kb) == (ra == rb)
+    if ka <= kb:
+        assert wa <= wb  # the perturbation never reverses an unperturbed order
+
+    products = []
+    for _ in range(2):
+        pairs = data.draw(pair_lists)
+        k = sum(keys[u] * keys[v] for u, v in pairs)
+        expect = ZERO
+        for u, v in pairs:
+            expect = ref_add(expect, ref_mul(ref[u], ref[v]))
+        assert _product_value(k, scale, base) == pr(*expect)
+        products.append((k, expect))
+    (ka, ra), (kb, rb) = products
+    assert (ka < kb) == (ra < rb) and (ka == kb) == (ra == rb)
 
 
 def test_order_objective_examples():
-    w1 = perturb_weights(WeightMap.uniform(3))
+    w1 = WeightMap.uniform(3)
     assert order_objective(transitive3(), w1, (0, 1, 2)) == pr(3, 6, 3)
     assert order_objective(cycle3(), w1, (0, 1, 2)) == pr(2, 4, 2)
-    assert order_objective(Digraph(1), perturb_weights(WeightMap.uniform(1)), (0,)) == pr(0)
+    assert order_objective(Digraph(1), WeightMap.uniform(1), (0,)) == pr(0)
 
 
 def test_order_objective_rejects_non_tournament():
     with pytest.raises(NotATournament):
-        order_objective(Digraph(2), perturb_weights(WeightMap.uniform(2)), (0, 1))
+        order_objective(Digraph(2), WeightMap.uniform(2), (0, 1))
 
 
 def test_feedback_check_examples():
-    w1 = perturb_weights(WeightMap.uniform(3))
+    w1 = WeightMap.uniform(3)
     assert feedback_check(cycle3(), w1, (0, 1, 2)) == []
     violations = feedback_check(transitive3(), w1, (2, 1, 0))
     assert violations
     first = violations[0]
     assert (first.kind, first.i, first.j) == (PREFIX, 1, 2)
     assert first.lhs < first.rhs
-    assert feedback_check(Digraph(1), perturb_weights(WeightMap.uniform(1)), (0,)) == []
+    assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) == []
 
 
 def test_conditions_counted_once_per_form():
@@ -116,13 +178,13 @@ def test_local_median_order_examples():
     best = brute_force_best(cycle3(), w)
     assert best.c0 == 9
     co = local_median_order(cycle3(), w)
-    assert feedback_check(cycle3(), perturb_weights(w), co.order) == []
+    assert feedback_check(cycle3(), w, co.order) == []
     assert co.objective <= best
 
 
 def test_local_search_reaches_unique_certified_order():
     # the transitive triangle has exactly one violation-free order
-    w1 = perturb_weights(WeightMap.uniform(3))
+    w1 = WeightMap.uniform(3)
     certified = [
         p for p in itertools.permutations(range(3))
         if not feedback_check(transitive3(), w1, p)
@@ -135,20 +197,18 @@ def test_local_search_reaches_unique_certified_order():
 
 
 def test_local_search_trace_is_strictly_improving():
-    wt_cache = {}
     for seed in range(10):
         n = 4 + seed % 4
         t = random_tournament(n, seed)
         w = random_weights(n, seed + 50, 10)
         trace: list = []
         co = local_median_order(t, w, trace=trace)
-        wt = perturb_weights(w)
-        objectives = [order_objective(t, wt, tuple(step["order"])) for step in trace]
+        objectives = [order_objective(t, w, tuple(step["order"])) for step in trace]
         objectives.append(co.objective)
         for a, b in zip(objectives, objectives[1:]):
             assert a <= b
         if trace:
-            start_obj = order_objective(t, wt, tuple(range(n)))
+            start_obj = order_objective(t, w, tuple(range(n)))
             assert start_obj < objectives[0]
 
 
@@ -161,6 +221,7 @@ def test_move_limit_exceeded_reports_state():
     err = exc.value
     assert err.moves == 1
     assert err.violations
+    assert (err.tournament, err.weights) == (t, WeightMap.uniform(3))
     assert default_move_limit(3) == 50 * 27
 
 
@@ -178,35 +239,19 @@ def test_exact_matches_permutation_brute_force():
     for seed in range(8):
         n = 4 + seed % 3
         t = random_tournament(n, seed * 7 + 1)
-        w = random_weights(n, seed * 13 + 2, 6)
-        co = exact_median_order(t, w)
-        assert co.objective == brute_force_best(t, w)
+        for w in (random_weights(n, seed * 13 + 2, 6), rational_weights(n, seed * 13 + 3)):
+            co = exact_median_order(t, w)
+            assert co.objective == brute_force_best(t, w)
 
 
 def test_local_objective_never_beats_exact():
     for seed in range(40):
         n = 3 + seed % 6  # up to 8 vertices
         t = random_tournament(n, seed * 31 + 5)
-        w = random_weights(n, seed * 17 + 4, 10)
-        local = local_median_order(t, w)
-        exact = exact_median_order(t, w)
-        assert local.objective <= exact.objective
-
-
-def test_perturbation_soundness_on_random_sets():
-    from snc.generators import Rng
-
-    rng = Rng(77)
-    for _ in range(200):
-        n = 1 + rng.below(9)
-        w = random_weights(n, rng.next_u64(), 6)
-        wt = perturb_weights(w)
-        a = [v for v in range(n) if rng.bit()]
-        b = [v for v in range(n) if rng.bit()]
-        sum_a = sum((wt[v] for v in a), PerturbedRational())
-        sum_b = sum((wt[v] for v in b), PerturbedRational())
-        if sum_a <= sum_b:
-            assert w.total(a) <= w.total(b)
+        for w in (random_weights(n, seed * 17 + 4, 10), rational_weights(n, seed * 17 + 6)):
+            local = local_median_order(t, w)
+            exact = exact_median_order(t, w)
+            assert local.objective <= exact.objective
 
 
 def test_feed_vertex():
@@ -218,8 +263,6 @@ def test_feed_vertex():
 
 def test_feed_vertex_has_weighted_snp_randomized():
     for seed in range(100):
-        from snc.generators import Rng
-
         rng = Rng(seed)
         n = 1 + rng.below(8)
         t = random_tournament(n, rng.next_u64())
