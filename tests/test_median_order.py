@@ -90,6 +90,27 @@ class TestPerturbedRational:
         assert pr(0) < pr(0, 1)
         assert not pr(0) < pr(0)
 
+    def test_arithmetic(self):
+        # x = 3/2 + eps, y = 2 + eps, combined on their integer keys
+        (x, y), scale, base = _perturbed_keys(WeightMap([Fraction(3, 2), 2]))
+        assert _sum_value(x + y, scale, base) == pr(Fraction(7, 2), 2)
+        assert _product_value(x * y, scale, base) == pr(3, Fraction(7, 2), 1)
+        assert _sum_value(y - x, scale, base) == pr(Fraction(1, 2), 0)
+
+    def test_truncation_at_degree_two(self):
+        # eps^2 * eps^1 contributions vanish in the reference model
+        assert ref_mul((0, 0, 1), (0, 1, 0)) == ZERO
+        # the eps^2 coefficients of all n(n-1)/2 products of zero weights
+        # stay in the eps^2 digit of the key, next to a maximal weight
+        w = WeightMap([0, 0, 0, 0, 12])
+        keys, scale, base = _perturbed_keys(w)
+        pairs = list(itertools.combinations(range(len(w)), 2))
+        k = sum(keys[u] * keys[v] for u, v in pairs)
+        expect = ZERO
+        for u, v in pairs:
+            expect = ref_add(expect, ref_mul(ref_weight(w[u]), ref_weight(w[v])))
+        assert _product_value(k, scale, base) == pr(*expect) == pr(0, 48, 10)
+
 
 weights_st = st.lists(
     st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)), min_size=1, max_size=9
@@ -252,6 +273,25 @@ def test_local_objective_never_beats_exact():
             local = local_median_order(t, w)
             exact = exact_median_order(t, w)
             assert local.objective <= exact.objective
+
+
+def test_perturb_weights_examples():
+    keys, scale, base = _perturbed_keys(WeightMap([Fraction(3, 2), 0]))
+    assert _sum_value(keys[0], scale, base) == pr(Fraction(3, 2), 1)
+    assert _sum_value(keys[1], scale, base) == pr(0, 1)
+    assert keys[1] > 0
+
+
+def test_perturbation_soundness_on_random_sets():
+    rng = Rng(77)
+    for _ in range(200):
+        n = 1 + rng.below(9)
+        w = random_weights(n, rng.next_u64(), 6)
+        keys, _, _ = _perturbed_keys(w)
+        a = [v for v in range(n) if rng.bit()]
+        b = [v for v in range(n) if rng.bit()]
+        if sum(keys[v] for v in a) <= sum(keys[v] for v in b):
+            assert w.total(a) <= w.total(b)
 
 
 def test_feed_vertex():
