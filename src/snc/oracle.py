@@ -4,12 +4,14 @@ Everything here double-checks the constructive machinery by a second
 route that shares no code above raw adjacency: second neighborhoods come
 from breadth-first distances, witnesses from scanning every vertex,
 recognition claims from enumerating every labeled instance at desk scale.
-A sweep whose guarantee is backed by a proved statement must report zero
-failures; any failure is preserved as a replayable counterexample.
+Every sweep checks a proved statement (the gamma inequality of Chen, Shen
+and Yuster included) and must report zero failures; any failure is
+preserved as a replayable counterexample.
 
-Sweeps accept a seed, derive per-instance seeds as seed XOR index, and
-pre-partition instances by index, so reports are identical for any
-worker count.
+One driver runs every sweep: a module-level check(i, *args) returns
+(instances, failures) for instance i (seed XOR i, or code i), and index
+blocks over `jobs` workers merge in index order, so reports are identical
+for any worker count.
 """
 from __future__ import annotations
 
@@ -39,20 +41,13 @@ from .generators import (
 )
 from .good_edges import all_missing_edges_good, find_witness_good
 from .median_order import feed_vertex, local_median_order
-from .stars import adversarial_digraph, check_condition_B, decompose
+from .stars import adversarial_digraph, check_condition_B, route_agreement
 
 MAX_ENUM_TOURNAMENT_N = 6
 MAX_ENUM_GRAPH_N = 5
 MAX_ORIENTATIONS_N = 4
 MAX_THEOREM2_N = 14
 MAX_GAMMA_DIGITS = 50
-
-GAMMA_NOTE = (
-    "recorded descriptively, not asserted: a directed triangle has "
-    "d+(v) = d++(v) = 1 at every vertex, which already fails "
-    "d+(v) <= gamma * d++(v) since gamma < 1"
-)
-
 
 def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
     """Directed breadth-first distances from source; None when unreachable."""
@@ -89,15 +84,20 @@ def _pair_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _orient_pairs(d: Digraph, pairs: list[tuple[int, int]], code: int) -> Digraph:
+    """Add one arc per pair (u, v) to d: u -> v, or v -> u when bit k of
+    code is set for pair k."""
+    for k, (u, v) in enumerate(pairs):
+        if code >> k & 1:
+            d.add_arc(v, u)
+        else:
+            d.add_arc(u, v)
+    return d
+
+
 def tournament_from_code(n: int, code: int) -> Digraph:
     """Tournament number `code`: bit k flips pair k of the sorted pair list."""
-    g = Digraph(n)
-    for k, (u, v) in enumerate(_pair_list(n)):
-        if code >> k & 1:
-            g.add_arc(v, u)
-        else:
-            g.add_arc(u, v)
-    return g
+    return _orient_pairs(Digraph(n), _pair_list(n), code)
 
 
 def graph_from_code(n: int, code: int) -> UndirectedGraph:
@@ -142,7 +142,6 @@ class SweepReport:
     parameters: dict
     instances: int
     failures: list[CounterexampleReport] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
     data: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
@@ -154,65 +153,72 @@ class SweepReport:
             "instances": self.instances,
             "failures": len(self.failures),
             "counterexamples": [f.to_dict() for f in self.failures],
-            "notes": self.notes,
+            "notes": [],  # no sweep writes notes; the key stays for format stability
             "data": self.data,
         }
 
 
-def _merge_chunks(results) -> tuple[int, list[CounterexampleReport]]:
-    count = 0
-    failures: list[CounterexampleReport] = []
-    for c, f in results:
-        count += c
-        failures.extend(f)
-    return count, failures
+def _merge(results) -> tuple[int, list[CounterexampleReport]]:
+    """Sum the instance counts of (instances, failures) pairs and
+    concatenate their failures in order."""
+    results = list(results)
+    return sum(c for c, _ in results), [f for _, fs in results for f in fs]
 
 
-def _run_chunks(fn, chunks: list, jobs: int) -> list:
-    if jobs <= 1 or len(chunks) <= 1:
-        return [fn(c) for c in chunks]
-    with Pool(processes=jobs) as pool:
-        return pool.map(fn, chunks)
+def _run_block(block) -> list[tuple[int, list[CounterexampleReport]]]:
+    check, lo, hi, args = block
+    return [check(i, *args) for i in range(lo, hi)]
 
 
-def _split_range(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    width = hi - lo
-    parts = max(1, min(parts, width)) if width else 1
-    step, rem = divmod(width, parts)
-    out = []
-    start = lo
-    for i in range(parts):
-        end = start + step + (1 if i < rem else 0)
-        if end > start:
-            out.append((start, end))
-        start = end
-    return out or [(lo, hi)]
+def _drive(check, total: int, args: tuple, jobs: int) -> tuple[int, list[CounterexampleReport]]:
+    """Run the module-level check(i, *args) -> (instances, failures) for
+    every i in range(total) and merge the results in index order.
+
+    The range is cut into min(jobs, total) contiguous index blocks; more
+    than one block runs on a worker pool, so results do not depend on jobs.
+    """
+    if total < 0:
+        raise ValueError(f"instance count must be non-negative, got {total}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    parts = max(1, min(jobs, total))
+    step, rem = divmod(total, parts)
+    starts = [p * step + min(p, rem) for p in range(parts + 1)]  # first rem blocks get one more
+    blocks = [(check, starts[p], starts[p + 1], args) for p in range(parts)]
+    if parts == 1:
+        results = [_run_block(blocks[0])]
+    else:
+        with Pool(processes=parts) as pool:
+            results = pool.map(_run_block, blocks)
+    return _merge(r for block_results in results for r in block_results)
 
 
-def _theorem1_chunk(args: tuple[int, int, int]) -> tuple[int, list[CounterexampleReport]]:
-    n, lo, hi = args
-    w = WeightMap.uniform(n)
-    failures = []
-    for code in range(lo, hi):
-        t = tournament_from_code(n, code)
-        co = local_median_order(t, w)
-        f = feed_vertex(co)
-        check = has_weighted_snp(WeightedDigraph(t, w), f)
-        if not check.holds:
-            failures.append(
-                CounterexampleReport(
-                    stage="feed-vertex-snp",
-                    description="feed vertex without the SNP in a tournament",
-                    state={
-                        "n": n,
-                        "code": code,
-                        "digraph": t.to_dict(),
-                        "order": list(co.order),
-                        "feed": f,
-                    },
-                )
-            )
-    return hi - lo, failures
+def _drive_codes(check, sizes, jobs: int) -> tuple[int, list[CounterexampleReport]]:
+    """_drive check(code, k) over every pair code of each size k in turn."""
+    return _merge(_drive(check, 1 << (k * (k - 1) // 2), (k,), jobs) for k in sizes)
+
+
+def _feed_vertex_check(
+    t: Digraph, w: WeightMap, stage: str, description: str, state: dict
+) -> tuple[int, list[CounterexampleReport]]:
+    """One tournament: the feed vertex of a local median order has the
+    weighted SNP under the original weights."""
+    co = local_median_order(t, w)
+    f = feed_vertex(co)
+    if has_weighted_snp(WeightedDigraph(t, w), f).holds:
+        return 1, []
+    state = dict(state, digraph=t.to_dict(), order=list(co.order), feed=f)
+    return 1, [CounterexampleReport(stage=stage, description=description, state=state)]
+
+
+def _theorem1_check(code: int, n: int) -> tuple[int, list[CounterexampleReport]]:
+    return _feed_vertex_check(
+        tournament_from_code(n, code),
+        WeightMap.uniform(n),
+        "feed-vertex-snp",
+        "feed vertex without the SNP in a tournament",
+        {"n": n, "code": code},
+    )
 
 
 def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepReport:
@@ -227,12 +233,7 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
         raise ValueError("need at least one vertex")
     start = time.perf_counter()
     sizes = range(1, n + 1) if cumulative else [n]
-    chunks: list[tuple[int, int, int]] = []
-    for k in sizes:
-        total = 1 << (k * (k - 1) // 2)
-        for lo, hi in _split_range(0, total, jobs):
-            chunks.append((k, lo, hi))
-    count, failures = _merge_chunks(_run_chunks(_theorem1_chunk, chunks, jobs))
+    count, failures = _drive_codes(_theorem1_check, sizes, jobs)
     return SweepReport(
         sweep="theorem1",
         parameters={"n": n, "cumulative": cumulative},
@@ -242,32 +243,20 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
     )
 
 
-def _proposition1_chunk(args) -> tuple[int, list[CounterexampleReport]]:
-    lo, hi, max_n, seed, max_weight = args
-    failures = []
-    for i in range(lo, hi):
-        rng = Rng(seed ^ i)
-        n = 1 + rng.below(max_n)
-        t = random_tournament(n, rng.next_u64())
-        w = random_weights(n, rng.next_u64(), max_weight)
-        co = local_median_order(t, w)
-        f = feed_vertex(co)
-        check = has_weighted_snp(WeightedDigraph(t, w), f)
-        if not check.holds:
-            failures.append(
-                CounterexampleReport(
-                    stage="feed-vertex-weighted-snp",
-                    description="feed vertex without the weighted SNP in a weighted tournament",
-                    state={
-                        "index": i,
-                        "digraph": t.to_dict(),
-                        "weights": w.to_dicts(),
-                        "order": list(co.order),
-                        "feed": f,
-                    },
-                )
-            )
-    return hi - lo, failures
+def _proposition1_check(
+    i: int, max_n: int, seed: int, max_weight: int
+) -> tuple[int, list[CounterexampleReport]]:
+    rng = Rng(seed ^ i)
+    n = 1 + rng.below(max_n)
+    t = random_tournament(n, rng.next_u64())
+    w = random_weights(n, rng.next_u64(), max_weight)
+    return _feed_vertex_check(
+        t,
+        w,
+        "feed-vertex-weighted-snp",
+        "feed vertex without the weighted SNP in a weighted tournament",
+        {"index": i, "weights": w.to_dicts()},
+    )
 
 
 def sweep_proposition1(
@@ -276,10 +265,7 @@ def sweep_proposition1(
     """Randomized check that feed vertices of weighted tournaments have the
     weighted SNP under the original (unperturbed) weights."""
     start = time.perf_counter()
-    chunks = [
-        (lo, hi, max_n, seed, max_weight) for lo, hi in _split_range(0, samples, jobs)
-    ]
-    count, failures = _merge_chunks(_run_chunks(_proposition1_chunk, chunks, jobs))
+    count, failures = _drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs)
     return SweepReport(
         sweep="prop1",
         parameters={
@@ -294,47 +280,39 @@ def sweep_proposition1(
     )
 
 
-def _theorem2_chunk(args) -> tuple[int, list[CounterexampleReport]]:
-    lo, hi, max_n, seed = args
-    failures = []
-    for i in range(lo, hi):
-        rng = Rng(seed ^ i)
-        n = 2 + rng.below(max_n - 1)
-        spec = random_star_profile(n, rng)
-        g, _dec = gen_generalized_star(spec=spec)
-        d = random_digraph_missing(g, rng.next_u64())
-        w = random_weights(g.n, rng.next_u64(), 10)
-        wd = WeightedDigraph(d, w)
-        state = {
-            "index": i,
-            "profile": spec.to_dict(),
-            "digraph": d.to_dict(),
-            "weights": w.to_dicts(),
-        }
-        try:
-            cert = find_witness_good(wd)
-        except SncError as exc:
-            report = getattr(exc, "report", None)
-            failures.append(
-                report
-                if report is not None
-                else CounterexampleReport(
-                    stage="witness-pipeline-error",
-                    description=str(exc),
-                    state=state,
-                )
+def _theorem2_check(i: int, max_n: int, seed: int) -> tuple[int, list[CounterexampleReport]]:
+    rng = Rng(seed ^ i)
+    n = 2 + rng.below(max_n - 1)
+    spec = random_star_profile(n, rng)
+    g, _dec = gen_generalized_star(spec=spec)
+    d = random_digraph_missing(g, rng.next_u64())
+    w = random_weights(g.n, rng.next_u64(), 10)
+    wd = WeightedDigraph(d, w)
+    state = {
+        "index": i,
+        "profile": spec.to_dict(),
+        "digraph": d.to_dict(),
+        "weights": w.to_dicts(),
+    }
+    try:
+        cert = find_witness_good(wd)
+    except SncError as exc:
+        report = getattr(exc, "report", None)
+        if report is None:
+            report = CounterexampleReport(
+                stage="witness-pipeline-error", description=str(exc), state=state
             )
-            continue
-        snp = brute_force_snp_vertices(wd)
-        if cert.witness not in snp:
-            failures.append(
-                CounterexampleReport(
-                    stage="cross-oracle",
-                    description="certified witness rejected by the exhaustive scan",
-                    state=dict(state, witness=cert.witness, snp_vertices=sorted(snp)),
-                )
-            )
-    return hi - lo, failures
+        return 1, [report]
+    snp = brute_force_snp_vertices(wd)
+    if cert.witness in snp:
+        return 1, []
+    return 1, [
+        CounterexampleReport(
+            stage="cross-oracle",
+            description="certified witness rejected by the exhaustive scan",
+            state=dict(state, witness=cert.witness, snp_vertices=sorted(snp)),
+        )
+    ]
 
 
 def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepReport:
@@ -345,8 +323,7 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
     start = time.perf_counter()
-    chunks = [(lo, hi, max_n, seed) for lo, hi in _split_range(0, samples, jobs)]
-    count, failures = _merge_chunks(_run_chunks(_theorem2_chunk, chunks, jobs))
+    count, failures = _drive(_theorem2_check, samples, (max_n, seed), jobs)
     return SweepReport(
         sweep="theorem2",
         parameters={"samples": samples, "max_n": max_n, "seed": seed},
@@ -356,41 +333,37 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
     )
 
 
-def _route_agreement_failure(g: UndirectedGraph, viol, res) -> CounterexampleReport:
-    return CounterexampleReport(
-        stage="route-agreement",
-        description="pairwise condition and decomposition disagree",
-        state={
-            "graph": g.to_dict(),
-            "violation": viol.to_dict() if viol else None,
-            "failed_clause": res.failed_clause,
-        },
-    )
+def _routes_check(g: UndirectedGraph) -> tuple[int, list[CounterexampleReport]]:
+    try:
+        route_agreement(g)
+    except InternalTheoremViolation as exc:
+        return 1, [exc.report]
+    return 1, []
 
 
-def _check_routes(g: UndirectedGraph) -> Optional[CounterexampleReport]:
-    viol = check_condition_B(g)
-    res = decompose(g)
-    if (viol is None) != res.ok:
-        return _route_agreement_failure(g, viol, res)
-    return None
+def _exhaustive_routes_check(code: int, n: int) -> tuple[int, list[CounterexampleReport]]:
+    return _routes_check(graph_from_code(n, code))
 
 
-def _orientation_leg(g: UndirectedGraph) -> tuple[int, list[CounterexampleReport]]:
-    """For one graph: pairwise condition holds means every orientation has
-    only good missing edges; otherwise the adversarial build must yield a
-    digraph whose designated edge is not good."""
+def _random_routes_check(
+    i: int, min_n: int, max_n: int, seed: int
+) -> tuple[int, list[CounterexampleReport]]:
+    rng = Rng(seed ^ i)
+    n = min_n + rng.below(max_n - min_n + 1)
+    return _routes_check(random_graph(n, rng.next_u64()))
+
+
+def _orientation_check(code: int, n: int) -> tuple[int, list[CounterexampleReport]]:
+    """For graph number code: pairwise condition holds means every
+    orientation has only good missing edges; otherwise the adversarial
+    build must yield a digraph whose designated edge is not good."""
+    g = graph_from_code(n, code)
     failures = []
     viol = check_condition_B(g)
     non_edges = g.non_edges()
     if viol is None:
-        for code in range(1 << len(non_edges)):
-            d = Digraph(g.n)
-            for k, (u, v) in enumerate(non_edges):
-                if code >> k & 1:
-                    d.add_arc(v, u)
-                else:
-                    d.add_arc(u, v)
+        for orientation in range(1 << len(non_edges)):
+            d = _orient_pairs(Digraph(n), non_edges, orientation)
             ok, statuses = all_missing_edges_good(d)
             if not ok:
                 failures.append(
@@ -425,42 +398,21 @@ def sweep_theorem3(
     Route agreement runs over every labeled graph on 1..n vertices (n at
     most 5) and optionally over seeded random graphs of larger sizes; the
     orientation leg exhausts every completion of every graph on up to
-    min(n, 4) vertices.  jobs is accepted for interface symmetry; the legs
-    are cheap enough to run serially.
+    min(n, 4) vertices.
     """
-    del jobs
     if n > MAX_ENUM_GRAPH_N:
         raise TooLarge(f"sweep limited to n <= {MAX_ENUM_GRAPH_N}")
     if n < 1:
         raise ValueError("need at least one vertex")
     start = time.perf_counter()
-    failures: list[CounterexampleReport] = []
-
-    route_graphs = 0
-    for k in range(1, n + 1):
-        for g in enumerate_graphs(k):
-            route_graphs += 1
-            bad = _check_routes(g)
-            if bad is not None:
-                failures.append(bad)
-
-    random_graphs = 0
-    for i in range(random_samples):
-        rng = Rng(seed ^ i)
-        k = random_min_n + rng.below(random_max_n - random_min_n + 1)
-        g = random_graph(k, rng.next_u64())
-        random_graphs += 1
-        bad = _check_routes(g)
-        if bad is not None:
-            failures.append(bad)
-
-    orientation_instances = 0
-    for k in range(1, min(n, MAX_ORIENTATIONS_N) + 1):
-        for g in enumerate_graphs(k):
-            cnt, fails = _orientation_leg(g)
-            orientation_instances += cnt
-            failures.extend(fails)
-
+    routes = _drive_codes(_exhaustive_routes_check, range(1, n + 1), jobs)
+    random_routes = _drive(
+        _random_routes_check, random_samples, (random_min_n, random_max_n, seed), jobs
+    )
+    orientations = _drive_codes(
+        _orientation_check, range(1, min(n, MAX_ORIENTATIONS_N) + 1), jobs
+    )
+    instances, failures = _merge([routes, random_routes, orientations])
     return SweepReport(
         sweep="theorem3",
         parameters={
@@ -470,12 +422,12 @@ def sweep_theorem3(
             "random_max_n": random_max_n,
             "seed": seed,
         },
-        instances=route_graphs + random_graphs + orientation_instances,
+        instances=instances,
         failures=failures,
         data={
-            "route_agreement_graphs": route_graphs,
-            "random_route_agreement_graphs": random_graphs,
-            "orientation_instances": orientation_instances,
+            "route_agreement_graphs": routes[0],
+            "random_route_agreement_graphs": random_routes[0],
+            "orientation_instances": orientations[0],
         },
         elapsed_seconds=time.perf_counter() - start,
     )
@@ -517,53 +469,45 @@ def gamma_constant(precision_digits: int) -> Fraction:
 
 
 def check_gamma_property(d: Digraph) -> bool:
-    """Some vertex with d+(v) <= gamma * d++(v), decided exactly.
+    """Some vertex with d++(v) >= gamma * d+(v), decided exactly.
 
-    The irrational constant never appears: with r = d+/d++, the inequality
-    r <= gamma holds exactly when 2r^3 + r^2 - 1 <= 0.
+    Chen, Shen and Yuster (Ann. Comb. 7, 2003) prove that every oriented
+    graph has such a vertex.  A vertex with d+ = 0 satisfies it; otherwise
+    the irrational constant never appears: with r = d++/d+, the inequality
+    r >= gamma holds exactly when 2r^3 + r^2 - 1 >= 0.
     """
     for v in range(d.n):
         dp = d.out_degree(v)
-        dpp = len(d.second_out_neighbors(v))
-        if dpp == 0:
-            if dp == 0:
-                return True
-            continue
-        if gamma_sign(Fraction(dp, dpp)) <= 0:
+        if dp == 0 or gamma_sign(Fraction(len(d.second_out_neighbors(v)), dp)) >= 0:
             return True
     return False
 
 
-def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepReport:
-    """Descriptive survey of the gamma inequality on random digraphs.
+def _gamma_check(i: int, max_n: int, seed: int) -> tuple[int, list[CounterexampleReport]]:
+    rng = Rng(seed ^ i)
+    n = 1 + rng.below(max_n)
+    g = random_graph(n, rng.next_u64())
+    d = random_digraph_missing(g, rng.next_u64())
+    if check_gamma_property(d):
+        return 1, []
+    return 1, [
+        CounterexampleReport(
+            stage="gamma-property",
+            description="oriented graph without a vertex where d++(v) >= gamma * d+(v)",
+            state={"index": i, "digraph": d.to_dict()},
+        )
+    ]
 
-    Never asserts: see GAMMA_NOTE.  Counts of holding and failing
-    instances land in the data section, with a few failing instances
-    dumped for manual review.
-    """
-    del jobs
+
+def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepReport:
+    """Every seeded random oriented graph has a vertex with
+    d++(v) >= gamma * d+(v) (Chen, Shen and Yuster)."""
     start = time.perf_counter()
-    holds = 0
-    fail_examples = []
-    for i in range(samples):
-        rng = Rng(seed ^ i)
-        n = 1 + rng.below(max_n)
-        g = random_graph(n, rng.next_u64())
-        d = random_digraph_missing(g, rng.next_u64())
-        if check_gamma_property(d):
-            holds += 1
-        elif len(fail_examples) < 5:
-            fail_examples.append({"index": i, "digraph": d.to_dict()})
+    count, failures = _drive(_gamma_check, samples, (max_n, seed), jobs)
     return SweepReport(
         sweep="gamma",
         parameters={"samples": samples, "max_n": max_n, "seed": seed},
-        instances=samples,
-        failures=[],
-        notes=[GAMMA_NOTE],
-        data={
-            "holds": holds,
-            "fails": samples - holds,
-            "fail_examples": fail_examples,
-        },
+        instances=count,
+        failures=failures,
         elapsed_seconds=time.perf_counter() - start,
     )

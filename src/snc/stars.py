@@ -472,7 +472,7 @@ class RecognitionReport:
         }
 
 
-def recognize(g: UndirectedGraph) -> RecognitionReport:
+def route_agreement(g: UndirectedGraph) -> tuple[Optional[SquareViolation], DecomposeResult]:
     """Run both recognition routes; they must agree.
 
     A disagreement between the pairwise condition and the constructive
@@ -493,6 +493,13 @@ def recognize(g: UndirectedGraph) -> RecognitionReport:
                 },
             )
         )
+    return viol, res
+
+
+def recognize(g: UndirectedGraph) -> RecognitionReport:
+    """Run both recognition routes through route_agreement and report the
+    decomposition, or the square violation with its adversarial digraph."""
+    viol, res = route_agreement(g)
     if res.ok:
         assert res.decomposition is not None
         return RecognitionReport(

@@ -5,10 +5,11 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from snc import DigonRejected, LoopRejected, ParseError
+from snc import DigonRejected, LoopRejected, ParseError, oracle
 from snc.cli import main
 from snc.formats import (
     load_digraph,
@@ -198,8 +199,7 @@ class TestCommands:
         code, out, _ = run_cli("sweep", "gamma", "--samples", "20", "--max-n", "8", "--seed", "3")
         doc = json.loads(out)
         assert code == 0
-        assert doc["failures"] == 0
-        assert doc["notes"]
+        assert (doc["instances"], doc["failures"], doc["notes"]) == (20, 0, [])
 
     def test_gen_round_trips(self, tmp_path):
         code, out, _ = run_cli("gen", "tournament", "--n", "6", "--seed", "42")
@@ -267,9 +267,33 @@ class TestCommands:
         assert code == 0 and json.loads(out2)["verified"] is True
 
     def test_sweep_jobs_flag_keeps_output_stable(self):
-        _, serial, _ = run_cli("sweep", "theorem1", "--n", "4")
-        _, parallel, _ = run_cli("sweep", "theorem1", "--n", "4", "--jobs", "2")
-        assert serial == parallel
+        for argv in (
+            ["theorem1", "--n", "4"],
+            ["theorem3", "--n", "3", "--samples", "5", "--seed", "2"],
+            ["gamma", "--samples", "9", "--max-n", "8", "--seed", "6"],
+        ):
+            _, serial, _ = run_cli("sweep", *argv)
+            _, parallel, _ = run_cli("sweep", *argv, "--jobs", "2")
+            assert serial == parallel
+
+    @pytest.mark.parametrize("target", ["prop1", "theorem2", "theorem3", "gamma"])
+    def test_sweep_rejects_negative_samples(self, target):
+        code, out, err = run_cli("sweep", target, "--n", "3", "--samples", "-5", "--max-n", "5")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_sweep_rejects_zero_jobs(self):
+        code, out, err = run_cli("sweep", "theorem1", "--n", "3", "--jobs", "0")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+    def test_sweep_failure_exits_2(self, monkeypatch):
+        monkeypatch.setattr(oracle, "has_weighted_snp", lambda wd, v: SimpleNamespace(holds=False))
+        code, out, _ = run_cli("sweep", "prop1", "--samples", "3", "--max-n", "5")
+        doc = json.loads(out)
+        assert code == 2
+        assert doc["failures"] == 3
+        assert [c["state"]["index"] for c in doc["counterexamples"]] == [0, 1, 2]
 
     def test_verify_median_order_document(self, tmp_path):
         f = tmp_path / "c.dg"

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from snc import (
     Digraph,
+    InternalTheoremViolation,
     TooLarge,
     WeightMap,
     WeightedDigraph,
@@ -16,14 +18,17 @@ from snc import (
     gamma_bracket,
     gamma_constant,
     has_weighted_snp,
+    local_median_order,
+    recognize,
     sweep_gamma,
     sweep_proposition1,
     sweep_theorem1,
     sweep_theorem2,
     sweep_theorem3,
 )
-from snc.generators import random_digraph_missing, random_graph, random_weights
-from snc.oracle import GAMMA_NOTE, gamma_sign
+from snc import oracle, stars
+from snc.generators import Rng, random_digraph_missing, random_graph, random_weights
+from snc.oracle import gamma_sign, graph_from_code
 
 
 def cycle3() -> Digraph:
@@ -116,6 +121,84 @@ class TestSweeps:
         with pytest.raises(TooLarge):
             sweep_theorem3(6)
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_reports_do_not_depend_on_jobs(self, jobs):
+        sweeps = [
+            lambda j: sweep_proposition1(7, 6, seed=5, jobs=j),
+            lambda j: sweep_proposition1(2, 6, seed=5, jobs=j),  # fewer samples than jobs
+            lambda j: sweep_proposition1(0, 6, seed=5, jobs=j),
+            lambda j: sweep_theorem2(5, 8, seed=4, jobs=j),
+            lambda j: sweep_theorem2(0, 8, seed=4, jobs=j),
+            lambda j: sweep_theorem3(
+                3, random_samples=5, random_min_n=5, random_max_n=7, seed=2, jobs=j
+            ),
+            lambda j: sweep_theorem3(2, random_samples=1, seed=2, jobs=j),
+            lambda j: sweep_gamma(9, 8, seed=6, jobs=j),
+            lambda j: sweep_gamma(0, 8, seed=6, jobs=j),
+        ]
+        for sweep in sweeps:
+            assert sweep(1).to_dict() == sweep(jobs).to_dict()
+
+    def test_rejects_negative_samples_and_zero_jobs(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep_proposition1(-5, 5, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            sweep_gamma(-1, 5, seed=0)
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_theorem1(3, jobs=0)
+
+
+class TestSweepFailures:
+    """The failure path of the sweep driver, through checks forced to fail."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prop1_counterexamples_in_index_order_and_replayable(self, monkeypatch, jobs):
+        monkeypatch.setattr(
+            oracle, "has_weighted_snp", lambda wd, v: SimpleNamespace(holds=wd.digraph.n % 2)
+        )
+        r = sweep_proposition1(12, 5, seed=8, jobs=jobs)
+        even = [i for i in range(12) if (1 + Rng(8 ^ i).below(5)) % 2 == 0]
+        assert even and r.instances == 12
+        assert [f.state["index"] for f in r.failures] == even
+        for f in r.failures:
+            assert f.stage == "feed-vertex-weighted-snp"
+            t = Digraph.from_arcs(f.state["digraph"]["n"], f.state["digraph"]["arcs"])
+            w = WeightMap([Fraction(x["num"], x["den"]) for x in f.state["weights"]])
+            order = local_median_order(t, w).order
+            assert (list(order), order[-1]) == (f.state["order"], f.state["feed"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_route_agreement_report_matches_recognize(self, monkeypatch, jobs):
+        real = stars.decompose
+
+        def refuse_three_vertices(g):
+            res = real(g)
+            return stars.DecomposeResult(None, "forced", res.stable_set) if g.n == 3 else res
+
+        monkeypatch.setattr(stars, "decompose", refuse_three_vertices)
+        r = sweep_theorem3(3, jobs=jobs)
+        # no graph on 3 vertices has two disjoint edges, so all 8 disagree
+        assert [f.state["graph"] for f in r.failures] == [
+            graph_from_code(3, code).to_dict() for code in range(8)
+        ]
+        for code, f in enumerate(r.failures):
+            assert f.stage == "route-agreement"
+            with pytest.raises(InternalTheoremViolation) as raised:
+                recognize(graph_from_code(3, code))
+            assert raised.value.report.to_dict() == f.to_dict()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_gamma_counterexamples_replay(self, monkeypatch, jobs):
+        monkeypatch.setattr(oracle, "check_gamma_property", lambda d: d.n != 3)
+        r = sweep_gamma(30, 6, seed=1, jobs=jobs)
+        three = [i for i in range(30) if 1 + Rng(1 ^ i).below(6) == 3]
+        assert three and [f.state["index"] for f in r.failures] == three
+        for f in r.failures:
+            rng = Rng(1 ^ f.state["index"])
+            n = 1 + rng.below(6)
+            d = random_digraph_missing(random_graph(n, rng.next_u64()), rng.next_u64())
+            assert f.stage == "gamma-property" and f.state["digraph"] == d.to_dict()
+
 
 class TestGamma:
     def test_six_digit_value(self):
@@ -150,11 +233,10 @@ class TestGamma:
     def test_property_examples(self):
         sink = Digraph.from_arcs(2, [(0, 1)])
         assert check_gamma_property(sink)
-        # every vertex of a directed triangle has d+ = d++ = 1 > gamma
-        assert not check_gamma_property(cycle3())
+        # every vertex of a directed triangle has d++ = d+ = 1 >= gamma * d+
+        assert check_gamma_property(cycle3())
 
-    def test_sweep_is_descriptive(self):
+    def test_sweep_gates_on_zero_failures(self):
         r = sweep_gamma(40, 10, seed=6)
-        assert r.failures == []
-        assert GAMMA_NOTE in r.notes
-        assert r.data["holds"] + r.data["fails"] == 40
+        assert (r.instances, r.failures, r.data) == (40, [], {})
+        assert r.to_dict()["notes"] == []
