@@ -14,39 +14,15 @@ import sys
 from pathlib import Path
 
 from . import formats, generators, good_edges, median_order, oracle, stars
-from .digraph import WeightedDigraph, WeightMap, has_weighted_snp
+from .digraph import WeightedDigraph, WeightMap
 from .errors import (
     BadProfile,
-    DigonRejected,
-    DuplicateArc,
     InternalTheoremViolation,
-    LoopRejected,
     MoveLimitExceeded,
-    NegativeWeight,
     NoWitnessFound,
-    NotAllGood,
-    NotATournament,
     NotAViolation,
-    NotMissing,
     ParseError,
-    TooLarge,
-)
-
-_USAGE_ERRORS = (
-    ParseError,
-    LoopRejected,
-    DigonRejected,
-    DuplicateArc,
-    NotATournament,
-    NegativeWeight,
-    TooLarge,
-    NotMissing,
-    NotAllGood,
-    NotAViolation,
-    BadProfile,
-    MoveLimitExceeded,
-    ValueError,
-    OSError,
+    SncError,
 )
 
 
@@ -78,23 +54,14 @@ def _read_input(args) -> str:
 def _load_any(text: str):
     head = text.lstrip()
     if head.startswith("{"):
-        doc = json.loads(head)
-        kind = doc.get("kind")
-        if kind == "digraph":
-            wd, labels = formats.digraph_from_instance_dict(doc)
-            return "digraph", wd, labels
-        if kind == "graph":
-            g, labels = formats.graph_from_instance_dict(doc)
-            return "graph", g, labels
-        raise ParseError(f"unknown instance kind {kind!r}")
-    first = head.split(None, 1)[0] if head else ""
-    if first == "digraph":
-        wd, labels = formats.parse_digraph(text)
-        return "digraph", wd, labels
-    if first == "graph":
-        g, labels = formats.parse_graph(text)
-        return "graph", g, labels
-    raise ParseError("input is neither a digraph nor a graph document")
+        kind = formats.load_json(text).get("kind")
+    else:
+        kind = head.split(None, 1)[0] if head else ""
+    if kind == "digraph":
+        return ("digraph", *formats.load_digraph(text))
+    if kind == "graph":
+        return ("graph", *formats.load_graph(text))
+    raise ParseError(f"unknown instance kind {kind!r}")
 
 
 # ---- commands ---------------------------------------------------------
@@ -133,14 +100,7 @@ def cmd_median_order(args) -> int:
             wd.digraph, wd.weights, move_limit=args.move_limit, seed=args.seed
         )
     doc = co.to_dict()
-    doc.update(
-        {
-            "kind": "certified_order",
-            "exact": bool(args.exact),
-            "feed_vertex": median_order.feed_vertex(co) if co.order else None,
-            "instance": formats.digraph_instance_dict(wd, labels),
-        }
-    )
+    doc["instance"] = formats.digraph_instance_dict(wd, labels)
     _emit(args, doc)
     return 0
 
@@ -207,25 +167,21 @@ def cmd_sweep(args) -> int:
     return 2 if report.failures else 0
 
 
-def _maybe_weights(args, n: int):
+def _weights(args, n: int) -> WeightMap:
     if args.weights_max is None:
-        return None
+        return WeightMap.uniform(n)
     seed = args.weights_seed if args.weights_seed is not None else args.seed
     return generators.random_weights(n, seed, args.weights_max)
 
 
 def cmd_gen(args) -> int:
-    if args.what == "tournament":
-        d = generators.random_tournament(args.n, args.seed)
-        w = _maybe_weights(args, args.n)
-        wd = WeightedDigraph(d, w if w is not None else WeightMap.uniform(args.n))
-        doc = formats.digraph_instance_dict(wd)
-        text = formats.serialize_digraph(wd)
-    elif args.what == "digraph-missing":
-        g, _labels = formats.load_graph(_read_input(args))
-        d = generators.random_digraph_missing(g, args.seed)
-        w = _maybe_weights(args, g.n)
-        wd = WeightedDigraph(d, w if w is not None else WeightMap.uniform(g.n))
+    if args.what in ("tournament", "digraph-missing"):
+        if args.what == "tournament":
+            d = generators.random_tournament(args.n, args.seed)
+        else:
+            g, _labels = formats.load_graph(_read_input(args))
+            d = generators.random_digraph_missing(g, args.seed)
+        wd = WeightedDigraph(d, _weights(args, d.n))
         doc = formats.digraph_instance_dict(wd)
         text = formats.serialize_digraph(wd)
     elif args.what == "weights":
@@ -273,33 +229,18 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    doc = json.loads(_read_input(args))
+    # looked up per call, so that the module attributes stay patchable
+    verifiers = {
+        "witness_certificate": good_edges.verify_certificate,
+        "witness_fallback": good_edges.verify_fallback,
+        "certified_order": median_order.verify_order,
+    }
+    doc = formats.load_json(_read_input(args))
     kind = doc.get("kind")
-    if kind == "witness_certificate":
-        wd, _labels = formats.digraph_from_instance_dict(doc["instance"])
-        cert = good_edges.certificate_from_dict(doc)
-        checks = good_edges.verify_certificate(wd, cert)
-    elif kind == "witness_fallback":
-        wd, _labels = formats.digraph_from_instance_dict(doc["instance"])
-        v = int(doc["witness"])
-        check = has_weighted_snp(wd, v)
-        checks = [
-            ("witness_inequality", check.holds),
-            ("lhs_matches", check.first_weight == formats._rational_from_dict(doc["lhs"], "lhs")),
-            ("rhs_matches", check.second_weight == formats._rational_from_dict(doc["rhs"], "rhs")),
-        ]
-    elif kind == "certified_order":
-        wd, _labels = formats.digraph_from_instance_dict(doc["instance"])
-        order = tuple(int(v) for v in doc["order"])
-        violations = median_order.feedback_check(wd.digraph, wd.weights, order)
-        objective = median_order.order_objective(wd.digraph, wd.weights, order)
-        checks = [
-            ("order_feedback", not violations),
-            ("objective_matches", objective == median_order.perturbed_from_dict(doc["objective"])),
-            ("conditions_counted", int(doc["violations_checked"]) == wd.digraph.n ** 2),
-        ]
-    else:
+    if not isinstance(kind, str) or kind not in verifiers:
         raise ParseError(f"cannot verify documents of kind {kind!r}")
+    wd, _labels = formats.digraph_from_instance_dict(doc.get("instance"))
+    checks = verifiers[kind](wd, doc)
     verified = all(ok for _name, ok in checks)
     _emit(
         args,
@@ -441,7 +382,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         _emit_error("ParseError", f"bad JSON: {exc}")
         return 1
-    except _USAGE_ERRORS as exc:
+    except (SncError, ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DigonRejected, DuplicateArc, LoopRejected, NegativeWeight
+from .errors import DigonRejected, DuplicateArc, LoopRejected, NegativeWeight, ParseError
 
 Vertex = int
 
@@ -241,6 +241,19 @@ def missing_graph(g: Digraph) -> UndirectedGraph:
     return UndirectedGraph.from_edges(g.n, g.missing_pairs())
 
 
+def rational_dict(x: Fraction) -> dict:
+    """The JSON form {"num", "den"} of an exact rational, lowest terms."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
+def rational_from_dict(doc, where: str) -> Fraction:
+    """Inverse of rational_dict: two ints with a positive denominator."""
+    num, den = (doc.get("num"), doc.get("den")) if isinstance(doc, dict) else (None, None)
+    if type(num) is not int or type(den) is not int or den <= 0:
+        raise ParseError(f"bad rational in {where}")
+    return Fraction(num, den)
+
+
 class WeightMap:
     """Exact nonnegative rational vertex weights, one per vertex."""
 
@@ -274,7 +287,7 @@ class WeightMap:
         return sum((self._w[v] for v in vertices), Fraction(0))
 
     def to_dicts(self) -> list[dict]:
-        return [{"num": w.numerator, "den": w.denominator} for w in self._w]
+        return [rational_dict(w) for w in self._w]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMap):

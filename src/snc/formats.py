@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap
+from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_from_dict
 from .errors import ParseError, SncError
 
 
@@ -192,14 +192,11 @@ def graph_instance_dict(g: UndirectedGraph, labels: Optional[list[str]] = None) 
     }
 
 
-def _rational_from_dict(d: dict, where: str) -> Fraction:
-    try:
-        num, den = int(d["num"]), int(d["den"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError(f"bad rational in {where}") from None
-    if den <= 0:
-        raise ParseError(f"nonpositive denominator in {where}")
-    return Fraction(num, den)
+def _labels(doc: dict, n: int) -> list[str]:
+    raw = doc.get("labels", [str(v) for v in range(n)])
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ParseError("labels list must cover every vertex")
+    return [str(x) for x in raw]
 
 
 def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
@@ -212,14 +209,11 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
     raw = doc.get("weights")
     if raw is None:
         w = WeightMap.uniform(n)
+    elif isinstance(raw, list) and len(raw) == n:
+        w = WeightMap([rational_from_dict(r, "weights") for r in raw])
     else:
-        if len(raw) != n:
-            raise ParseError("weights list must cover every vertex")
-        w = WeightMap([_rational_from_dict(r, "weights") for r in raw])
-    labels = [str(x) for x in doc.get("labels", [str(v) for v in range(n)])]
-    if len(labels) != n:
-        raise ParseError("labels list must cover every vertex")
-    return WeightedDigraph(g, w), labels
+        raise ParseError("weights list must cover every vertex")
+    return WeightedDigraph(g, w), _labels(doc, n)
 
 
 def graph_from_instance_dict(doc: dict) -> tuple[UndirectedGraph, list[str]]:
@@ -228,17 +222,27 @@ def graph_from_instance_dict(doc: dict) -> tuple[UndirectedGraph, list[str]]:
         edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
     except (KeyError, TypeError, ValueError):
         raise ParseError("bad graph instance") from None
-    g = UndirectedGraph.from_edges(n, edges)
-    labels = [str(x) for x in doc.get("labels", [str(v) for v in range(n)])]
-    if len(labels) != n:
-        raise ParseError("labels list must cover every vertex")
-    return g, labels
+    return UndirectedGraph.from_edges(n, edges), _labels(doc, n)
+
+
+def int_list(value, where: str) -> tuple[int, ...]:
+    """A JSON list of integers (booleans excluded), or ParseError."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ParseError(f"{where} must be a list of integers")
+    return tuple(value)
+
+
+def fields_match(rebuilt: dict, doc: dict) -> tuple[str, bool]:
+    """The check that doc, minus its instance, is exactly the rebuilt
+    document, compared as canonical JSON so that 1, 1.0 and true differ."""
+    given = {k: v for k, v in doc.items() if k != "instance"}
+    return "fields_match", json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
 
 
 def load_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
     """Text or JSON digraph input, detected by the leading character."""
     if text.lstrip().startswith("{"):
-        doc = _load_json(text)
+        doc = load_json(text)
         if doc.get("kind") != "digraph":
             raise ParseError("expected a digraph instance")
         return digraph_from_instance_dict(doc)
@@ -248,14 +252,14 @@ def load_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
 def load_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
     """Text or JSON graph input, detected by the leading character."""
     if text.lstrip().startswith("{"):
-        doc = _load_json(text)
+        doc = load_json(text)
         if doc.get("kind") != "graph":
             raise ParseError("expected a graph instance")
         return graph_from_instance_dict(doc)
     return parse_graph(text)
 
 
-def _load_json(text: str) -> dict:
+def load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

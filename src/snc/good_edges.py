@@ -14,26 +14,35 @@ read the inequality off the original digraph.  Every step that the
 supporting theory guarantees is asserted at run time; a failure raises
 InternalTheoremViolation with a full replayable dump instead of being
 swallowed.
+
+A certificate's free choices are its orientations and order, a
+fallback's is its witness.  _certificate and _fallback derive every
+other field; the producers and verify_certificate / verify_fallback
+share them, so verification re-runs the theorem checks and compares the
+rebuilt document with the given one as a whole.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, WeightedDigraph, WeightMap
+from .digraph import Digraph, WeightedDigraph, WeightMap, has_weighted_snp, rational_dict
 from .errors import (
     CounterexampleReport,
     InternalTheoremViolation,
     NoWitnessFound,
     NotAllGood,
     NotMissing,
+    ParseError,
 )
+from .formats import fields_match, int_list
 from .median_order import (
     CertifiedOrder,
     feed_vertex,
     feedback_check,
     local_median_order,
+    order_objective,
 )
 
 
@@ -130,9 +139,7 @@ def complete_to_tournament(
     (lower index -> higher index) wins.
     """
     if statuses is None:
-        ok, statuses = all_missing_edges_good(d)
-        if not ok:
-            raise NotAllGood("some missing edge is not good")
+        _ok, statuses = all_missing_edges_good(d)
     if not all(s.good for s in statuses):
         raise NotAllGood("some missing edge is not good")
     t = d.copy()
@@ -174,16 +181,16 @@ def reorient_at_feed(
 class WitnessCertificate:
     """A vertex with the weighted SNP plus the full audit trail.
 
-    lhs and rhs are the exact weights of the first and second out-
-    neighborhoods of the witness in the original digraph, under the
-    original (unperturbed) weights; lhs <= rhs always holds.
+    orientations and the order are the free choices; _certificate derives
+    every other field from them.  lhs and rhs are the exact weights of the
+    first and second out-neighborhoods of the witness in the original
+    digraph, under the original (unperturbed) weights.
     """
 
     witness: int
     orientations: tuple[ConvenientOrientation, ...]
     order: CertifiedOrder
     reoriented_arcs: tuple[tuple[int, int], ...]
-    recheck_violations: int
     lhs: Fraction
     rhs: Fraction
     first_neighborhood: tuple[int, ...]
@@ -197,11 +204,9 @@ class WitnessCertificate:
             "orientations": [o.to_dict() for o in self.orientations],
             "order": list(self.order.order),
             "objective": self.order.objective.to_dict(),
-            "violations_checked": self.order.violations_checked,
             "reoriented_arcs": [list(a) for a in self.reoriented_arcs],
-            "t_prime_recheck_violations": self.recheck_violations,
-            "lhs": {"num": self.lhs.numerator, "den": self.lhs.denominator},
-            "rhs": {"num": self.rhs.numerator, "den": self.rhs.denominator},
+            "lhs": rational_dict(self.lhs),
+            "rhs": rational_dict(self.rhs),
             "first_neighborhood": list(self.first_neighborhood),
             "second_neighborhood": list(self.second_neighborhood),
         }
@@ -222,11 +227,51 @@ class FallbackWitness:
             "kind": "witness_fallback",
             "certified": False,
             "witness": self.witness,
-            "lhs": {"num": self.lhs.numerator, "den": self.lhs.denominator},
-            "rhs": {"num": self.rhs.numerator, "den": self.rhs.denominator},
+            "lhs": rational_dict(self.lhs),
+            "rhs": rational_dict(self.rhs),
             "snp_vertices": list(self.snp_vertices),
             "not_good_edges": [list(e) for e in self.not_good_edges],
         }
+
+
+def _certificate(
+    d: Digraph,
+    t: Digraph,
+    w: WeightMap,
+    orientations: Sequence[ConvenientOrientation],
+    order: Sequence[int],
+) -> WitnessCertificate:
+    """The certificate of a completion t of d and an order of t, every
+    derived field computed here; the witness is the feed vertex."""
+    f = order[-1]
+    first, second = d.out_neighbors(f), d.second_out_neighbors(f)
+    return WitnessCertificate(
+        witness=f,
+        orientations=tuple(orientations),
+        order=CertifiedOrder(tuple(order), order_objective(t, w, order)),
+        # every completed missing edge at f, as it points after reorientation
+        reoriented_arcs=tuple(
+            sorted((a + b - f, f) for a, b in d.missing_pairs() if f in (a, b))
+        ),
+        lhs=w.total(first),
+        rhs=w.total(second),
+        first_neighborhood=tuple(sorted(first)),
+        second_neighborhood=tuple(sorted(second)),
+    )
+
+
+def _fallback(
+    wd: WeightedDigraph, v: int, snp: Iterable[int], statuses: Sequence[MissingEdgeStatus]
+) -> FallbackWitness:
+    """The fallback document for witness v, every other field derived here."""
+    check = has_weighted_snp(wd, v)
+    return FallbackWitness(
+        witness=v,
+        lhs=check.first_weight,
+        rhs=check.second_weight,
+        snp_vertices=tuple(sorted(snp)),
+        not_good_edges=tuple((s.a, s.b) for s in statuses if not s.good),
+    )
 
 
 def _dump_state(d: Digraph, w: WeightMap, **extra) -> dict:
@@ -247,8 +292,7 @@ def find_witness_good(
     t, orientations = complete_to_tournament(d, statuses)
     co = local_median_order(t, w, move_limit=move_limit)
     f = feed_vertex(co)
-    missing = d.missing_pairs()
-    t2 = reorient_at_feed(t, missing, f)
+    t2 = reorient_at_feed(t, d.missing_pairs(), f)
 
     recheck = feedback_check(t2, w, co.order)
     if recheck:
@@ -289,33 +333,18 @@ def find_witness_good(
             )
         )
 
-    lhs = w.total(n_plus_d)
-    rhs = w.total(n_plus_plus_d)
-    if lhs > rhs:
+    cert = _certificate(d, t, w, orientations, co.order)
+    if cert.lhs > cert.rhs:
         raise InternalTheoremViolation(
             CounterexampleReport(
                 stage="witness-inequality",
                 description="feed vertex failed the weighted SNP in the original digraph",
                 state=_dump_state(
-                    d, w, feed=f, lhs=str(lhs), rhs=str(rhs), order=list(co.order)
+                    d, w, feed=f, lhs=str(cert.lhs), rhs=str(cert.rhs), order=list(co.order)
                 ),
             )
         )
-
-    flipped = tuple(
-        sorted((x, f) for (a, b) in missing for x in (a, b) if f in (a, b) and x != f)
-    )
-    return WitnessCertificate(
-        witness=f,
-        orientations=tuple(orientations),
-        order=co,
-        reoriented_arcs=flipped,
-        recheck_violations=0,
-        lhs=lhs,
-        rhs=rhs,
-        first_neighborhood=tuple(sorted(n_plus_d)),
-        second_neighborhood=tuple(sorted(n_plus_plus_d)),
-    )
+    return cert
 
 
 def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
@@ -345,97 +374,72 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
                 state=_dump_state(d, w),
             )
         )
-    v = min(snp)
-    lhs = w.total(d.out_neighbors(v))
-    rhs = w.total(d.second_out_neighbors(v))
-    return FallbackWitness(
-        witness=v,
-        lhs=lhs,
-        rhs=rhs,
-        snp_vertices=tuple(sorted(snp)),
-        not_good_edges=tuple((s.a, s.b) for s in statuses if not s.good),
-    )
+    return _fallback(wd, min(snp), snp, statuses)
 
 
-def certificate_from_dict(doc: dict) -> WitnessCertificate:
-    """Rebuild a certificate from its serialized form (for re-verification)."""
-    from .median_order import perturbed_from_dict
-
-    def rat(d: dict) -> Fraction:
-        return Fraction(int(d["num"]), int(d["den"]))
-
-    order = CertifiedOrder(
-        order=tuple(int(v) for v in doc["order"]),
-        objective=perturbed_from_dict(doc["objective"]),
-        violations_checked=int(doc["violations_checked"]),
-    )
-    orientations = tuple(
-        ConvenientOrientation(int(o["arc"][0]), int(o["arc"][1]), str(o["condition"]))
-        for o in doc["orientations"]
-    )
-    return WitnessCertificate(
-        witness=int(doc["witness"]),
-        orientations=orientations,
-        order=order,
-        reoriented_arcs=tuple((int(a), int(b)) for a, b in doc["reoriented_arcs"]),
-        recheck_violations=int(doc["t_prime_recheck_violations"]),
-        lhs=rat(doc["lhs"]),
-        rhs=rat(doc["rhs"]),
-        first_neighborhood=tuple(int(v) for v in doc["first_neighborhood"]),
-        second_neighborhood=tuple(int(v) for v in doc["second_neighborhood"]),
-    )
+def _orientations_from(raw) -> list[ConvenientOrientation]:
+    if not isinstance(raw, list) or not all(isinstance(o, dict) for o in raw):
+        raise ParseError("orientations must be a list of objects")
+    out = []
+    for o in raw:
+        arc = int_list(o.get("arc"), "orientation arc")
+        if len(arc) != 2 or o.get("condition") not in ("i", "ii"):
+            raise ParseError('an orientation is {"arc": [tail, head], "condition": "i" or "ii"}')
+        out.append(ConvenientOrientation(arc[0], arc[1], o["condition"]))
+    return out
 
 
-def verify_certificate(wd: WeightedDigraph, cert: WitnessCertificate) -> list[tuple[str, bool]]:
-    """Re-derive every claim of a certificate from scratch.
+def _licensed(d: Digraph, o: ConvenientOrientation) -> bool:
+    s = classify_missing_edge(d, o.tail, o.head)
+    # condition (i) belongs to the lower endpoint as tail, (ii) to the higher
+    if o.condition == "i":
+        return s.satisfies_i and o.tail < o.head
+    return s.satisfies_ii and o.tail > o.head
 
-    Returns (check name, ok) pairs; all must be true for a sound
-    certificate.  Shares no state with the pipeline that produced it.
+
+def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
+    """Re-derive a witness_certificate document from its free choices.
+
+    Reads only orientations and order from doc, re-runs the theorem
+    checks, and compares the rebuilt certificate with doc (minus its
+    instance) as a whole.  Returns (check name, ok) pairs; all must be
+    true for a sound certificate.  Ill-typed choices raise ParseError.
     """
     d, w = wd.digraph, wd.weights
-    checks: list[tuple[str, bool]] = []
-
-    missing = set(d.missing_pairs())
-    oriented = {tuple(sorted((o.tail, o.head))): o for o in cert.orientations}
-    checks.append(("orientations_cover_missing_edges", set(oriented) == missing))
-
-    sound = True
-    for o in cert.orientations:
-        s = classify_missing_edge(d, o.tail, o.head)
-        licensed = s.satisfies_i if o.condition == "i" else s.satisfies_ii
-        # condition (i) belongs to the lower endpoint as tail, (ii) to the higher
-        direction_ok = (o.condition == "i") == (o.tail < o.head)
-        sound = sound and licensed and direction_ok
-    checks.append(("orientations_licensed", sound))
-
+    orientations = _orientations_from(doc.get("orientations"))
+    order = int_list(doc.get("order"), "order")
+    if not order or sorted(order) != list(range(d.n)):
+        return [("order_is_permutation", False)]
+    missing = d.missing_pairs()
+    if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != missing:
+        return [("orientations_cover_missing_edges", False)]
     t = d.copy()
-    try:
-        for o in cert.orientations:
-            t.add_arc(o.tail, o.head)
-        extends = t.is_tournament()
-    except Exception:
-        extends = False
-    checks.append(("completion_is_tournament", extends))
+    for o in orientations:
+        t.add_arc(o.tail, o.head)
+    cert = _certificate(d, t, w, orientations, order)
+    t2 = reorient_at_feed(t, missing, cert.witness)
+    return [
+        ("orientations_cover_missing_edges", True),
+        ("orientations_licensed", all(_licensed(d, o) for o in orientations)),
+        ("order_feedback_on_t", not feedback_check(t, w, order)),
+        ("order_feedback_on_t_prime", not feedback_check(t2, w, order)),
+        ("witness_inequality", cert.lhs <= cert.rhs),
+        fields_match(cert.to_dict(), doc),
+    ]
 
-    checks.append(("order_feedback_on_t", extends and not feedback_check(t, w, cert.order.order)))
 
-    f = cert.witness
-    checks.append(("witness_is_feed_vertex", bool(cert.order.order) and cert.order.order[-1] == f))
+def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
+    """Re-derive a witness_fallback document from its witness alone."""
+    from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
 
-    if extends:
-        t2 = reorient_at_feed(t, sorted(missing), f)
-        checks.append(("order_feedback_on_t_prime", not feedback_check(t2, w, cert.order.order)))
-    else:
-        checks.append(("order_feedback_on_t_prime", False))
-
-    lhs = w.total(d.out_neighbors(f))
-    rhs = w.total(d.second_out_neighbors(f))
-    checks.append(("lhs_matches", lhs == cert.lhs))
-    checks.append(("rhs_matches", rhs == cert.rhs))
-    checks.append(("witness_inequality", lhs <= rhs))
-    checks.append(
-        ("neighborhoods_match",
-         tuple(sorted(d.out_neighbors(f))) == cert.first_neighborhood
-         and tuple(sorted(d.second_out_neighbors(f))) == cert.second_neighborhood)
-    )
-    return checks
+    v = doc.get("witness")
+    if type(v) is not int:
+        raise ParseError("witness must be an integer")
+    if not 0 <= v < wd.digraph.n:
+        return [("witness_in_range", False)]
+    _ok, statuses = all_missing_edges_good(wd.digraph)
+    fallback = _fallback(wd, v, brute_force_snp_vertices(wd), statuses)
+    return [
+        ("witness_inequality", fallback.lhs <= fallback.rhs),
+        fields_match(fallback.to_dict(), doc),
+    ]

@@ -25,6 +25,11 @@ Two order constructions are provided:
   terminates (a move limit turns pathological slowness into an error).
 * exact_median_order: subset dynamic program maximizing the perturbed
   objective globally; feasible to twenty vertices.
+
+Either way the result is a CertifiedOrder.  Its document's one free
+choice is the order: the objective and the feed vertex are derived from
+it, and verify_order re-derives the whole document from the order and
+the instance, so a tampered field fails verification.
 """
 from __future__ import annotations
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .digraph import Digraph, WeightMap
+from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
 from .errors import (
     CounterexampleReport,
     InternalTheoremViolation,
@@ -41,6 +46,7 @@ from .errors import (
     NotATournament,
     TooLarge,
 )
+from .formats import fields_match, int_list
 
 
 @dataclass(frozen=True, order=True)
@@ -57,19 +63,11 @@ class PerturbedRational:
     c2: Fraction = Fraction(0)
 
     def to_dict(self) -> dict:
-        return {
-            "c0": {"num": self.c0.numerator, "den": self.c0.denominator},
-            "c1": {"num": self.c1.numerator, "den": self.c1.denominator},
-            "c2": {"num": self.c2.numerator, "den": self.c2.denominator},
-        }
-
-
-def _rational(doc: dict) -> Fraction:
-    return Fraction(int(doc["num"]), int(doc["den"]))
+        return {c: rational_dict(getattr(self, c)) for c in ("c0", "c1", "c2")}
 
 
 def perturbed_from_dict(doc: dict) -> PerturbedRational:
-    return PerturbedRational(_rational(doc["c0"]), _rational(doc["c1"]), _rational(doc["c2"]))
+    return PerturbedRational(*(rational_from_dict(doc[c], c) for c in ("c0", "c1", "c2")))
 
 
 def _perturbed_keys(w: WeightMap) -> tuple[list[int], int, int]:
@@ -139,13 +137,13 @@ class CertifiedOrder:
 
     order: Order
     objective: PerturbedRational
-    violations_checked: int
 
     def to_dict(self) -> dict:
         return {
+            "kind": "certified_order",
             "order": list(self.order),
             "objective": self.objective.to_dict(),
-            "violations_checked": self.violations_checked,
+            "feed_vertex": self.order[-1] if self.order else None,
         }
 
 
@@ -215,11 +213,6 @@ def feedback_check(t: Digraph, w: WeightMap, order: Sequence[int]) -> list[Feedb
 
     violations.sort(key=FeedbackViolation.scan_key)
     return violations
-
-
-def _conditions_count(n: int) -> int:
-    # two inequalities per interval i < j, one for each singleton: n^2
-    return n * n
 
 
 def default_move_limit(n: int) -> int:
@@ -305,7 +298,7 @@ def local_median_order(
         if trace is not None:
             trace.append({"move": moves, "order": list(order), "repaired": first.to_dict()})
 
-    return CertifiedOrder(order, order_objective(t, w, order), _conditions_count(t.n))
+    return CertifiedOrder(order, order_objective(t, w, order))
 
 
 EXACT_MEDIAN_MAX_N = 20
@@ -372,7 +365,7 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
                 },
             )
         )
-    return CertifiedOrder(order, _product_value(dp[size - 1], scale, base), _conditions_count(n))
+    return CertifiedOrder(order, _product_value(dp[size - 1], scale, base))
 
 
 def feed_vertex(co: CertifiedOrder) -> int:
@@ -380,3 +373,20 @@ def feed_vertex(co: CertifiedOrder) -> int:
     if not co.order:
         raise ValueError("empty order has no feed vertex")
     return co.order[-1]
+
+
+def verify_order(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
+    """Re-derive a certified_order document from its order alone.
+
+    A missing or ill-typed order is a ParseError; an order that is not a
+    permutation of the vertices fails verification.
+    """
+    t, w = wd.digraph, wd.weights
+    order = int_list(doc.get("order"), "order")
+    if sorted(order) != list(range(t.n)):
+        return [("order_is_permutation", False)]
+    rebuilt = CertifiedOrder(order, order_objective(t, w, order))
+    return [
+        ("order_feedback", not feedback_check(t, w, order)),
+        fields_match(rebuilt.to_dict(), doc),
+    ]

@@ -264,6 +264,8 @@ def sweep_proposition1(
 ) -> SweepReport:
     """Randomized check that feed vertices of weighted tournaments have the
     weighted SNP under the original (unperturbed) weights."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     start = time.perf_counter()
     count, failures = _drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs)
     return SweepReport(
@@ -404,6 +406,8 @@ def sweep_theorem3(
         raise TooLarge(f"sweep limited to n <= {MAX_ENUM_GRAPH_N}")
     if n < 1:
         raise ValueError("need at least one vertex")
+    if not 1 <= random_min_n <= random_max_n:
+        raise ValueError("need 1 <= random_min_n <= random_max_n")
     start = time.perf_counter()
     routes = _drive_codes(_exhaustive_routes_check, range(1, n + 1), jobs)
     random_routes = _drive(
@@ -502,6 +506,8 @@ def _gamma_check(i: int, max_n: int, seed: int) -> tuple[int, list[Counterexampl
 def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepReport:
     """Every seeded random oriented graph has a vertex with
     d++(v) >= gamma * d+(v) (Chen, Shen and Yuster)."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
     start = time.perf_counter()
     count, failures = _drive(_gamma_check, samples, (max_n, seed), jobs)
     return SweepReport(

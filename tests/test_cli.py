@@ -9,7 +9,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from snc import DigonRejected, LoopRejected, ParseError, oracle
+from snc import (
+    DigonRejected,
+    InternalTheoremViolation,
+    LoopRejected,
+    MoveLimitExceeded,
+    NoWitnessFound,
+    ParseError,
+    SncError,
+    oracle,
+)
 from snc.cli import main
 from snc.formats import (
     load_digraph,
@@ -24,6 +33,27 @@ TRIANGLE_DG = "digraph 3\narc 2 0\narc 2 1\n"
 CYCLE_DG = "digraph 3\narc 0 1\narc 1 2\narc 2 0\n"
 TWOK2_G = "graph 4\nedge 0 1\nedge 2 3\n"
 NESTED_G = "graph 4\nedge 0 1\nedge 0 2\nedge 0 3\nedge 1 3\n"
+K22_DG = "digraph 4\narc 2 0\narc 3 1\narc 1 2\narc 0 3\n"
+
+
+_DROP = object()
+
+
+def _set(path, value):
+    """A function that sets (or, for _DROP, deletes) the entry at path, a
+    tuple of keys, of a document."""
+
+    def tamper(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        if value is _DROP:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
+        return doc
+
+    return tamper
 
 
 def run_cli(*argv: str):
@@ -140,10 +170,10 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0
         assert doc["objective"]["c0"] == {"num": 9, "den": 1}
-        assert doc["violations_checked"] == 9
+        assert doc["feed_vertex"] == doc["order"][-1]
         code, out2, _ = run_cli("median-order", "-i", str(f))
         doc2 = json.loads(out2)
-        assert code == 0 and doc2["exact"] is False
+        assert code == 0 and doc2["kind"] == "certified_order"
 
     def test_median_order_rejects_non_tournament(self, tmp_path):
         f = tmp_path / "m.dg"
@@ -255,7 +285,7 @@ class TestCommands:
         report = json.loads(out2)
         assert code == 1 and report["verified"] is False
         failed = {c["name"] for c in report["checks"] if not c["ok"]}
-        assert "witness_is_feed_vertex" in failed
+        assert failed == {"fields_match"}
 
     def test_verify_fallback_witness(self, tmp_path):
         f = tmp_path / "k22.dg"
@@ -389,3 +419,137 @@ class TestContracts:
         doc = json.loads(err)
         assert doc["error"] == "InternalTheoremViolation"
         assert doc["counterexample"]["stage"] == "test"
+
+    # every SncError without a handler of its own; InternalTheoremViolation,
+    # NoWitnessFound and MoveLimitExceeded are tested above
+    @pytest.mark.parametrize(
+        "exc",
+        [SncError]
+        + [
+            c
+            for c in SncError.__subclasses__()
+            if c not in (InternalTheoremViolation, NoWitnessFound, MoveLimitExceeded)
+        ],
+        ids=lambda c: c.__name__,
+    )
+    def test_every_snc_error_is_a_json_error_with_exit_1(self, exc, monkeypatch, tmp_path):
+        import snc.good_edges as ge
+
+        def boom(wd, move_limit=None):
+            raise exc("forced")
+
+        monkeypatch.setattr(ge, "find_witness", boom)
+        f = tmp_path / "t.dg"
+        f.write_text(TRIANGLE_DG)
+        code, out, err = run_cli("witness", "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": exc.__name__, "message": "forced"}
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["prop1", "--samples", "3", "--max-n", "0"], "max_n"),
+            (["gamma", "--samples", "3", "--max-n", "0"], "max_n"),
+            (["theorem3", "--n", "2", "--samples", "3", "--min-n", "9", "--max-n", "6"], "random_min_n"),
+            (["theorem3", "--n", "2", "--samples", "2", "--min-n", "0", "--max-n", "0"], "random_min_n"),
+        ],
+    )
+    def test_sweep_rejects_bad_size_range(self, argv, name):
+        code, out, err = run_cli("sweep", *argv)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and name in doc["message"]
+
+    @pytest.mark.parametrize(
+        "command, instance",
+        [
+            ("check-good", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "weights": 5}),
+            ("check-good", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "labels": 5}),
+            ("witness", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "weights": 5}),
+            ("witness", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "labels": 5}),
+            ("recognize", {"kind": "graph", "n": 3, "edges": [[0, 1]], "labels": 5}),
+            ("verify", {"kind": "certified_order", "order": [0], "instance": {"n": 1, "weights": 5}}),
+            ("verify", {"kind": "certified_order", "order": [0], "instance": {"n": 1, "labels": 5}}),
+        ],
+    )
+    def test_non_list_weights_or_labels_are_parse_errors(self, command, instance, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(instance))
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda doc: [doc],
+            _set(("order",), _DROP),
+            _set(("instance", "arcs", 0), [2]),
+            _set(("instance", "weights", 0), {"num": 1, "den": 0}),
+            _set(("orientations", 0, "arc"), [0]),
+            _set(("orientations", 0, "condition"), "iii"),
+            _set(("kind",), "witness_certificates"),
+        ],
+        ids=[
+            "top-level-list",
+            "missing-order",
+            "short-instance-arc",
+            "zero-den",
+            "one-element-orientation-arc",
+            "bad-condition",
+            "unknown-kind",
+        ],
+    )
+    def test_malformed_documents_are_parse_errors(self, tamper, tmp_path):
+        f = tmp_path / "t.dg"
+        f.write_text(TRIANGLE_DG)
+        _, out, _ = run_cli("witness", "-i", str(f))
+        doc = json.loads(out)
+        assert doc["orientations"] == [{"arc": [0, 1], "condition": "i"}]
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(tamper(doc)))
+        code, out, err = run_cli("verify", "-i", str(cert))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "instance, argv, tamper",
+        [
+            (TRIANGLE_DG, ["witness"], _set(("objective", "c1", "num"), 99)),
+            (TRIANGLE_DG, ["witness"], _set(("objective",), _DROP)),
+            (TRIANGLE_DG, ["witness"], _set(("reoriented_arcs",), [])),
+            (TRIANGLE_DG, ["witness"], _set(("first_neighborhood",), [0])),
+            (K22_DG, ["witness"], _set(("snp_vertices",), [0])),
+            (K22_DG, ["witness"], _set(("not_good_edges",), [])),
+            (K22_DG, ["witness"], _set(("lhs", "num"), 0)),
+            (K22_DG, ["witness"], _set(("witness",), 4)),
+            (CYCLE_DG, ["median-order"], _set(("feed_vertex",), 0)),
+            (CYCLE_DG, ["median-order"], _set(("objective",), _DROP)),
+            (CYCLE_DG, ["median-order"], _set(("order",), [0, 1, 1])),
+            (CYCLE_DG, ["median-order", "--exact"], _set(("exact",), True)),
+        ],
+        ids=[
+            "certificate-objective",
+            "certificate-no-objective",
+            "certificate-reoriented-arcs",
+            "certificate-first-neighborhood",
+            "fallback-snp-vertices",
+            "fallback-not-good-edges",
+            "fallback-lhs",
+            "fallback-witness-out-of-range",
+            "order-feed-vertex",
+            "order-no-objective",
+            "order-not-a-permutation",
+            "order-added-exact",
+        ],
+    )
+    def test_tampered_documents_read_verified_false(self, instance, argv, tamper, tmp_path):
+        f = tmp_path / "in.dg"
+        f.write_text(instance)
+        _, out, _ = run_cli(*argv, "-i", str(f))
+        cert = tmp_path / "doc.json"
+        cert.write_text(json.dumps(tamper(json.loads(out))))
+        code, out, err = run_cli("verify", "-i", str(cert))
+        assert code == 1 and err == ""
+        assert json.loads(out)["verified"] is False

@@ -1,6 +1,7 @@
 """Goodness classification, convenient orientations, witness pipeline."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,6 @@ from snc.generators import (
     random_star_profile,
     random_weights,
 )
-from snc.good_edges import certificate_from_dict
 from snc.oracle import brute_force_snp_vertices
 
 
@@ -143,8 +143,7 @@ class TestWitnessPipeline:
         assert cert.witness == 1
         assert cert.order.order == (2, 0, 1)
         assert (cert.lhs, cert.rhs) == (Fraction(0), Fraction(0))
-        assert cert.recheck_violations == 0
-        assert all(ok for _name, ok in verify_certificate(wd, cert))
+        assert all(ok for _name, ok in verify_certificate(wd, cert.to_dict()))
 
     def test_tournament_reduces_to_feed_vertex(self):
         t = Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -183,11 +182,9 @@ class TestDispatch:
 
 def test_certificate_survives_serialization_round_trip():
     wd = WeightedDigraph(star_missing(), WeightMap([2, 0, 1, 3]))
-    cert = find_witness_good(wd)
-    doc = cert.to_dict()
-    rebuilt = certificate_from_dict(doc)
-    assert rebuilt == cert
-    assert all(ok for _name, ok in verify_certificate(wd, rebuilt))
+    doc = json.loads(json.dumps(find_witness_good(wd).to_dict()))
+    checks = verify_certificate(wd, doc)
+    assert all(ok for _name, ok in checks) and ("fields_match", True) in checks
 
 
 def test_pipeline_invariants_on_random_good_instances():
@@ -203,7 +200,7 @@ def test_pipeline_invariants_on_random_good_instances():
         cert = find_witness_good(wd)
         assert cert.witness in brute_force_snp_vertices(wd)
         assert cert.lhs <= cert.rhs
-        checks = verify_certificate(wd, cert)
+        checks = verify_certificate(wd, cert.to_dict())
         assert all(ok for _name, ok in checks), checks
         # feedback survives reorienting toward any certified feed vertex
         t = d.copy()

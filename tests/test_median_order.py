@@ -182,11 +182,6 @@ def test_feedback_check_examples():
     assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) == []
 
 
-def test_conditions_counted_once_per_form():
-    co = local_median_order(cycle3(), WeightMap.uniform(3))
-    assert co.violations_checked == 9  # n^2 interval conditions
-
-
 def test_local_median_order_examples():
     # already certified: zero moves needed, order unchanged
     trace: list = []
@@ -295,10 +290,10 @@ def test_perturbation_soundness_on_random_sets():
 
 
 def test_feed_vertex():
-    assert feed_vertex(CertifiedOrder((0, 1, 2), PerturbedRational(), 9)) == 2
-    assert feed_vertex(CertifiedOrder((0,), PerturbedRational(), 1)) == 0
+    assert feed_vertex(CertifiedOrder((0, 1, 2), PerturbedRational())) == 2
+    assert feed_vertex(CertifiedOrder((0,), PerturbedRational())) == 0
     with pytest.raises(ValueError):
-        feed_vertex(CertifiedOrder((), PerturbedRational(), 0))
+        feed_vertex(CertifiedOrder((), PerturbedRational()))
 
 
 def test_feed_vertex_has_weighted_snp_randomized():
