@@ -52,11 +52,10 @@ def _read_input(args) -> str:
 
 
 def _load_any(text: str):
-    head = text.lstrip()
-    if head.startswith("{"):
+    if text.lstrip().startswith("{"):
         kind = formats.load_json(text).get("kind")
-    else:
-        kind = head.split(None, 1)[0] if head else ""
+    else:  # the first directive, past comments, as the text parsers read it
+        kind = next((tokens[0] for _lineno, tokens in formats._lines(text)), "")
     if kind == "digraph":
         return ("digraph", *formats.load_digraph(text))
     if kind == "graph":

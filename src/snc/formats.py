@@ -22,7 +22,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_from_dict
-from .errors import ParseError, SncError
+from .errors import ParseError, SncError, TooLarge
+
+# Largest vertex count accepted from a header or a JSON n, checked before
+# anything is allocated (see "Scale limits" in the README).
+MAX_VERTICES = 512
 
 
 class _LabelTable:
@@ -74,6 +78,11 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
+def _check_cap(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise TooLarge(f"instances are limited to {MAX_VERTICES} vertices, got {n}")
+
+
 def _parse_header(tokens: list[str], lineno: int, kind: str) -> int:
     if len(tokens) != 2 or tokens[0] != kind:
         raise ParseError(f"expected header '{kind} <n>'", lineno)
@@ -83,6 +92,7 @@ def _parse_header(tokens: list[str], lineno: int, kind: str) -> int:
         raise ParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
     if n < 0:
         raise ParseError("vertex count must be nonnegative", lineno)
+    _check_cap(n)
     return n
 
 
@@ -199,12 +209,26 @@ def _labels(doc: dict, n: int) -> list[str]:
     return [str(x) for x in raw]
 
 
+def _instance(doc, pairs_key: str) -> tuple[int, list[list[int]]]:
+    """The vertex count and vertex pairs of a JSON instance, which must be
+    JSON integers (booleans and floats excluded)."""
+    if not isinstance(doc, dict):
+        raise ParseError("an instance must be a JSON object")
+    n = doc.get("n")
+    if type(n) is not int or n < 0:
+        raise ParseError("instance n must be a nonnegative integer")
+    _check_cap(n)
+    pairs = doc.get(pairs_key, [])
+    if not isinstance(pairs, list) or any(
+        not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)
+        for p in pairs
+    ):
+        raise ParseError(f"instance {pairs_key} must be a list of integer pairs")
+    return n, pairs
+
+
 def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
-    try:
-        n = int(doc["n"])
-        arcs = [(int(u), int(v)) for u, v in doc.get("arcs", [])]
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("bad digraph instance") from None
+    n, arcs = _instance(doc, "arcs")
     g = Digraph.from_arcs(n, arcs)
     raw = doc.get("weights")
     if raw is None:
@@ -217,11 +241,7 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
 
 
 def graph_from_instance_dict(doc: dict) -> tuple[UndirectedGraph, list[str]]:
-    try:
-        n = int(doc["n"])
-        edges = [(int(u), int(v)) for u, v in doc.get("edges", [])]
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("bad graph instance") from None
+    n, edges = _instance(doc, "edges")
     return UndirectedGraph.from_edges(n, edges), _labels(doc, n)
 
 

@@ -3,7 +3,10 @@
 A missing edge ab of a digraph is good when (i) every in-neighbor of a
 reaches b within two steps, or (ii) every in-neighbor of b reaches a
 within two steps.  Condition (i) licenses the convenient orientation
-(a,b); condition (ii) licenses (b,a).
+(a,b); condition (ii) licenses (b,a).  Classification reads each
+in-neighbor's reach as an int bitmask of the vertices within two steps
+of it; all_missing_edges_good builds one per vertex, once per digraph,
+and classify_missing_edge only those of the in-neighbors of its edge.
 
 When every missing edge is good, a vertex with the weighted second
 neighborhood property is found constructively: complete the digraph to a
@@ -88,8 +91,27 @@ class ConvenientOrientation:
         return {"arc": [self.tail, self.head], "condition": self.condition}
 
 
-def _reaches_within_two(d: Digraph, v: int, target: int) -> bool:
-    return target in d._out[v] or target in d.second_out_neighbors(v)
+def _reach_masks(d: Digraph, vertices: Iterable[int]) -> dict[int, int]:
+    """For each given v, the bitmask of the vertices within two steps of v.
+
+    With digons banned, v itself is never among them."""
+    out = d._out
+    out_mask = [sum(1 << u for u in heads) for heads in out]
+    masks = {}
+    for v in vertices:
+        m = out_mask[v]
+        for u in out[v]:
+            m |= out_mask[u]
+        masks[v] = m
+    return masks
+
+
+def _classify(d: Digraph, a: int, b: int, reach) -> MissingEdgeStatus:
+    """Conditions (i) and (ii) for the missing edge {a,b}, a < b, with
+    reach[v] the within-two mask of each in-neighbor v of a or b."""
+    witness_i = next((v for v in sorted(d._in[a]) if not reach[v] >> b & 1), None)
+    witness_ii = next((v for v in sorted(d._in[b]) if not reach[v] >> a & 1), None)
+    return MissingEdgeStatus(a, b, witness_i is None, witness_ii is None, witness_i, witness_ii)
 
 
 def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
@@ -97,36 +119,22 @@ def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
 
     The quantifier ranges over every other vertex of the digraph, whole
     vertices included.  Endpoints are normalized so a < b; condition (i)
-    is stated for the lower-indexed endpoint.
+    is stated for the lower-indexed endpoint.  Failure witnesses are the
+    first failing in-neighbors in index order.
     """
     a, b = (a, b) if a < b else (b, a)
     if d.has_arc(a, b) or d.has_arc(b, a) or a == b:
         raise NotMissing(f"{{{a},{b}}} is not a missing edge")
     d._check_vertex(a)
     d._check_vertex(b)
-
-    witness_i = witness_ii = None
-    for v in sorted(d.in_neighbors(a)):
-        if v != b and not _reaches_within_two(d, v, b):
-            witness_i = v
-            break
-    for v in sorted(d.in_neighbors(b)):
-        if v != a and not _reaches_within_two(d, v, a):
-            witness_ii = v
-            break
-    return MissingEdgeStatus(
-        a,
-        b,
-        satisfies_i=witness_i is None,
-        satisfies_ii=witness_ii is None,
-        witness_against_i=witness_i,
-        witness_against_ii=witness_ii,
-    )
+    return _classify(d, a, b, _reach_masks(d, d._in[a] | d._in[b]))
 
 
 def all_missing_edges_good(d: Digraph) -> tuple[bool, list[MissingEdgeStatus]]:
-    """Goodness of every missing edge, in sorted edge order."""
-    statuses = [classify_missing_edge(d, a, b) for a, b in d.missing_pairs()]
+    """Goodness of every missing edge, in sorted edge order, from one
+    within-two mask per vertex."""
+    reach = _reach_masks(d, range(d.n))
+    statuses = [_classify(d, a, b, reach) for a, b in d.missing_pairs()]
     return all(s.good for s in statuses), statuses
 
 
@@ -359,9 +367,10 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     d, w = wd.digraph, wd.weights
     if d.n == 0:
         raise ValueError("empty digraph has no witness")
-    ok, statuses = all_missing_edges_good(d)
-    if ok:
+    try:
         return find_witness_good(wd, move_limit=move_limit)
+    except NotAllGood:
+        _ok, statuses = all_missing_edges_good(d)
 
     from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
 
@@ -389,8 +398,8 @@ def _orientations_from(raw) -> list[ConvenientOrientation]:
     return out
 
 
-def _licensed(d: Digraph, o: ConvenientOrientation) -> bool:
-    s = classify_missing_edge(d, o.tail, o.head)
+def _licensed(status: dict[tuple[int, int], MissingEdgeStatus], o: ConvenientOrientation) -> bool:
+    s = status[min(o.tail, o.head), max(o.tail, o.head)]
     # condition (i) belongs to the lower endpoint as tail, (ii) to the higher
     if o.condition == "i":
         return s.satisfies_i and o.tail < o.head
@@ -418,9 +427,11 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
         t.add_arc(o.tail, o.head)
     cert = _certificate(d, t, w, orientations, order)
     t2 = reorient_at_feed(t, missing, cert.witness)
+    _ok, statuses = all_missing_edges_good(d)
+    status = {(s.a, s.b): s for s in statuses}
     return [
         ("orientations_cover_missing_edges", True),
-        ("orientations_licensed", all(_licensed(d, o) for o in orientations)),
+        ("orientations_licensed", all(_licensed(status, o) for o in orientations)),
         ("order_feedback_on_t", not feedback_check(t, w, order)),
         ("order_feedback_on_t_prime", not feedback_check(t2, w, order)),
         ("witness_inequality", cert.lhs <= cert.rhs),

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterator, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
 from .errors import (
@@ -118,9 +119,6 @@ class FeedbackViolation:
     lhs: PerturbedRational
     rhs: PerturbedRational
 
-    def scan_key(self) -> tuple[int, int, int]:
-        return (self.i, self.j, 0 if self.kind == PREFIX else 1)
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -173,46 +171,65 @@ def order_objective(t: Digraph, w: WeightMap, order: Sequence[int]) -> Perturbed
     return _product_value(total, scale, base)
 
 
-def feedback_check(t: Digraph, w: WeightMap, order: Sequence[int]) -> list[FeedbackViolation]:
-    """Every strict interval failure, sorted by (i, j, prefix-before-suffix).
+def _scan(
+    t: Digraph, keys: list[int], order: Sequence[int]
+) -> Iterator[tuple[str, int, int, int, int]]:
+    """Every strict interval failure as (kind, i, j, lhs key, rhs key), with
+    1-based positions, in scan order (i, j, prefix before suffix).
 
-    The inner loops add integer keys and only build PerturbedRational
-    values for reported violations.
+    Row a tests each interval [a, b], b > a: the prefix test of v_a over
+    (a, b] on a running out-minus-in key, the suffix test of v_b over
+    [a, b) on trail[b].  trail[b] starts as v_b's out-minus-in key over
+    [0, b) and drops position a once row a has read it.  Each side's key
+    is read back from the difference and the key total of the interval.
+    """
+    n = len(order)
+    out = t._out
+    k = [keys[v] for v in order]
+    upto = list(accumulate(k, initial=0))  # upto[p]: key total of positions [0, p)
+    trail = [0] * n
+    for p in range(n - 1):
+        out_p, kp = out[order[p]], k[p]
+        for b in range(p + 1, n):
+            trail[b] += -kp if order[b] in out_p else kp
+    for a in range(n - 1):
+        out_a, ka = out[order[a]], k[a]
+        lead = 0
+        for b in range(a + 1, n):
+            diff = trail[b]
+            if order[b] in out_a:
+                lead += k[b]
+                trail[b] = diff + ka
+            else:
+                lead -= k[b]
+                trail[b] = diff - ka
+            if lead < 0:
+                total = upto[b + 1] - upto[a + 1]
+                yield PREFIX, a + 1, b + 1, (total + lead) // 2, (total - lead) // 2
+            if diff > 0:
+                total = upto[b] - upto[a]
+                yield SUFFIX, a + 1, b + 1, (total - diff) // 2, (total + diff) // 2
+
+
+def feedback_check(
+    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False
+) -> list[FeedbackViolation]:
+    """Every strict interval failure, in scan order: by i, then j, with
+    the prefix failure of [i,j] before its suffix failure.
+
+    _scan yields them in that order on integer keys, so nothing is
+    sorted.  With first=True the scan stops at the first
+    failure and the list has at most that one; only returned violations
+    are decoded into PerturbedRational values.
     """
     _require_tournament(t)
     _check_order(t, order)
-    n = t.n
-    violations: list[FeedbackViolation] = []
-    out_adj = t._out
     keys, scale, base = _perturbed_keys(w)
-
-    for a, va in enumerate(order):
-        out = out_adj[va]
-        # prefix: v_a leads each interval [a, b] and must out-weigh its in-weight there;
-        # suffix: v_a trails each interval [b, a] and must in-weigh its out-weight there
-        for kind, others in ((PREFIX, range(a + 1, n)), (SUFFIX, range(a - 1, -1, -1))):
-            out_k = in_k = 0
-            for b in others:
-                vb = order[b]
-                if vb in out:
-                    out_k += keys[vb]
-                else:
-                    in_k += keys[vb]
-                lhs, rhs = (out_k, in_k) if kind == PREFIX else (in_k, out_k)
-                if lhs < rhs:
-                    i, j = sorted((a, b))
-                    violations.append(
-                        FeedbackViolation(
-                            kind,
-                            i + 1,
-                            j + 1,
-                            _sum_value(lhs, scale, base),
-                            _sum_value(rhs, scale, base),
-                        )
-                    )
-
-    violations.sort(key=FeedbackViolation.scan_key)
-    return violations
+    found = _scan(t, keys, order)
+    return [
+        FeedbackViolation(kind, i, j, _sum_value(lhs, scale, base), _sum_value(rhs, scale, base))
+        for kind, i, j, lhs, rhs in (islice(found, 1) if first else found)
+    ]
 
 
 def default_move_limit(n: int) -> int:
@@ -246,8 +263,8 @@ def local_median_order(
 
     Starts from ascending vertex indices (or a seeded shuffle when seed is
     given), repeatedly repairs the first violation in scan order, and
-    certifies the result with a full feedback check.  Each repair strictly
-    increases the perturbed objective, which is asserted per move.
+    stops when a scan finds none, which certifies the result.  Each repair
+    strictly increases the perturbed objective, which is asserted per move.
     """
     _require_tournament(t)
     if move_limit is None:
@@ -265,12 +282,12 @@ def local_median_order(
 
     moves = 0
     while True:
-        violations = feedback_check(t, w, order)
-        if not violations:
+        found = feedback_check(t, w, order, first=True)
+        if not found:
             break
-        first = violations[0]
+        first = found[0]
         if moves >= move_limit:
-            raise MoveLimitExceeded(order, violations, moves, t, w)
+            raise MoveLimitExceeded(order, feedback_check(t, w, order), moves, t, w)
         # the moved vertex flips its arcs to the vertices it passes, so the
         # objective gains w~(v) * (in - out) for a prefix move, (out - in) for a suffix move
         i, j = first.i - 1, first.j - 1

@@ -19,7 +19,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Iterator, Optional
 
 from .digraph import (
@@ -188,6 +187,8 @@ def _drive(check, total: int, args: tuple, jobs: int) -> tuple[int, list[Counter
     if parts == 1:
         results = [_run_block(blocks[0])]
     else:
+        from multiprocessing import Pool  # lazy: only parallel sweeps pay its import
+
         with Pool(processes=parts) as pool:
             results = pool.map(_run_block, blocks)
     return _merge(r for block_results in results for r in block_results)

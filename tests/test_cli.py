@@ -3,12 +3,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import snc
 from snc import (
     DigonRejected,
     InternalTheoremViolation,
@@ -21,6 +26,7 @@ from snc import (
 )
 from snc.cli import main
 from snc.formats import (
+    MAX_VERTICES,
     load_digraph,
     load_graph,
     parse_digraph,
@@ -345,6 +351,16 @@ class TestCommands:
         code, out, _ = run_cli("dot", "-i", str(g))
         assert code == 0 and out.startswith("graph G {")
 
+    @pytest.mark.parametrize("text, head", [(TRIANGLE_DG, "digraph G {"), (NESTED_G, "graph G {")])
+    def test_dot_skips_leading_comments(self, text, head, tmp_path):
+        f = tmp_path / "in.txt"
+        f.write_text("# a comment\n\n  # another\n" + text)
+        code, out, _ = run_cli("dot", "-i", str(f))
+        assert code == 0 and out.startswith(head)
+        f.write_text("# only a comment\n")
+        code, _out, err = run_cli("dot", "-i", str(f))
+        assert code == 1 and json.loads(err)["error"] == "ParseError"
+
 
 class TestContracts:
     def test_parse_error_exit_code_and_stderr_json(self, tmp_path):
@@ -479,6 +495,62 @@ class TestContracts:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+
+    @pytest.mark.parametrize(
+        "command, instance",
+        [
+            ("check-good", {"kind": "digraph", "n": 2.9, "arcs": []}),
+            ("check-good", {"kind": "digraph", "n": True, "arcs": []}),
+            ("check-good", {"kind": "digraph", "n": "2", "arcs": []}),
+            ("check-good", {"kind": "digraph", "n": -1, "arcs": []}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [["0", "1"]]}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [[0.0, 1]]}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [[False, True]]}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [[0, 1, 1]]}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": {"0": 1}}),
+            ("recognize", {"kind": "graph", "n": 2.9, "edges": []}),
+            ("recognize", {"kind": "graph", "n": True, "edges": []}),
+            ("recognize", {"kind": "graph", "n": 2, "edges": [["0", "1"]]}),
+            ("verify", {"kind": "certified_order", "order": [0], "instance": None}),
+        ],
+    )
+    def test_instance_ints_must_be_json_ints(self, command, instance, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(instance))
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("check-good", f"digraph {MAX_VERTICES + 1}\n"),
+            ("recognize", f"graph {MAX_VERTICES + 1}\n"),
+            ("dot", f"# header past the cap\ndigraph {MAX_VERTICES + 1}\n"),
+            ("check-good", json.dumps({"kind": "digraph", "n": MAX_VERTICES + 1})),
+            ("recognize", json.dumps({"kind": "graph", "n": MAX_VERTICES + 1})),
+        ],
+    )
+    def test_vertex_cap_fails_before_allocating(self, command, text, monkeypatch, tmp_path):
+        import snc.formats as fm
+
+        def no_allocation(n):
+            raise AssertionError(f"allocated {n} vertices past the cap")
+
+        monkeypatch.setattr(fm, "Digraph", no_allocation)
+        monkeypatch.setattr(fm, "UndirectedGraph", no_allocation)
+        f = tmp_path / "big.txt"
+        f.write_text(text)
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "TooLarge" and str(MAX_VERTICES) in doc["message"]
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        probe = "import sys, snc, snc.cli; sys.exit('multiprocessing' in sys.modules)"
+        src = str(Path(snc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
     @pytest.mark.parametrize(
         "tamper",

@@ -9,6 +9,7 @@ import pytest
 from snc import (
     Digraph,
     FallbackWitness,
+    MissingEdgeStatus,
     NotAllGood,
     NotMissing,
     WeightMap,
@@ -81,6 +82,36 @@ class TestClassify:
                 v = s.witness_against_ii
                 assert d.has_arc(v, s.b)
                 assert s.a not in d.out_neighbors(v) | d.second_out_neighbors(v)
+
+
+def reference_status(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
+    """Independent set-based classification of the missing edge {a,b}, a < b."""
+
+    def reaches(v: int, x: int) -> bool:
+        return x in d.out_neighbors(v) | d.second_out_neighbors(v)
+
+    against_i = next((v for v in sorted(d.in_neighbors(a)) if not reaches(v, b)), None)
+    against_ii = next((v for v in sorted(d.in_neighbors(b)) if not reaches(v, a)), None)
+    return MissingEdgeStatus(a, b, against_i is None, against_ii is None, against_i, against_ii)
+
+
+def test_classification_matches_set_reference():
+    rng = Rng(2024)
+    for k in range(150):
+        n = 2 + rng.below(13)
+        missing = (k % 3 + 1) / 4  # a quarter, half or three quarters of the pairs
+        arcs = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.below(1 << 16) >= missing * (1 << 16):
+                    arcs.append((u, v) if rng.bit() else (v, u))
+        d = Digraph.from_arcs(n, arcs)
+        expect = [reference_status(d, a, b) for a, b in d.missing_pairs()]
+        ok, statuses = all_missing_edges_good(d)
+        assert statuses == expect
+        assert ok == all(s.good for s in expect)
+        for s in expect:
+            assert classify_missing_edge(d, s.a, s.b) == classify_missing_edge(d, s.b, s.a) == s
 
 
 def test_all_missing_edges_good_examples():

@@ -30,7 +30,14 @@ from snc import (
     order_objective,
 )
 from snc.generators import Rng, random_tournament, random_weights
-from snc.median_order import PREFIX, _perturbed_keys, _product_value, _sum_value, default_move_limit
+from snc.median_order import (
+    PREFIX,
+    SUFFIX,
+    _perturbed_keys,
+    _product_value,
+    _sum_value,
+    default_move_limit,
+)
 from snc.oracle import enumerate_tournaments
 
 
@@ -180,6 +187,66 @@ def test_feedback_check_examples():
     assert (first.kind, first.i, first.j) == (PREFIX, 1, 2)
     assert first.lhs < first.rhs
     assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) == []
+
+
+def ref_total(w: WeightMap, vertices) -> tuple:
+    total = ZERO
+    for v in vertices:
+        total = ref_add(total, ref_weight(w[v]))
+    return total
+
+
+def ref_violations(t: Digraph, w: WeightMap, order):
+    """The interval definition of the feedback property on Fraction
+    triples: each strict failure, in order of (i, j, prefix then suffix)."""
+    n = len(order)
+    for i in range(n):
+        for j in range(i + 1, n):
+            inside, lead, trail = order[i : j + 1], order[i], order[j]
+            lead_out = ref_total(w, [u for u in inside if t.has_arc(lead, u)])
+            lead_in = ref_total(w, [u for u in inside if t.has_arc(u, lead)])
+            if lead_out < lead_in:
+                yield PREFIX, i + 1, j + 1, pr(*lead_out), pr(*lead_in)
+            trail_in = ref_total(w, [u for u in inside if t.has_arc(u, trail)])
+            trail_out = ref_total(w, [u for u in inside if t.has_arc(trail, u)])
+            if trail_in < trail_out:
+                yield SUFFIX, i + 1, j + 1, pr(*trail_in), pr(*trail_out)
+
+
+def test_feedback_check_matches_interval_definition():
+    for seed in range(60):
+        rng = Rng(seed)
+        n = 1 + rng.below(12)
+        t = random_tournament(n, rng.next_u64())
+        order = list(range(n))
+        rng.shuffle(order)
+        for w in (WeightMap([0] * n), rational_weights(n, rng.next_u64())):
+            found = feedback_check(t, w, order)
+            assert [(v.kind, v.i, v.j, v.lhs, v.rhs) for v in found] == list(
+                ref_violations(t, w, order)
+            )
+            assert feedback_check(t, w, order, first=True) == found[:1]
+
+
+def test_local_search_matches_first_violation_reference():
+    """The search repairs exactly the first violation of the interval
+    definition, from the same start, until none is left."""
+    for seed in range(200):
+        rng = Rng(seed)
+        n = 1 + rng.below(10)
+        t = random_tournament(n, rng.next_u64())
+        w = rational_weights(n, rng.next_u64()) if seed % 2 else random_weights(n, rng.next_u64(), 10)
+        start = None if seed % 3 else rng.next_u64()
+        order = list(range(n))
+        if start is not None:
+            Rng(start).shuffle(order)
+        while (first := next(ref_violations(t, w, order), None)) is not None:
+            kind, i, j = first[:3]
+            if kind == PREFIX:
+                order.insert(j - 1, order.pop(i - 1))  # v_i to just after v_j
+            else:
+                order.insert(i - 1, order.pop(j - 1))  # v_j to just before v_i
+        assert local_median_order(t, w, seed=start).order == tuple(order)
 
 
 def test_local_median_order_examples():
