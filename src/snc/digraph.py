@@ -5,8 +5,14 @@ arcs, no digons (directed 2-cycles).  Vertices are dense integer indices
 in [0, n).  Weights are exact rationals (fractions.Fraction); every
 comparison made anywhere in the package is exact, never floating point.
 
-Graphs are built single-owner (add_arc / add_edge) and treated as
-immutable afterwards; all query methods are read-only and safe to share.
+Adjacency is stored once, as one int bitmask per vertex: a digraph keeps
+out-masks (bit u of v's is set when v -> u) and in-masks, an undirected
+graph neighbor masks.  Other modules read them through out_mask, in_mask
+and neighbor_mask; the set-returning accessors are derived from them.
+
+Graphs are built single-owner (add_arc / add_edge, or whole from masks)
+and treated as immutable afterwards; all query methods are read-only and
+safe to share.
 """
 from __future__ import annotations
 
@@ -15,11 +21,42 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DigonRejected, DuplicateArc, LoopRejected, NegativeWeight, ParseError
 
-Vertex = int
+
+_BYTE_BITS = [tuple(i for i in range(8) if byte >> i & 1) for byte in range(256)]
+
+
+def bits(mask: int) -> list[int]:
+    """The vertices of a nonnegative mask, in increasing order, read a
+    byte at a time from a table."""
+    return [
+        8 * k + i
+        for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little"))
+        for i in _BYTE_BITS[byte]
+    ]
+
+
+def _above(mask: int, v: int) -> int:
+    """mask without its bits 0..v."""
+    return mask >> (v + 1) << (v + 1)
+
+
+def _check_masks(masks: list[int]) -> None:
+    n = len(masks)
+    for v, mask in enumerate(masks):
+        if mask < 0 or mask >> n or mask >> v & 1:
+            raise ValueError(f"mask of vertex {v} holds a loop or a vertex out of range [0,{n})")
+
+
+def _second_step(masks: list[int], first: int) -> int:
+    """Vertices one step past the mask first and not in it."""
+    reach = 0
+    for u in bits(first):
+        reach |= masks[u]
+    return reach & ~first
 
 
 class Digraph:
-    """Loop-free digon-free directed graph with adjacency indexed both ways."""
+    """Loop-free digon-free directed graph: an out-mask and an in-mask per vertex."""
 
     __slots__ = ("n", "_out", "_in", "_m")
 
@@ -27,8 +64,8 @@ class Digraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._out: list[set[int]] = [set() for _ in range(n)]
-        self._in: list[set[int]] = [set() for _ in range(n)]
+        self._out = [0] * n
+        self._in = [0] * n
         self._m = 0
 
     @classmethod
@@ -38,18 +75,41 @@ class Digraph:
             g.add_arc(u, v)
         return g
 
+    @classmethod
+    def from_out_masks(cls, out_masks: Iterable[int]) -> "Digraph":
+        """The digraph with the given out-mask per vertex, its in-masks
+        derived; loops, digons and heads out of range are rejected."""
+        out = list(out_masks)
+        _check_masks(out)
+        into = [0] * len(out)
+        for u, heads in enumerate(out):
+            for v in bits(heads):
+                into[v] |= 1 << u
+        return cls._from_masks(out, into)
+
+    @classmethod
+    def _from_masks(cls, out: list[int], into: list[int]) -> "Digraph":
+        """The digraph with out-masks out, already through _check_masks,
+        and their transpose into as in-masks; digons are rejected."""
+        if any(heads & tails for heads, tails in zip(out, into)):
+            raise DigonRejected("out-masks hold a digon")
+        g = cls(len(out))
+        g._out, g._in = out, into
+        g._m = sum(heads.bit_count() for heads in out)
+        return g
+
     def add_arc(self, u: int, v: int) -> None:
         """Add arc u -> v, enforcing the loop/digon/duplicate bans."""
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise LoopRejected(f"loop ({u},{v}) rejected")
-        if v in self._out[u]:
+        if self._out[u] >> v & 1:
             raise DuplicateArc(f"arc ({u},{v}) already present")
-        if u in self._out[v]:
+        if self._in[u] >> v & 1:
             raise DigonRejected(f"arc ({u},{v}) would close a digon with ({v},{u})")
-        self._out[u].add(v)
-        self._in[v].add(u)
+        self._out[u] |= 1 << v
+        self._in[v] |= 1 << u
         self._m += 1
 
     def _check_vertex(self, v: int) -> None:
@@ -61,49 +121,52 @@ class Digraph:
         return self._m
 
     def has_arc(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._out[u]
+        return 0 <= u < self.n and v >= 0 and self._out[u] >> v & 1 == 1
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs, sorted, for deterministic iteration and serialization."""
-        return sorted((u, v) for u in range(self.n) for v in self._out[u])
+        return [(u, v) for u in range(self.n) for v in bits(self._out[u])]
+
+    def out_mask(self, v: int) -> int:
+        """Bit u is set when v -> u."""
+        self._check_vertex(v)
+        return self._out[v]
+
+    def out_masks(self) -> tuple[int, ...]:
+        """Every out-mask, indexed by vertex, for scans over the whole digraph."""
+        return tuple(self._out)
+
+    def in_mask(self, v: int) -> int:
+        """Bit u is set when u -> v."""
+        self._check_vertex(v)
+        return self._in[v]
+
+    def second_out_mask(self, v: int) -> int:
+        """Vertices at directed distance exactly two from v (with digons
+        banned, never v itself)."""
+        return _second_step(self._out, self.out_mask(v))
+
+    def second_in_mask(self, v: int) -> int:
+        """Vertices at directed distance exactly two to v."""
+        return _second_step(self._in, self.in_mask(v))
+
+    def missing_mask(self, v: int) -> int:
+        """Vertices other than v joined to v by no arc in either direction."""
+        self._check_vertex(v)
+        return (1 << self.n) - 1 & ~(self._out[v] | self._in[v] | 1 << v)
 
     def out_neighbors(self, v: int) -> set[int]:
-        self._check_vertex(v)
-        return set(self._out[v])
+        return set(bits(self.out_mask(v)))
 
     def in_neighbors(self, v: int) -> set[int]:
-        self._check_vertex(v)
-        return set(self._in[v])
+        return set(bits(self.in_mask(v)))
 
     def out_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._out[v])
-
-    def in_degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self._in[v])
+        return self.out_mask(v).bit_count()
 
     def second_out_neighbors(self, v: int) -> set[int]:
         """Vertices at directed distance exactly two from v."""
-        self._check_vertex(v)
-        first = self._out[v]
-        second: set[int] = set()
-        for w in first:
-            second |= self._out[w]
-        second -= first
-        second.discard(v)
-        return second
-
-    def second_in_neighbors(self, v: int) -> set[int]:
-        """Vertices at directed distance exactly two to v (reversed arcs)."""
-        self._check_vertex(v)
-        first = self._in[v]
-        second: set[int] = set()
-        for w in first:
-            second |= self._in[w]
-        second -= first
-        second.discard(v)
-        return second
+        return set(bits(self.second_out_mask(v)))
 
     def is_tournament(self) -> bool:
         # with loops/digons banned, full arc count forces one arc per pair
@@ -111,20 +174,10 @@ class Digraph:
 
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unordered pairs with no arc in either direction, sorted."""
-        out = self._out
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if v not in out[u] and u not in out[v]
-        ]
+        return [(u, v) for u in range(self.n) for v in bits(_above(self.missing_mask(u), u))]
 
     def copy(self) -> "Digraph":
-        g = Digraph(self.n)
-        g._out = [set(s) for s in self._out]
-        g._in = [set(s) for s in self._in]
-        g._m = self._m
-        return g
+        return Digraph._from_masks(list(self._out), list(self._in))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in self.arcs()]}
@@ -139,7 +192,7 @@ class Digraph:
 
 
 class UndirectedGraph:
-    """Simple undirected graph over dense integer vertices."""
+    """Simple undirected graph over dense integer vertices: a neighbor mask per vertex."""
 
     __slots__ = ("n", "_adj", "_m")
 
@@ -147,7 +200,7 @@ class UndirectedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._adj: list[set[int]] = [set() for _ in range(n)]
+        self._adj = [0] * n
         self._m = 0
 
     @classmethod
@@ -157,15 +210,25 @@ class UndirectedGraph:
             g.add_edge(u, v)
         return g
 
+    @classmethod
+    def _from_masks(cls, adj: list[int]) -> "UndirectedGraph":
+        """The graph with neighbor masks adj, symmetric by construction at
+        every caller; loops and neighbors out of range are rejected."""
+        _check_masks(adj)
+        g = cls(len(adj))
+        g._adj = adj
+        g._m = sum(nbrs.bit_count() for nbrs in adj) // 2
+        return g
+
     def add_edge(self, u: int, v: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"edge ({u},{v}) out of range [0,{self.n})")
         if u == v:
             raise LoopRejected(f"loop edge ({u},{v}) rejected")
-        if v in self._adj[u]:
+        if self._adj[u] >> v & 1:
             raise DuplicateArc(f"edge ({u},{v}) already present")
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._adj[u] |= 1 << v
+        self._adj[v] |= 1 << u
         self._m += 1
 
     @property
@@ -173,24 +236,26 @@ class UndirectedGraph:
         return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v >= 0 and self._adj[u] >> v & 1 == 1
+
+    def neighbor_mask(self, v: int) -> int:
+        """Bit u is set when uv is an edge."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0,{self.n})")
+        return self._adj[v]
 
     def neighbors(self, v: int) -> set[int]:
-        return set(self._adj[v])
+        return set(bits(self.neighbor_mask(v)))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.neighbor_mask(v).bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted((u, v) for u in range(self.n) for v in self._adj[u] if u < v)
+        return [(u, v) for u in range(self.n) for v in bits(_above(self._adj[u], u))]
 
     def non_edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if v not in self._adj[u]
-        ]
+        full = (1 << self.n) - 1
+        return [(u, v) for u in range(self.n) for v in bits(_above(full & ~self._adj[u], u))]
 
     def support(self) -> set[int]:
         """Vertices incident to at least one edge (the non-whole vertices
@@ -212,12 +277,8 @@ class UndirectedGraph:
         """Induced subgraph plus the list mapping new index -> old vertex."""
         order = sorted(set(vertices))
         pos = {v: i for i, v in enumerate(order)}
-        g = UndirectedGraph(len(order))
-        for u in order:
-            for w in self._adj[u]:
-                if w in pos and u < w:
-                    g.add_edge(pos[u], pos[w])
-        return g, order
+        masks = [sum(1 << pos[w] for w in bits(self._adj[u]) if w in pos) for u in order]
+        return UndirectedGraph._from_masks(masks), order
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges()]}
@@ -231,6 +292,34 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, edges={self.edges()})"
 
 
+def pair_list(n: int) -> list[tuple[int, int]]:
+    """Every pair (u, v), u < v, in sorted order."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
+def orient_pairs(n: int, pairs: Iterable[tuple[int, int]], code: int) -> Digraph:
+    """The digraph on n vertices with one arc per pair (u, v): u -> v, or
+    v -> u when bit k of code is set for pair k."""
+    out, into = [0] * n, [0] * n
+    for k, (u, v) in enumerate(pairs):
+        if code >> k & 1:
+            u, v = v, u
+        out[u] |= 1 << v
+        into[v] |= 1 << u
+    _check_masks(out)
+    return Digraph._from_masks(out, into)
+
+
+def graph_from_pairs(n: int, pairs: list[tuple[int, int]], code: int) -> UndirectedGraph:
+    """The graph on n vertices whose edges are the pairs k with bit k of code set."""
+    adj = [0] * n
+    for k in bits(code):
+        u, v = pairs[k]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return UndirectedGraph._from_masks(adj)
+
+
 def missing_graph(g: Digraph) -> UndirectedGraph:
     """The undirected graph of pairs carrying no arc in either direction.
 
@@ -238,7 +327,7 @@ def missing_graph(g: Digraph) -> UndirectedGraph:
     vertices) is what a whole-vertex-free reading of the missing graph
     would use as vertex set, and is available via .support().
     """
-    return UndirectedGraph.from_edges(g.n, g.missing_pairs())
+    return UndirectedGraph._from_masks([g.missing_mask(v) for v in range(g.n)])
 
 
 def rational_dict(x: Fraction) -> dict:
@@ -319,6 +408,7 @@ class SnpCheck(NamedTuple):
 
 def has_weighted_snp(d: WeightedDigraph, v: int) -> SnpCheck:
     """Whether w(N+(v)) <= w(N++(v)), with both exact sums."""
-    first = d.weights.total(d.digraph.out_neighbors(v))
-    second = d.weights.total(d.digraph.second_out_neighbors(v))
+    g, w = d.digraph, d.weights
+    first = w.total(bits(g.out_mask(v)))
+    second = w.total(bits(g.second_out_mask(v)))
     return SnpCheck(first <= second, first, second)

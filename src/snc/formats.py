@@ -60,15 +60,9 @@ class _LabelTable:
         return v
 
     def labels(self) -> list[str]:
-        if self.mode == "symbolic":
-            out = [""] * self.n
-            for label, v in self.by_label.items():
-                out[v] = label
-            for v in range(self.n):
-                if not out[v]:
-                    out[v] = str(v)
-            return out
-        return [str(v) for v in range(self.n)]
+        """Each vertex's symbolic label, or its index where it has none."""
+        names = {v: label for label, v in self.by_label.items()}
+        return [names.get(v, str(v)) for v in range(self.n)]
 
 
 def _lines(text: str):
@@ -83,7 +77,12 @@ def _check_cap(n: int) -> None:
         raise TooLarge(f"instances are limited to {MAX_VERTICES} vertices, got {n}")
 
 
-def _parse_header(tokens: list[str], lineno: int, kind: str) -> int:
+def _parse_header(it, kind: str) -> int:
+    """The vertex count on the first line of it, which must read '<kind> <n>'."""
+    try:
+        lineno, tokens = next(it)
+    except StopIteration:
+        raise ParseError("empty input", 1) from None
     if len(tokens) != 2 or tokens[0] != kind:
         raise ParseError(f"expected header '{kind} <n>'", lineno)
     try:
@@ -99,11 +98,7 @@ def _parse_header(tokens: list[str], lineno: int, kind: str) -> int:
 def parse_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
     """Parse the digraph text format; weights default to 1."""
     it = _lines(text)
-    try:
-        lineno, tokens = next(it)
-    except StopIteration:
-        raise ParseError("empty input", 1) from None
-    n = _parse_header(tokens, lineno, "digraph")
+    n = _parse_header(it, "digraph")
     g = Digraph(n)
     table = _LabelTable(n)
     weights: dict[int, Fraction] = {}
@@ -140,11 +135,7 @@ def parse_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
 def parse_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
     """Parse the undirected graph text format."""
     it = _lines(text)
-    try:
-        lineno, tokens = next(it)
-    except StopIteration:
-        raise ParseError("empty input", 1) from None
-    n = _parse_header(tokens, lineno, "graph")
+    n = _parse_header(it, "graph")
     g = UndirectedGraph(n)
     table = _LabelTable(n)
     for lineno, tokens in it:
@@ -206,7 +197,9 @@ def _labels(doc: dict, n: int) -> list[str]:
     raw = doc.get("labels", [str(v) for v in range(n)])
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError("labels list must cover every vertex")
-    return [str(x) for x in raw]
+    if not all(isinstance(x, str) for x in raw) or len(set(raw)) != n:
+        raise ParseError("labels must be distinct strings")
+    return list(raw)
 
 
 def _instance(doc, pairs_key: str) -> tuple[int, list[list[int]]]:
@@ -259,24 +252,23 @@ def fields_match(rebuilt: dict, doc: dict) -> tuple[str, bool]:
     return "fields_match", json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
 
 
-def load_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
-    """Text or JSON digraph input, detected by the leading character."""
+def _load(text: str, kind: str, from_dict, parse):
     if text.lstrip().startswith("{"):
         doc = load_json(text)
-        if doc.get("kind") != "digraph":
-            raise ParseError("expected a digraph instance")
-        return digraph_from_instance_dict(doc)
-    return parse_digraph(text)
+        if doc.get("kind") != kind:
+            raise ParseError(f"expected a {kind} instance")
+        return from_dict(doc)
+    return parse(text)
+
+
+def load_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
+    """Text or JSON digraph input, detected by the leading character."""
+    return _load(text, "digraph", digraph_from_instance_dict, parse_digraph)
 
 
 def load_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
     """Text or JSON graph input, detected by the leading character."""
-    if text.lstrip().startswith("{"):
-        doc = load_json(text)
-        if doc.get("kind") != "graph":
-            raise ParseError("expected a graph instance")
-        return graph_from_instance_dict(doc)
-    return parse_graph(text)
+    return _load(text, "graph", graph_from_instance_dict, parse_graph)
 
 
 def load_json(text: str) -> dict:

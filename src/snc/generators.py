@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph, WeightMap
+from .digraph import Digraph, UndirectedGraph, WeightMap, graph_from_pairs, orient_pairs, pair_list
 from .errors import BadProfile
 from .stars import GeneralizedStarDecomposition, validate_decomposition
 
@@ -35,6 +35,13 @@ class Rng:
 
     def bit(self) -> int:
         return self.next_u64() & 1
+
+    def code(self, k: int) -> int:
+        """k stream bits as one int, the first drawn as bit 0."""
+        code = 0
+        for i in range(k):
+            code |= self.bit() << i
+        return code
 
     def below(self, n: int) -> int:
         """Uniform draw in [0, n) by rejection sampling."""
@@ -92,38 +99,20 @@ def random_tournament(n: int, seed: int) -> Digraph:
     (0 keeps u -> v)."""
     if n < 1:
         raise ValueError("tournament needs at least one vertex")
-    rng = Rng(seed)
-    g = Digraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bit() == 0:
-                g.add_arc(u, v)
-            else:
-                g.add_arc(v, u)
-    return g
+    pairs = pair_list(n)
+    return orient_pairs(n, pairs, Rng(seed).code(len(pairs)))
 
 
 def random_graph(n: int, seed: int) -> UndirectedGraph:
     """Each pair present with probability 1/2, one stream bit per pair."""
-    rng = Rng(seed)
-    g = UndirectedGraph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.bit():
-                g.add_edge(u, v)
-    return g
+    pairs = pair_list(n)
+    return graph_from_pairs(n, pairs, Rng(seed).code(len(pairs)))
 
 
 def random_digraph_missing(g: UndirectedGraph, seed: int) -> Digraph:
     """Orient every non-edge of g pseudorandomly; edges of g stay missing."""
-    rng = Rng(seed)
-    d = Digraph(g.n)
-    for u, v in g.non_edges():
-        if rng.bit() == 0:
-            d.add_arc(u, v)
-        else:
-            d.add_arc(v, u)
-    return d
+    pairs = g.non_edges()
+    return orient_pairs(g.n, pairs, Rng(seed).code(len(pairs)))
 
 
 def random_weights(n: int, seed: int, max_w: int) -> WeightMap:

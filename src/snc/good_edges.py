@@ -3,10 +3,13 @@
 A missing edge ab of a digraph is good when (i) every in-neighbor of a
 reaches b within two steps, or (ii) every in-neighbor of b reaches a
 within two steps.  Condition (i) licenses the convenient orientation
-(a,b); condition (ii) licenses (b,a).  Classification reads each
-in-neighbor's reach as an int bitmask of the vertices within two steps
-of it; all_missing_edges_good builds one per vertex, once per digraph,
-and classify_missing_edge only those of the in-neighbors of its edge.
+(a,b); condition (ii) licenses (b,a).  Classification works on the
+digraph's int bitmasks: with R(x) the mask of the vertices that reach x
+within two steps (x's in-mask ORed with its in-neighbors' in-masks),
+(i) holds exactly when the in-mask of a lies inside R(b), and the
+lowest in-neighbor of a outside R(b) is the failure witness.
+all_missing_edges_good builds R once per vertex, classify_missing_edge
+only for the two endpoints of its edge.
 
 When every missing edge is good, a vertex with the weighted second
 neighborhood property is found constructively: complete the digraph to a
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .digraph import Digraph, WeightedDigraph, WeightMap, has_weighted_snp, rational_dict
+from .digraph import Digraph, WeightedDigraph, WeightMap, bits, has_weighted_snp, rational_dict
 from .errors import (
     CounterexampleReport,
     InternalTheoremViolation,
@@ -91,27 +94,21 @@ class ConvenientOrientation:
         return {"arc": [self.tail, self.head], "condition": self.condition}
 
 
-def _reach_masks(d: Digraph, vertices: Iterable[int]) -> dict[int, int]:
-    """For each given v, the bitmask of the vertices within two steps of v.
-
-    With digons banned, v itself is never among them."""
-    out = d._out
-    out_mask = [sum(1 << u for u in heads) for heads in out]
-    masks = {}
-    for v in vertices:
-        m = out_mask[v]
-        for u in out[v]:
-            m |= out_mask[u]
-        masks[v] = m
-    return masks
+def _reaching(d: Digraph, x: int) -> int:
+    """The mask of the vertices that reach x within two steps: x's in-mask
+    ORed with its in-neighbors' in-masks.  With digons banned, x itself is
+    never among them."""
+    return d.in_mask(x) | d.second_in_mask(x)
 
 
-def _classify(d: Digraph, a: int, b: int, reach) -> MissingEdgeStatus:
+def _classify(d: Digraph, a: int, b: int, reaching) -> MissingEdgeStatus:
     """Conditions (i) and (ii) for the missing edge {a,b}, a < b, with
-    reach[v] the within-two mask of each in-neighbor v of a or b."""
-    witness_i = next((v for v in sorted(d._in[a]) if not reach[v] >> b & 1), None)
-    witness_ii = next((v for v in sorted(d._in[b]) if not reach[v] >> a & 1), None)
-    return MissingEdgeStatus(a, b, witness_i is None, witness_ii is None, witness_i, witness_ii)
+    reaching[x] the _reaching mask of each endpoint x."""
+    against_i = d.in_mask(a) & ~reaching[b]
+    against_ii = d.in_mask(b) & ~reaching[a]
+    witness_i = bits(against_i)[0] if against_i else None
+    witness_ii = bits(against_ii)[0] if against_ii else None
+    return MissingEdgeStatus(a, b, not against_i, not against_ii, witness_i, witness_ii)
 
 
 def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
@@ -125,16 +122,14 @@ def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
     a, b = (a, b) if a < b else (b, a)
     if d.has_arc(a, b) or d.has_arc(b, a) or a == b:
         raise NotMissing(f"{{{a},{b}}} is not a missing edge")
-    d._check_vertex(a)
-    d._check_vertex(b)
-    return _classify(d, a, b, _reach_masks(d, d._in[a] | d._in[b]))
+    return _classify(d, a, b, {a: _reaching(d, a), b: _reaching(d, b)})
 
 
 def all_missing_edges_good(d: Digraph) -> tuple[bool, list[MissingEdgeStatus]]:
     """Goodness of every missing edge, in sorted edge order, from one
-    within-two mask per vertex."""
-    reach = _reach_masks(d, range(d.n))
-    statuses = [_classify(d, a, b, reach) for a, b in d.missing_pairs()]
+    _reaching mask per vertex."""
+    reaching = [_reaching(d, x) for x in range(d.n)]
+    statuses = [_classify(d, a, b, reaching) for a, b in d.missing_pairs()]
     return all(s.good for s in statuses), statuses
 
 
@@ -168,21 +163,13 @@ def reorient_at_feed(
     t: Digraph, missing_of_d: Sequence[tuple[int, int]], f: int
 ) -> Digraph:
     """Redirect every completed missing edge incident to f to point at f."""
-    flip_heads = set()
+    flip = 0  # heads of the completed missing edges leaving f
     for a, b in missing_of_d:
-        if f == a and t.has_arc(f, b):
-            flip_heads.add(b)
-        elif f == b and t.has_arc(f, a):
-            flip_heads.add(a)
-    if not flip_heads:
-        return t.copy()
-    t2 = Digraph(t.n)
-    for u, v in t.arcs():
-        if u == f and v in flip_heads:
-            t2.add_arc(v, u)
-        else:
-            t2.add_arc(u, v)
-    return t2
+        if f in (a, b) and t.has_arc(f, a + b - f):
+            flip |= 1 << (a + b - f)
+    out = [t.out_mask(v) | (flip >> v & 1) << f for v in range(t.n)]
+    out[f] &= ~flip
+    return Digraph.from_out_masks(out)
 
 
 @dataclass(frozen=True)

@@ -162,13 +162,19 @@ def order_objective(t: Digraph, w: WeightMap, order: Sequence[int]) -> Perturbed
     _require_tournament(t)
     _check_order(t, order)
     keys, scale, base = _perturbed_keys(w)
+    return _product_value(_objective_key(t, keys, order), scale, base)
+
+
+def _objective_key(t: Digraph, keys: list[int], order: Sequence[int]) -> int:
+    """order_objective as an int key, for keys from _perturbed_keys."""
+    out = t.out_masks()
     total = 0
     for i, u in enumerate(order):
-        out = t._out[u]
+        out_u, ku = out[u], keys[u]
         for v in order[i + 1 :]:
-            if v in out:
-                total += keys[u] * keys[v]
-    return _product_value(total, scale, base)
+            if out_u >> v & 1:
+                total += ku * keys[v]
+    return total
 
 
 def _scan(
@@ -184,20 +190,22 @@ def _scan(
     is read back from the difference and the key total of the interval.
     """
     n = len(order)
-    out = t._out
+    masks = t.out_masks()
+    out = [masks[v] for v in order]
+    bit = [1 << v for v in order]
     k = [keys[v] for v in order]
     upto = list(accumulate(k, initial=0))  # upto[p]: key total of positions [0, p)
     trail = [0] * n
     for p in range(n - 1):
-        out_p, kp = out[order[p]], k[p]
+        out_p, kp = out[p], k[p]
         for b in range(p + 1, n):
-            trail[b] += -kp if order[b] in out_p else kp
+            trail[b] += -kp if out_p & bit[b] else kp
     for a in range(n - 1):
-        out_a, ka = out[order[a]], k[a]
+        out_a, ka = out[a], k[a]
         lead = 0
         for b in range(a + 1, n):
             diff = trail[b]
-            if order[b] in out_a:
+            if out_a & bit[b]:
                 lead += k[b]
                 trail[b] = diff + ka
             else:
@@ -212,7 +220,7 @@ def _scan(
 
 
 def feedback_check(
-    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False
+    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False, _keys=None
 ) -> list[FeedbackViolation]:
     """Every strict interval failure, in scan order: by i, then j, with
     the prefix failure of [i,j] before its suffix failure.
@@ -220,11 +228,12 @@ def feedback_check(
     _scan yields them in that order on integer keys, so nothing is
     sorted.  With first=True the scan stops at the first
     failure and the list has at most that one; only returned violations
-    are decoded into PerturbedRational values.
+    are decoded into PerturbedRational values.  _keys passes
+    _perturbed_keys(w) in from a caller that already has it.
     """
     _require_tournament(t)
     _check_order(t, order)
-    keys, scale, base = _perturbed_keys(w)
+    keys, scale, base = _keys or _perturbed_keys(w)
     found = _scan(t, keys, order)
     return [
         FeedbackViolation(kind, i, j, _sum_value(lhs, scale, base), _sum_value(rhs, scale, base))
@@ -236,20 +245,6 @@ def default_move_limit(n: int) -> int:
     """Local search has no polynomial worst-case bound; 50*n^3 converts a
     pathological run into a reported error instead of a hang."""
     return max(1, 50 * n ** 3)
-
-
-def _apply_move(order: Order, v: FeedbackViolation) -> Order:
-    i, j = v.i - 1, v.j - 1
-    lst = list(order)
-    if v.kind == PREFIX:
-        # move v_i to just after v_j
-        moved = lst.pop(i)
-        lst.insert(j, moved)
-    else:
-        # move v_j to just before v_i
-        moved = lst.pop(j)
-        lst.insert(i, moved)
-    return tuple(lst)
 
 
 def local_median_order(
@@ -271,7 +266,8 @@ def local_median_order(
         move_limit = default_move_limit(t.n)
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
-    keys, _scale, _base = _perturbed_keys(w)
+    perturbed = _perturbed_keys(w)
+    keys, scale, base = perturbed
     order: Order = tuple(range(t.n))
     if seed is not None:
         from .generators import Rng  # local import; generators depend on digraph only
@@ -282,7 +278,8 @@ def local_median_order(
 
     moves = 0
     while True:
-        found = feedback_check(t, w, order, first=True)
+        # one feedback_check call per scan: the benchmark counts moves by them
+        found = feedback_check(t, w, order, first=True, _keys=perturbed)
         if not found:
             break
         first = found[0]
@@ -291,12 +288,14 @@ def local_median_order(
         # the moved vertex flips its arcs to the vertices it passes, so the
         # objective gains w~(v) * (in - out) for a prefix move, (out - in) for a suffix move
         i, j = first.i - 1, first.j - 1
-        if first.kind == PREFIX:
+        if first.kind == PREFIX:  # v_i moves to just after v_j
             moved, passed = order[i], order[i + 1 : j + 1]
-        else:
+            repaired = order[:i] + passed + (moved,) + order[j + 1 :]
+        else:  # v_j moves to just before v_i
             moved, passed = order[j], order[i:j]
-        out = t._out[moved]
-        out_minus_in = sum(keys[u] if u in out else -keys[u] for u in passed)
+            repaired = order[:i] + (moved,) + passed + order[j + 1 :]
+        out = t.out_mask(moved)
+        out_minus_in = sum(keys[u] if out >> u & 1 else -keys[u] for u in passed)
         gain = keys[moved] * (out_minus_in if first.kind == SUFFIX else -out_minus_in)
         if gain <= 0:
             raise InternalTheoremViolation(
@@ -310,12 +309,12 @@ def local_median_order(
                     },
                 )
             )
-        order = _apply_move(order, first)
+        order = repaired
         moves += 1
         if trace is not None:
             trace.append({"move": moves, "order": list(order), "repaired": first.to_dict()})
 
-    return CertifiedOrder(order, order_objective(t, w, order))
+    return CertifiedOrder(order, _product_value(_objective_key(t, keys, order), scale, base))
 
 
 EXACT_MEDIAN_MAX_N = 20
@@ -334,10 +333,7 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
     if n > EXACT_MEDIAN_MAX_N:
         raise TooLarge(f"exact search limited to {EXACT_MEDIAN_MAX_N} vertices, got {n}")
     keys, scale, base = _perturbed_keys(w)
-    in_mask = [0] * n
-    for v in range(n):
-        for u in t._in[v]:
-            in_mask[v] |= 1 << u
+    in_mask = [t.in_mask(v) for v in range(n)]
 
     size = 1 << n
     # subset_key[S]: sum of the keys of S, built from S minus its lowest vertex

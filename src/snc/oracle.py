@@ -15,8 +15,6 @@ for any worker count.
 """
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -26,7 +24,11 @@ from .digraph import (
     UndirectedGraph,
     WeightedDigraph,
     WeightMap,
+    bits,
+    graph_from_pairs,
     has_weighted_snp,
+    orient_pairs,
+    pair_list,
 )
 from .errors import CounterexampleReport, InternalTheoremViolation, SncError, TooLarge
 from .generators import (
@@ -51,14 +53,16 @@ MAX_GAMMA_DIGITS = 50
 def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
     """Directed breadth-first distances from source; None when unreachable."""
     dist: list[Optional[int]] = [None] * d.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in d._out[u]:
-            if dist[v] is None:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    seen = frontier = 1 << source
+    k = 0
+    while frontier:
+        reach = 0
+        for u in bits(frontier):
+            dist[u] = k
+            reach |= d.out_mask(u)
+        frontier = reach & ~seen
+        seen |= reach
+        k += 1
     return dist
 
 
@@ -79,70 +83,44 @@ def brute_force_snp_vertices(wd: WeightedDigraph) -> set[int]:
     return out
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def _orient_pairs(d: Digraph, pairs: list[tuple[int, int]], code: int) -> Digraph:
-    """Add one arc per pair (u, v) to d: u -> v, or v -> u when bit k of
-    code is set for pair k."""
-    for k, (u, v) in enumerate(pairs):
-        if code >> k & 1:
-            d.add_arc(v, u)
-        else:
-            d.add_arc(u, v)
-    return d
-
-
 def tournament_from_code(n: int, code: int) -> Digraph:
     """Tournament number `code`: bit k flips pair k of the sorted pair list."""
-    return _orient_pairs(Digraph(n), _pair_list(n), code)
+    return orient_pairs(n, pair_list(n), code)
 
 
 def graph_from_code(n: int, code: int) -> UndirectedGraph:
-    g = UndirectedGraph(n)
-    for k, (u, v) in enumerate(_pair_list(n)):
-        if code >> k & 1:
-            g.add_edge(u, v)
-    return g
+    """Graph number `code`: bit k puts pair k of the sorted pair list in."""
+    return graph_from_pairs(n, pair_list(n), code)
+
+
+def _enumerate(build, n: int, cap: int, what: str):
+    if n > cap:
+        raise TooLarge(f"{what} enumeration limited to n <= {cap}")
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    return (build(n, code) for code in range(1 << n * (n - 1) // 2))
 
 
 def enumerate_tournaments(n: int) -> Iterator[Digraph]:
     """All 2^(n(n-1)/2) labeled tournaments in code order."""
-    if n > MAX_ENUM_TOURNAMENT_N:
-        raise TooLarge(f"tournament enumeration limited to n <= {MAX_ENUM_TOURNAMENT_N}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    pairs = n * (n - 1) // 2
-    for code in range(1 << pairs):
-        yield tournament_from_code(n, code)
+    return _enumerate(tournament_from_code, n, MAX_ENUM_TOURNAMENT_N, "tournament")
 
 
 def enumerate_graphs(n: int) -> Iterator[UndirectedGraph]:
     """All 2^(n(n-1)/2) labeled graphs in code order."""
-    if n > MAX_ENUM_GRAPH_N:
-        raise TooLarge(f"graph enumeration limited to n <= {MAX_ENUM_GRAPH_N}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    pairs = n * (n - 1) // 2
-    for code in range(1 << pairs):
-        yield graph_from_code(n, code)
+    return _enumerate(graph_from_code, n, MAX_ENUM_GRAPH_N, "graph")
 
 
 @dataclass
 class SweepReport:
-    """Outcome of one verification sweep.
-
-    The elapsed time is kept for logging but excluded from the canonical
-    dictionary so that identical runs serialize byte-identically.
-    """
+    """Outcome of one verification sweep.  It holds no timing, so that
+    identical runs serialize byte-identically."""
 
     sweep: str
     parameters: dict
     instances: int
     failures: list[CounterexampleReport] = field(default_factory=list)
     data: dict = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -232,7 +210,6 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
         raise TooLarge(f"sweep limited to n <= {MAX_ENUM_TOURNAMENT_N}")
     if n < 1:
         raise ValueError("need at least one vertex")
-    start = time.perf_counter()
     sizes = range(1, n + 1) if cumulative else [n]
     count, failures = _drive_codes(_theorem1_check, sizes, jobs)
     return SweepReport(
@@ -240,7 +217,6 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
         parameters={"n": n, "cumulative": cumulative},
         instances=count,
         failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -267,7 +243,6 @@ def sweep_proposition1(
     weighted SNP under the original (unperturbed) weights."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    start = time.perf_counter()
     count, failures = _drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs)
     return SweepReport(
         sweep="prop1",
@@ -279,7 +254,6 @@ def sweep_proposition1(
         },
         instances=count,
         failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -325,14 +299,12 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
         raise TooLarge(f"sweep limited to max_n <= {MAX_THEOREM2_N}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    start = time.perf_counter()
     count, failures = _drive(_theorem2_check, samples, (max_n, seed), jobs)
     return SweepReport(
         sweep="theorem2",
         parameters={"samples": samples, "max_n": max_n, "seed": seed},
         instances=count,
         failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -366,7 +338,7 @@ def _orientation_check(code: int, n: int) -> tuple[int, list[CounterexampleRepor
     non_edges = g.non_edges()
     if viol is None:
         for orientation in range(1 << len(non_edges)):
-            d = _orient_pairs(Digraph(n), non_edges, orientation)
+            d = orient_pairs(n, non_edges, orientation)
             ok, statuses = all_missing_edges_good(d)
             if not ok:
                 failures.append(
@@ -409,7 +381,6 @@ def sweep_theorem3(
         raise ValueError("need at least one vertex")
     if not 1 <= random_min_n <= random_max_n:
         raise ValueError("need 1 <= random_min_n <= random_max_n")
-    start = time.perf_counter()
     routes = _drive_codes(_exhaustive_routes_check, range(1, n + 1), jobs)
     random_routes = _drive(
         _random_routes_check, random_samples, (random_min_n, random_max_n, seed), jobs
@@ -434,7 +405,6 @@ def sweep_theorem3(
             "random_route_agreement_graphs": random_routes[0],
             "orientation_instances": orientations[0],
         },
-        elapsed_seconds=time.perf_counter() - start,
     )
 
 
@@ -483,7 +453,7 @@ def check_gamma_property(d: Digraph) -> bool:
     """
     for v in range(d.n):
         dp = d.out_degree(v)
-        if dp == 0 or gamma_sign(Fraction(len(d.second_out_neighbors(v)), dp)) >= 0:
+        if dp == 0 or gamma_sign(Fraction(d.second_out_mask(v).bit_count(), dp)) >= 0:
             return True
     return False
 
@@ -509,12 +479,10 @@ def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepRepo
     d++(v) >= gamma * d+(v) (Chen, Shen and Yuster)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    start = time.perf_counter()
     count, failures = _drive(_gamma_check, samples, (max_n, seed), jobs)
     return SweepReport(
         sweep="gamma",
         parameters={"samples": samples, "max_n": max_n, "seed": seed},
         instances=count,
         failures=failures,
-        elapsed_seconds=time.perf_counter() - start,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph
+from .digraph import Digraph, UndirectedGraph, bits, missing_graph
 from .errors import (
     CounterexampleReport,
     InternalTheoremViolation,
@@ -55,16 +55,10 @@ class GeneralizedStarDecomposition:
         return len(self.x_sets)
 
     def core(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for x in self.x_sets:
-            out |= x
-        return out
+        return frozenset().union(*self.x_sets)
 
     def rays(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for a in self.a_sets[1:]:
-            out |= a
-        return out
+        return frozenset().union(*self.a_sets[1:])
 
     def to_dict(self) -> dict:
         return {
@@ -92,14 +86,8 @@ def validate_decomposition(
     """
     if not dec.a_sets:
         return False, CLAUSE_PARTITION
-    all_sets = list(dec.a_sets) + list(dec.x_sets)
-    seen: set[int] = set()
-    for s in all_sets:
-        for v in s:
-            if not 0 <= v < g.n or v in seen:
-                return False, CLAUSE_PARTITION
-            seen.add(v)
-    if len(seen) != g.n:
+    # disjoint, in range and covering: every vertex listed exactly once
+    if sorted(v for s in (*dec.a_sets, *dec.x_sets) for v in s) != list(range(g.n)):
         return False, CLAUSE_PARTITION
 
     core = dec.core()
@@ -110,10 +98,7 @@ def validate_decomposition(
 
     if any(not a for a in dec.a_sets[1:]):
         return False, CLAUSE_STABLE
-    stable = set(dec.a_sets[0])
-    for a in dec.a_sets[1:]:
-        stable |= a
-    if not g.is_stable(stable):
+    if not g.is_stable(dec.a_sets[0] | dec.rays()):
         return False, CLAUSE_STABLE
 
     if dec.ray_class_count > dec.layer_count:
@@ -121,12 +106,12 @@ def validate_decomposition(
     for v in dec.a_sets[0]:
         if g.degree(v) != 0:
             return False, CLAUSE_NEIGHBORHOODS
-    ladder: set[int] = set()
+    ladder = 0
     for i, x in enumerate(dec.x_sets, start=1):
-        ladder |= x
+        ladder |= sum(1 << v for v in x)
         if i <= dec.ray_class_count:
             for v in dec.a_sets[i]:
-                if g.neighbors(v) != ladder:
+                if g.neighbor_mask(v) != ladder:
                     return False, CLAUSE_NEIGHBORHOODS
     return True, None
 
@@ -142,10 +127,7 @@ def max_stable_set(g: UndirectedGraph) -> frozenset[int]:
     if g.n > MAX_STABLE_SET_N:
         raise TooLarge(f"exact stable set limited to {MAX_STABLE_SET_N} vertices, got {g.n}")
     n = g.n
-    nbr = [0] * n
-    for u in range(n):
-        for v in g.neighbors(u):
-            nbr[u] |= 1 << v
+    nbr = [g.neighbor_mask(v) for v in range(n)]
 
     def clique_cover_bound(cand: int) -> int:
         cliques = 0
@@ -213,14 +195,14 @@ def decompose(g: UndirectedGraph) -> DecomposeResult:
         by_degree.setdefault(g.degree(v), set()).add(v)
     a_sets: list[frozenset[int]] = [a0]
     x_sets: list[frozenset[int]] = []
-    covered: set[int] = set()
+    covered = 0
     for d in sorted(by_degree):
         cls = frozenset(by_degree[d])
         a_sets.append(cls)
-        nbhd: set[int] = set()
+        nbhd = 0
         for v in cls:
-            nbhd |= g.neighbors(v)
-        x_sets.append(frozenset(nbhd - covered))
+            nbhd |= g.neighbor_mask(v)
+        x_sets.append(frozenset(bits(nbhd & ~covered)))
         covered |= nbhd
     # clique vertices never adjacent to the stable set stay unassigned and
     # make the partition clause fail, which is the intended verdict
@@ -263,35 +245,24 @@ class SquareViolation:
         }
 
 
-def _induces_square_subgraph(g: UndirectedGraph, e1, e2) -> Optional[str]:
-    a, x = e1
+def _induces_square_subgraph(na: int, nx: int, e2: tuple[int, int]) -> Optional[str]:
+    """The pairing whose four-cycle holds every cross edge between
+    e1 = (a, x), given by the neighbor masks na and nx of its endpoints,
+    and e2 = (b, y); None when neither four-cycle does."""
     b, y = e2
-    present = set()
-    if g.has_edge(x, b):
-        present.add("xb")
-    if g.has_edge(a, y):
-        present.add("ay")
-    if g.has_edge(x, y):
-        present.add("xy")
-    if g.has_edge(a, b):
-        present.add("ab")
-    if present <= {"xb", "ay"}:
+    if not (nx >> y & 1 or na >> b & 1):  # no xy, no ab
         return "xb-ay"
-    if present <= {"xy", "ab"}:
+    if not (nx >> b & 1 or na >> y & 1):  # no xb, no ay
         return "xy-ab"
     return None
 
 
-def _endpoint_covers(g: UndirectedGraph, e1, e2) -> bool:
+def _endpoint_covers(na: int, nx: int, e2: tuple[int, int]) -> bool:
     # equivalent reading: some endpoint of one edge is adjacent to both
-    # endpoints of the other
-    for p in e1:
-        if g.has_edge(p, e2[0]) and g.has_edge(p, e2[1]):
-            return True
-    for p in e2:
-        if g.has_edge(p, e1[0]) and g.has_edge(p, e1[1]):
-            return True
-    return False
+    # endpoints of the other (an endpoint of e2 adjacent to both a and x
+    # is a bit of na & nx)
+    both = 1 << e2[0] | 1 << e2[1]
+    return na & both == both or nx & both == both or na & nx & both != 0
 
 
 def check_condition_B(g: UndirectedGraph) -> Optional[SquareViolation]:
@@ -299,15 +270,17 @@ def check_condition_B(g: UndirectedGraph) -> Optional[SquareViolation]:
 
     Scans edge pairs in sorted order and returns None when no such pair
     exists.  Both formalizations (cross-edge containment and the
-    covering-endpoint reading) are evaluated and must agree.
+    covering-endpoint reading) are evaluated on the neighbor masks of the
+    first edge's endpoints and must agree.
     """
     edges = g.edges()
     for idx, e1 in enumerate(edges):
+        na, nx = g.neighbor_mask(e1[0]), g.neighbor_mask(e1[1])
         for e2 in edges[idx + 1 :]:
             if e1[0] in e2 or e1[1] in e2:
                 continue
-            pairing = _induces_square_subgraph(g, e1, e2)
-            covered = _endpoint_covers(g, e1, e2)
+            pairing = _induces_square_subgraph(na, nx, e2)
+            covered = _endpoint_covers(na, nx, e2)
             if covered != (pairing is None):
                 raise InternalTheoremViolation(
                     CounterexampleReport(
@@ -428,8 +401,6 @@ def adversarial_digraph(g: UndirectedGraph, viol: SquareViolation) -> Adversaria
         if p in (u, v) or q in (u, v):
             continue
         d.add_arc(p, q)
-
-    from .digraph import missing_graph  # local to keep module top imports lean
 
     if missing_graph(d) != g:
         raise InternalTheoremViolation(

@@ -495,6 +495,22 @@ class TestContracts:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize(
+        "command, instance",
+        [
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [[0, 1]], "labels": [None, {"a": 1}]}),
+            ("check-good", {"kind": "digraph", "n": 2, "arcs": [[0, 1]], "labels": ["x", "x"]}),
+            ("recognize", {"kind": "graph", "n": 2, "edges": [[0, 1]], "labels": [None, {"a": 1}]}),
+            ("recognize", {"kind": "graph", "n": 2, "edges": [[0, 1]], "labels": ["x", "x"]}),
+        ],
+    )
+    def test_labels_must_be_distinct_strings(self, command, instance, tmp_path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(instance))
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
 
     @pytest.mark.parametrize(
         "command, instance",

@@ -1,7 +1,9 @@
 """Core model: neighborhoods, missing graphs, weights, SNP checks."""
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,10 @@ from snc import (
     has_weighted_snp,
     missing_graph,
 )
+import snc
 from snc.generators import Rng, random_graph, random_digraph_missing
-from snc.oracle import bfs_distances
+from snc.digraph import graph_from_pairs, orient_pairs, pair_list
+from snc.oracle import bfs_distances, graph_from_code, tournament_from_code
 
 
 def cycle3() -> Digraph:
@@ -72,8 +76,8 @@ def test_second_out_neighborhood():
 
 def test_second_in_neighborhood_mirrors_reversed_arcs():
     path = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3)])
-    assert path.second_in_neighbors(3) == {1}
-    assert cycle3().second_in_neighbors(0) == {1}
+    assert path.second_in_mask(3) == 1 << 1
+    assert cycle3().second_in_mask(0) == 1 << 1
 
 
 def test_neighborhoods_disjoint_and_match_bfs_on_random_digraphs():
@@ -166,3 +170,78 @@ def test_rng_is_deterministic_and_bounded():
     b = [Rng(9).below(10) for _ in range(20)]
     assert a == b
     assert all(0 <= x < 10 for x in a)
+
+
+def _same_digraph(d: Digraph, e: Digraph) -> bool:
+    # __eq__ compares out-masks only; the in-masks and the arc count must match too
+    return d == e and d.arc_count == e.arc_count and all(
+        d.in_mask(v) == e.in_mask(v) for v in range(d.n)
+    )
+
+
+def test_direct_mask_builds_match_checked_builds():
+    for n in range(1, 5):
+        pairs = pair_list(n)
+        for code in range(1 << len(pairs)):
+            arcs = [(v, u) if code >> k & 1 else (u, v) for k, (u, v) in enumerate(pairs)]
+            assert _same_digraph(tournament_from_code(n, code), Digraph.from_arcs(n, arcs))
+            edges = [p for k, p in enumerate(pairs) if code >> k & 1]
+            g = graph_from_code(n, code)
+            assert g == UndirectedGraph.from_edges(n, edges)
+            assert g.edge_count == len(edges)
+            non_edges = g.non_edges()
+            for orientation in range(1 << len(non_edges)):
+                arcs = [
+                    (v, u) if orientation >> k & 1 else (u, v)
+                    for k, (u, v) in enumerate(non_edges)
+                ]
+                assert _same_digraph(
+                    orient_pairs(n, non_edges, orientation), Digraph.from_arcs(n, arcs)
+                )
+
+
+def test_masks_agree_with_arcs_and_edges():
+    for seed in range(24):
+        n = 1 + seed % 12
+        g = random_graph(n, seed)
+        d = random_digraph_missing(g, seed ^ 0x5A5A)
+        arcs, edges = set(d.arcs()), set(g.edges())
+        for v in range(n):
+            assert d.out_mask(v) == sum(1 << u for u in range(n) if (v, u) in arcs)
+            assert d.in_mask(v) == sum(1 << u for u in range(n) if (u, v) in arcs)
+            assert g.neighbor_mask(v) == sum(
+                1 << u for u in range(n) if (min(u, v), max(u, v)) in edges
+            )
+            # the digraph misses exactly the edges of g
+            assert d.missing_mask(v) == g.neighbor_mask(v)
+        assert missing_graph(d) == g
+        assert _same_digraph(Digraph.from_out_masks(d.out_mask(v) for v in range(n)), d)
+        assert _same_digraph(d.copy(), d)
+
+
+def test_mask_builds_reject_invalid_masks():
+    with pytest.raises(ValueError):
+        Digraph.from_out_masks([0b1])
+    with pytest.raises(DigonRejected):
+        Digraph.from_out_masks([0b10, 0b01])
+    with pytest.raises(ValueError):
+        Digraph.from_out_masks([0b100, 0])
+    with pytest.raises(ValueError):
+        orient_pairs(2, [(1, 1)], 0)
+    with pytest.raises(DigonRejected):
+        orient_pairs(2, [(0, 1), (0, 1)], 0b10)
+    with pytest.raises(ValueError):
+        graph_from_pairs(2, [(1, 1)], 1)
+    with pytest.raises(ValueError):
+        Digraph(2).out_mask(2)
+
+
+def test_only_digraph_reads_the_adjacency_store():
+    offenders = []
+    for path in sorted(Path(snc.__file__).parent.glob("*.py")):
+        if path.name == "digraph.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_out", "_in", "_adj"):
+                offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []

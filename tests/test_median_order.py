@@ -29,6 +29,7 @@ from snc import (
     local_median_order,
     order_objective,
 )
+from snc import median_order
 from snc.generators import Rng, random_tournament, random_weights
 from snc.median_order import (
     PREFIX,
@@ -293,6 +294,29 @@ def test_local_search_trace_is_strictly_improving():
         if trace:
             start_obj = order_objective(t, w, tuple(range(n)))
             assert start_obj < objectives[0]
+
+
+def test_local_search_scans_once_per_move_plus_one(monkeypatch):
+    # the benchmark derives its moves counter from these calls
+    calls = []
+    real = median_order.feedback_check
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(median_order, "feedback_check", counting)
+    moved = 0
+    for seed in range(10):
+        t = random_tournament(8, seed)
+        w = random_weights(8, seed + 50, 10)
+        calls.clear()
+        trace: list = []
+        co = local_median_order(t, w, trace=trace)
+        assert len(calls) == len(trace) + 1
+        assert calls[-1] == co.order
+        moved += bool(trace)
+    assert moved
 
 
 def test_move_limit_exceeded_reports_state():

@@ -83,8 +83,9 @@ class TestConditionB:
                 for e1, e2 in itertools.combinations(edges, 2):
                     if set(e1) & set(e2):
                         continue
-                    assert _endpoint_covers(g, e1, e2) == (
-                        _induces_square_subgraph(g, e1, e2) is None
+                    na, nx = g.neighbor_mask(e1[0]), g.neighbor_mask(e1[1])
+                    assert _endpoint_covers(na, nx, e2) == (
+                        _induces_square_subgraph(na, nx, e2) is None
                     )
 
 
