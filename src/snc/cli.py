@@ -9,6 +9,7 @@ Timing and progress go to stderr only.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -32,11 +33,21 @@ def _dumps(obj) -> str:
 
 
 def _emit(args, payload) -> None:
-    text = _dumps(payload) if not isinstance(payload, str) else payload
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+    """Write a text payload as is and a document as _dumps would, but
+    streamed rather than built as one string.  The encoder's pieces are
+    a few characters each, so they are joined in batches before writing."""
+    if isinstance(payload, str):
+        chunks = [payload]
     else:
-        sys.stdout.write(text)
+        pieces = itertools.chain(
+            json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ["\n"]
+        )
+        chunks = iter(lambda: "".join(itertools.islice(pieces, 8192)), "")
+    if getattr(args, "output", None):
+        with open(args.output, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _emit_error(kind: str, message: str, extra: dict | None = None) -> None:

@@ -273,13 +273,6 @@ class UndirectedGraph:
         vs = list(vertices)
         return not any(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
 
-    def induced(self, vertices: Iterable[int]) -> tuple["UndirectedGraph", list[int]]:
-        """Induced subgraph plus the list mapping new index -> old vertex."""
-        order = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(order)}
-        masks = [sum(1 << pos[w] for w in bits(self._adj[u]) if w in pos) for u in order]
-        return UndirectedGraph._from_masks(masks), order
-
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges()]}
 

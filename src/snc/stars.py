@@ -3,9 +3,13 @@
 A generalized star is a clique layered into cores X1..Xn together with a
 stable set split into ray classes A1..An (plus isolated vertices A0),
 where every vertex of class Ai is adjacent to exactly X1 u ... u Xi.
+These are exactly the threshold graphs (Chvatal and Hammer, 1977).
 Three equivalent views are implemented:
 
-* structural: construct and validate a decomposition (decompose);
+* structural: peel off an isolated or a dominating vertex until none is
+  left, build the decomposition from the peeled stable side and
+  validate it (max_stable_set, decompose); recognize decides by this
+  route;
 * pairwise: no two vertex-disjoint edges induce a subgraph of a
   four-cycle (check_condition_B);
 * orientational: every digraph whose missing graph is G has only good
@@ -22,15 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import Digraph, UndirectedGraph, bits, missing_graph
-from .errors import (
-    CounterexampleReport,
-    InternalTheoremViolation,
-    NotAViolation,
-    TooLarge,
-)
+from .errors import CounterexampleReport, InternalTheoremViolation, NotAViolation
 from .good_edges import classify_missing_edge
-
-MAX_STABLE_SET_N = 64
 
 
 @dataclass(frozen=True)
@@ -116,82 +113,57 @@ def validate_decomposition(
     return True, None
 
 
-def max_stable_set(g: UndirectedGraph) -> frozenset[int]:
-    """Maximum stable set by exact branch and bound over bitmasks.
+def max_stable_set(g: UndirectedGraph) -> Optional[frozenset[int]]:
+    """Lexicographically smallest maximum stable set by the threshold peel;
+    None when g is not a threshold graph (not a generalized star).
 
-    Branches include-first on the lowest candidate vertex, so the first
-    maximum found is the lexicographically smallest sorted sequence among
-    all maximum stable sets; pruning on <= best preserves that choice.
-    The bound is a greedy clique cover of the candidates.
+    Vertices sorted by degree, ties by index, are peeled from both ends:
+    the lowest goes to the stable side I when it has become isolated,
+    else the highest goes to the clique K when it has become dominating,
+    else neither exists and g is not threshold.  A peeled clique vertex
+    is adjacent to every vertex still in play and a peeled stable vertex
+    to none, so a vertex's remaining degree is its degree less the clique
+    vertices peeled so far.
+
+    I comes out maximal, so every other maximum stable set is I - i + k
+    for a clique vertex k with N(k) & I = {i}.  Neighborhoods in a
+    threshold graph are nested, so i is then adjacent to all of K and
+    deg(i) = |K| = deg(k).  Of two vertices of equal degree the peel
+    sends the lower-indexed one to I (it takes I from the low end and K
+    from the high end), so k > i and I is the smallest as a sorted
+    sequence.
     """
-    if g.n > MAX_STABLE_SET_N:
-        raise TooLarge(f"exact stable set limited to {MAX_STABLE_SET_N} vertices, got {g.n}")
-    n = g.n
-    nbr = [g.neighbor_mask(v) for v in range(n)]
-
-    def clique_cover_bound(cand: int) -> int:
-        cliques = 0
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            clique = nbr[v] & cand  # vertices that could join v's clique
-            while clique:
-                lw = clique & -clique
-                u = lw.bit_length() - 1
-                cand ^= lw
-                clique &= nbr[u]
-            cliques += 1
-        return cliques
-
-    best_mask = 0
-    best_size = -1
-
-    def grow(chosen: int, size: int, cand: int) -> None:
-        nonlocal best_mask, best_size
-        if not cand:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + clique_cover_bound(cand) <= best_size:
-            return
-        low = cand & -cand
-        v = low.bit_length() - 1
-        grow(chosen | low, size + 1, cand & ~(nbr[v] | low))
-        grow(chosen, size, cand ^ low)
-
-    grow(0, 0, (1 << n) - 1)
-    return frozenset(v for v in range(n) if best_mask >> v & 1)
+    degree = [g.degree(v) for v in range(g.n)]
+    order = sorted(range(g.n), key=degree.__getitem__)  # stable: ties by index
+    lo, hi = 0, g.n - 1
+    while lo <= hi:
+        peeled = g.n - 1 - hi  # clique vertices peeled so far
+        if degree[order[lo]] == peeled:
+            lo += 1
+        elif degree[order[hi]] - peeled == hi - lo:
+            hi -= 1
+        else:
+            return None
+    return frozenset(order[:lo])
 
 
-@dataclass(frozen=True)
-class DecomposeResult:
-    decomposition: Optional[GeneralizedStarDecomposition]
-    failed_clause: Optional[str]
-    stable_set: frozenset[int]
+def decompose(g: UndirectedGraph) -> Optional[GeneralizedStarDecomposition]:
+    """Decomposition of a generalized star; None when g is not one.
 
-    @property
-    def ok(self) -> bool:
-        return self.decomposition is not None and self.failed_clause is None
-
-
-def decompose(g: UndirectedGraph) -> DecomposeResult:
-    """Constructive decomposition attempt.
-
-    Peel off the isolated vertices as A0, take a maximum stable set S of
-    the rest, group S by increasing degree into ray classes, and carve the
-    core layers as the successive neighborhood increments.  The candidate
-    is then validated; a failed clause means the graph is not a
-    generalized star (nothing is patched).
+    The stable side is max_stable_set(g), whose peel rejects exactly the
+    graphs that are not generalized stars.  Its isolated vertices form
+    A0, the rest is grouped by increasing degree into ray classes, and
+    the core layers are the successive neighborhood increments.  The
+    candidate is then validated; a failed clause would falsify the
+    characterization and raises InternalTheoremViolation with a
+    replayable dump.
     """
+    s = max_stable_set(g)
+    if s is None:
+        return None
     a0 = frozenset(g.isolated())
-    rest = sorted(set(range(g.n)) - a0)
-    sub, back = g.induced(rest)
-    s_local = max_stable_set(sub)
-    s = frozenset(back[v] for v in s_local)
-
     by_degree: dict[int, set[int]] = {}
-    for v in sorted(s):
+    for v in sorted(s - a0):
         by_degree.setdefault(g.degree(v), set()).add(v)
     a_sets: list[frozenset[int]] = [a0]
     x_sets: list[frozenset[int]] = []
@@ -204,13 +176,17 @@ def decompose(g: UndirectedGraph) -> DecomposeResult:
             nbhd |= g.neighbor_mask(v)
         x_sets.append(frozenset(bits(nbhd & ~covered)))
         covered |= nbhd
-    # clique vertices never adjacent to the stable set stay unassigned and
-    # make the partition clause fail, which is the intended verdict
     candidate = GeneralizedStarDecomposition(tuple(a_sets), tuple(x_sets))
     ok, clause = validate_decomposition(g, candidate)
     if not ok:
-        return DecomposeResult(None, clause, s)
-    return DecomposeResult(candidate, None, s)
+        raise InternalTheoremViolation(
+            CounterexampleReport(
+                stage="decomposition-invalid",
+                description=f"peeled decomposition fails the {clause} clause",
+                state={"graph": g.to_dict(), "decomposition": candidate.to_dict()},
+            )
+        )
+    return candidate
 
 
 @dataclass(frozen=True)
@@ -426,7 +402,6 @@ def adversarial_digraph(g: UndirectedGraph, viol: SquareViolation) -> Adversaria
 class RecognitionReport:
     is_generalized_star: bool
     decomposition: Optional[GeneralizedStarDecomposition]
-    failed_clause: Optional[str]
     classification: Optional[Classification]
     violation: Optional[SquareViolation]
     adversarial: Optional[AdversarialWitness]
@@ -436,14 +411,15 @@ class RecognitionReport:
             "kind": "recognition_report",
             "is_generalized_star": self.is_generalized_star,
             "decomposition": self.decomposition.to_dict() if self.decomposition else None,
-            "failed_clause": self.failed_clause,
             "classification": self.classification.to_dict() if self.classification else None,
             "square_violation": self.violation.to_dict() if self.violation else None,
             "adversarial": self.adversarial.to_dict() if self.adversarial else None,
         }
 
 
-def route_agreement(g: UndirectedGraph) -> tuple[Optional[SquareViolation], DecomposeResult]:
+def route_agreement(
+    g: UndirectedGraph,
+) -> tuple[Optional[SquareViolation], Optional[GeneralizedStarDecomposition]]:
     """Run both recognition routes; they must agree.
 
     A disagreement between the pairwise condition and the constructive
@@ -451,42 +427,28 @@ def route_agreement(g: UndirectedGraph) -> tuple[Optional[SquareViolation], Deco
     InternalTheoremViolation with a replayable dump.
     """
     viol = check_condition_B(g)
-    res = decompose(g)
-    if (viol is None) != res.ok:
+    dec = decompose(g)
+    if (viol is None) != (dec is not None):
         raise InternalTheoremViolation(
             CounterexampleReport(
                 stage="route-agreement",
                 description="pairwise condition and decomposition disagree",
-                state={
-                    "graph": g.to_dict(),
-                    "violation": viol.to_dict() if viol else None,
-                    "failed_clause": res.failed_clause,
-                },
+                state={"graph": g.to_dict(), "violation": viol.to_dict() if viol else None},
             )
         )
-    return viol, res
+    return viol, dec
 
 
 def recognize(g: UndirectedGraph) -> RecognitionReport:
-    """Run both recognition routes through route_agreement and report the
-    decomposition, or the square violation with its adversarial digraph."""
-    viol, res = route_agreement(g)
-    if res.ok:
-        assert res.decomposition is not None
-        return RecognitionReport(
-            is_generalized_star=True,
-            decomposition=res.decomposition,
-            failed_clause=None,
-            classification=classify_special(res.decomposition),
-            violation=None,
-            adversarial=None,
-        )
+    """Report the decomposition of a generalized star, or the square
+    violation with its adversarial digraph.
+
+    The peel decides.  Only when it rejects does route_agreement run the
+    pairwise scan, whose first violation names the adversarial digraph.
+    """
+    dec = decompose(g)
+    if dec is not None:
+        return RecognitionReport(True, dec, classify_special(dec), None, None)
+    viol, _ = route_agreement(g)
     assert viol is not None
-    return RecognitionReport(
-        is_generalized_star=False,
-        decomposition=None,
-        failed_clause=res.failed_clause,
-        classification=None,
-        violation=viol,
-        adversarial=adversarial_digraph(g, viol),
-    )
+    return RecognitionReport(False, None, None, viol, adversarial_digraph(g, viol))

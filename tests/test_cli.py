@@ -25,6 +25,7 @@ from snc import (
     oracle,
 )
 from snc.cli import main
+from snc.generators import gen_generalized_star
 from snc.formats import (
     MAX_VERTICES,
     load_digraph,
@@ -207,6 +208,17 @@ class TestCommands:
         assert doc["is_generalized_star"] is False
         assert doc["square_violation"]["e1"] == [0, 1]
         assert doc["adversarial"]["digraph"]["arcs"] == [[0, 3], [1, 2], [2, 0], [3, 1]]
+
+    def test_recognize_star_at_the_instance_cap(self, tmp_path):
+        # 508 rays in four classes over a four-layer core of single vertices
+        g, _dec = gen_generalized_star(a_profile=(127,) * 4, x_profile=(1,) * 4)
+        assert g.n == MAX_VERTICES == 512
+        f = tmp_path / "big.g"
+        f.write_text(serialize_graph(g))
+        code, out, _ = run_cli("recognize", "-i", str(f))
+        doc = json.loads(out)
+        assert code == 0 and doc["is_generalized_star"] is True
+        assert (doc["classification"]["layers"], doc["classification"]["ray_classes"]) == (4, 4)
 
     def test_adversary(self, tmp_path):
         f = tmp_path / "k.g"
@@ -391,6 +403,16 @@ class TestContracts:
         assert out.endswith("\n")
         doc = json.loads(out)
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def test_streamed_output_matches_dumps(self, tmp_path):
+        # header only: 780 missing-edge statuses, several encoder batches
+        f = tmp_path / "e.dg"
+        f.write_text("digraph 40\n")
+        target = tmp_path / "out.json"
+        _, out, _ = run_cli("check-good", "-i", str(f))
+        run_cli("check-good", "-i", str(f), "-o", str(target))
+        assert out.count("\n") > 8192
+        assert out == target.read_text() == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
     def test_reruns_byte_identical(self, tmp_path):
         f = tmp_path / "t.dg"

@@ -160,9 +160,6 @@ def test_undirected_graph_basics():
     assert g.non_edges() == [(0, 2), (0, 3), (1, 3), (2, 3)]
     with pytest.raises(LoopRejected):
         g.add_edge(2, 2)
-    sub, back = g.induced([1, 2, 3])
-    assert back == [1, 2, 3]
-    assert sub.edges() == [(0, 1)]
 
 
 def test_rng_is_deterministic_and_bounded():

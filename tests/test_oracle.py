@@ -170,12 +170,7 @@ class TestSweepFailures:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_route_agreement_report_matches_recognize(self, monkeypatch, jobs):
         real = stars.decompose
-
-        def refuse_three_vertices(g):
-            res = real(g)
-            return stars.DecomposeResult(None, "forced", res.stable_set) if g.n == 3 else res
-
-        monkeypatch.setattr(stars, "decompose", refuse_three_vertices)
+        monkeypatch.setattr(stars, "decompose", lambda g: None if g.n == 3 else real(g))
         r = sweep_theorem3(3, jobs=jobs)
         # no graph on 3 vertices has two disjoint edges, so all 8 disagree
         assert [f.state["graph"] for f in r.failures] == [

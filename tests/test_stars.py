@@ -14,8 +14,8 @@ import pytest
 from snc import (
     Digraph,
     GeneralizedStarDecomposition,
+    InternalTheoremViolation,
     NotAViolation,
-    TooLarge,
     UndirectedGraph,
     adversarial_digraph,
     all_missing_edges_good,
@@ -28,9 +28,10 @@ from snc import (
     recognize,
     validate_decomposition,
 )
-from snc.generators import random_graph
-from snc.oracle import enumerate_graphs
-from snc.stars import _endpoint_covers, _induces_square_subgraph
+from snc import stars
+from snc.generators import Rng, random_graph
+from snc.oracle import enumerate_graphs, graph_from_code
+from snc.stars import _endpoint_covers, _induces_square_subgraph, route_agreement
 
 
 def two_k2() -> UndirectedGraph:
@@ -61,6 +62,18 @@ def brute_max_stable_lexmin(g: UndirectedGraph) -> frozenset[int]:
             best = min(candidates)
             break
     return frozenset(best)
+
+
+def recognition_inputs():
+    """Every labeled graph on up to 6 vertices, then the 2000 seeded random
+    graphs on 6..9 vertices of the theorem3 acceptance sweep's random leg
+    (seed 13), drawn as that leg draws them."""
+    for n in range(1, 7):
+        for code in range(1 << n * (n - 1) // 2):
+            yield graph_from_code(n, code)
+    for i in range(2000):
+        rng = Rng(13 ^ i)
+        yield random_graph(6 + rng.below(4), rng.next_u64())
 
 
 class TestConditionB:
@@ -97,43 +110,41 @@ class TestMaxStableSet:
         assert max_stable_set(nested_star()) == {1, 2}
 
     def test_against_subset_oracle(self):
-        for seed in range(30):
-            n = 2 + seed % 8
-            g = random_graph(n, seed * 101 + 7)
-            assert max_stable_set(g) == brute_max_stable_lexmin(g)
-
-    def test_too_large_guard(self):
-        with pytest.raises(TooLarge):
-            max_stable_set(UndirectedGraph(65))
+        """The peel rejects exactly the graphs with a square violation and
+        picks the subset oracle's choice on every threshold graph."""
+        for g in recognition_inputs():
+            s = max_stable_set(g)
+            assert (s is None) == (check_condition_B(g) is not None)
+            if s is not None:
+                assert s == brute_max_stable_lexmin(g)
 
 
 class TestDecompose:
     def test_star(self):
-        res = decompose(k13())
-        assert res.ok
-        assert res.decomposition.a_sets == (frozenset(), frozenset({1, 2, 3}))
-        assert res.decomposition.x_sets == (frozenset({0}),)
+        dec = decompose(k13())
+        assert dec.a_sets == (frozenset(), frozenset({1, 2, 3}))
+        assert dec.x_sets == (frozenset({0}),)
 
     def test_nested_star_validates(self):
-        res = decompose(nested_star())
-        assert res.ok
-        ok, clause = validate_decomposition(nested_star(), res.decomposition)
-        assert ok and clause is None
+        assert validate_decomposition(nested_star(), decompose(nested_star())) == (True, None)
 
     def test_two_k2_fails(self):
-        res = decompose(two_k2())
-        assert not res.ok and res.failed_clause is not None
+        assert decompose(two_k2()) is None
 
     def test_isolated_vertices_go_to_a0(self):
         g = UndirectedGraph.from_edges(5, [(0, 1)])
-        res = decompose(g)
-        assert res.ok
-        assert res.decomposition.a_sets[0] == {2, 3, 4}
+        assert decompose(g).a_sets[0] == {2, 3, 4}
 
     def test_edgeless_graph_is_degenerate_star(self):
-        res = decompose(UndirectedGraph(5))
-        assert res.ok
-        assert res.decomposition.x_sets == ()
+        assert decompose(UndirectedGraph(5)).x_sets == ()
+
+    def test_invalid_candidate_is_an_internal_violation(self, monkeypatch):
+        monkeypatch.setattr(stars, "validate_decomposition", lambda g, dec: (False, "clique"))
+        with pytest.raises(InternalTheoremViolation) as raised:
+            decompose(nested_star())
+        report = raised.value.report
+        assert report.stage == "decomposition-invalid" and "clique" in report.description
+        assert report.state["graph"] == nested_star().to_dict()
 
 
 class TestValidator:
@@ -163,10 +174,9 @@ class TestValidator:
         for seed in range(40):
             n = 2 + seed % 7
             g = random_graph(n, seed * 997 + 13)
-            res = decompose(g)
-            if not res.ok:
+            dec = decompose(g)
+            if dec is None:
                 continue
-            dec = res.decomposition
             classes = dec.a_sets[1:]
             for i, cls_i in enumerate(classes):
                 for cls_j in classes[i:]:
@@ -181,13 +191,11 @@ class TestClassify:
         assert classify_special(dec).primary == "complete"
 
     def test_star_takes_precedence_and_carries_sun_flag(self):
-        res = decompose(k13())
-        c = classify_special(res.decomposition)
+        c = classify_special(decompose(k13()))
         assert c.primary == "star" and c.star and c.sun
 
     def test_nested_star_is_general_with_level_count_sun_flag(self):
-        res = decompose(nested_star())
-        c = classify_special(res.decomposition)
+        c = classify_special(decompose(nested_star()))
         assert c.primary == "general"
         assert c.sun  # two core layers
         assert c.layers == 2 and c.ray_classes == 2
@@ -262,13 +270,11 @@ class TestRecognize:
 
 
 def test_route_agreement_exhaustive_small():
-    for n in range(1, 5):
-        for g in enumerate_graphs(n):
-            viol = check_condition_B(g)
-            res = decompose(g)
-            assert (viol is None) == res.ok
-            if res.ok:
-                assert validate_decomposition(g, res.decomposition) == (True, None)
+    for g in recognition_inputs():
+        viol, dec = route_agreement(g)
+        assert (viol is None) == (dec is not None)
+        if dec is not None:
+            assert validate_decomposition(g, dec) == (True, None)
 
 
 def test_orientation_characterization_small():
