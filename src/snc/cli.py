@@ -5,11 +5,17 @@ indentation) so identical inputs, flags, and seeds produce byte-identical
 output.  Exit codes: 0 success, 1 usage or input errors, 2 when a
 guaranteed assertion failed and a counterexample report was emitted.
 Timing and progress go to stderr only.
+
+Implementation: the argument parser is built once per process, on the
+first call to main, and documents are written in one pass by
+_write_json, with the bytes of json.dumps(doc, sort_keys=True, indent=2)
+plus a newline.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
+import functools
 import json
 import sys
 import time
@@ -27,34 +33,95 @@ from .errors import (
     SncError,
 )
 
+# pieces per write; a piece is mostly a key with its value, about 20
+# bytes, and a larger batch raises the peak memory of large documents
+_BATCH = 2048
+_escape = json.encoder.encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+def _write_json(doc, write) -> None:
+    """Write doc as json.dumps(doc, sort_keys=True, indent=2) + "\\n" would.
+
+    Only what documents hold is written: dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError.
+    The pieces go to write in batches of about _BATCH pieces, between
+    list elements, so a large document is never held as one string.
+    """
+    pieces: list[str] = []
+    put = pieces.append
+
+    def value(v, nl: str) -> None:
+        # nl is a newline plus the indentation of the line v starts on
+        t = type(v)
+        if t is dict:
+            if not v:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            for k in sorted(v):
+                x = v[k]
+                t = type(x)
+                key = f"{sep}{_escape(k)}: "  # TypeError on a key that is not a str
+                if t is str:
+                    put(key + _escape(x))
+                elif t is int:
+                    put(key + int.__repr__(x))
+                elif t is bool or x is None:
+                    put(key + _LITERALS[x])
+                else:
+                    put(key)
+                    value(x, inner)
+                sep = comma
+            put(nl + "}")
+        elif t is list or t is tuple:
+            if not v:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep, comma = "[" + inner, "," + inner
+            if all(type(x) is int for x in v):
+                put(sep + comma.join(map(int.__repr__, v)) + nl + "]")
+                return
+            for x in v:
+                put(sep)
+                value(x, inner)
+                sep = comma
+                if len(pieces) >= _BATCH:
+                    write("".join(pieces))
+                    pieces.clear()
+            put(nl + "]")
+        elif t is str:
+            put(_escape(v))
+        elif t is int:
+            put(int.__repr__(v))
+        elif t is bool or v is None:
+            put(_LITERALS[v])
+        else:
+            raise TypeError(f"documents hold no {t.__name__} values")
+
+    value(doc, "\n")
+    put("\n")
+    write("".join(pieces))
 
 
 def _emit(args, payload) -> None:
-    """Write a text payload as is and a document as _dumps would, but
-    streamed rather than built as one string.  The encoder's pieces are
-    a few characters each, so they are joined in batches before writing."""
-    if isinstance(payload, str):
-        chunks = [payload]
-    else:
-        pieces = itertools.chain(
-            json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload), ["\n"]
-        )
-        chunks = iter(lambda: "".join(itertools.islice(pieces, 8192)), "")
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+    """Write a text payload as is and a document through _write_json, to
+    the -o file or stdout."""
+    path = getattr(args, "output", None)
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as f:
+        if isinstance(payload, str):
+            f.write(payload)
+        else:
+            _write_json(payload, f.write)
 
 
 def _emit_error(kind: str, message: str, extra: dict | None = None) -> None:
     doc = {"error": kind, "message": message}
     if extra:
         doc.update(extra)
-    sys.stderr.write(_dumps(doc))
+    _write_json(doc, sys.stderr.write)
 
 
 def _read_input(args) -> str:
@@ -288,8 +355,10 @@ def _add_io(p, needs_input=True):
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="snc", description=__doc__)
+    # the help shows the docstring up to its implementation notes
+    parser = _Parser(prog="snc", description=__doc__.partition("\n\nImplementation:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="find a vertex with the weighted SNP, certified when possible")

@@ -23,7 +23,9 @@ swallowed.
 
 A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _certificate and _fallback derive every
-other field; the producers and verify_certificate / verify_fallback
+other field, except that the order comes with its objective: local
+search returns it, and verify_certificate recomputes it with
+order_objective.  The producers and verify_certificate / verify_fallback
 share them, so verification re-runs the theorem checks and compares the
 rebuilt document with the given one as a whole.
 """
@@ -231,19 +233,19 @@ class FallbackWitness:
 
 def _certificate(
     d: Digraph,
-    t: Digraph,
     w: WeightMap,
     orientations: Sequence[ConvenientOrientation],
-    order: Sequence[int],
+    co: CertifiedOrder,
 ) -> WitnessCertificate:
-    """The certificate of a completion t of d and an order of t, every
-    derived field computed here; the witness is the feed vertex."""
-    f = order[-1]
+    """The certificate of the completion of d by orientations and an
+    order of it with its objective, every other field computed here; the
+    witness is the feed vertex."""
+    f = feed_vertex(co)
     first, second = d.out_neighbors(f), d.second_out_neighbors(f)
     return WitnessCertificate(
         witness=f,
         orientations=tuple(orientations),
-        order=CertifiedOrder(tuple(order), order_objective(t, w, order)),
+        order=co,
         # every completed missing edge at f, as it points after reorientation
         reoriented_arcs=tuple(
             sorted((a + b - f, f) for a, b in d.missing_pairs() if f in (a, b))
@@ -328,7 +330,7 @@ def find_witness_good(
             )
         )
 
-    cert = _certificate(d, t, w, orientations, co.order)
+    cert = _certificate(d, w, orientations, co)
     if cert.lhs > cert.rhs:
         raise InternalTheoremViolation(
             CounterexampleReport(
@@ -412,7 +414,8 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     t = d.copy()
     for o in orientations:
         t.add_arc(o.tail, o.head)
-    cert = _certificate(d, t, w, orientations, order)
+    co = CertifiedOrder(tuple(order), order_objective(t, w, order))
+    cert = _certificate(d, w, orientations, co)
     t2 = reorient_at_feed(t, missing, cert.witness)
     _ok, statuses = all_missing_edges_good(d)
     status = {(s.a, s.b): s for s in statuses}

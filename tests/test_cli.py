@@ -10,8 +10,11 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snc
 from snc import (
@@ -22,6 +25,7 @@ from snc import (
     NoWitnessFound,
     ParseError,
     SncError,
+    cli,
     oracle,
 )
 from snc.cli import main
@@ -61,6 +65,16 @@ def _set(path, value):
         return doc
 
     return tamper
+
+
+# str keys and values with non-ASCII, quotes, backslashes and control characters
+_TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\n\t\x7f\xe9\u20ac\u2028\U0001f600'))
+_SCALARS = st.none() | st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | _TEXT
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(st.integers()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
+    max_leaves=20,
+)
 
 
 def run_cli(*argv: str):
@@ -414,6 +428,55 @@ class TestContracts:
         assert out.count("\n") > 8192
         assert out == target.read_text() == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
+    @settings(max_examples=100, deadline=None)
+    @given(doc=_DOCUMENTS)
+    def test_writer_matches_dumps(self, doc):
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        for batch in (cli._BATCH, 1):  # 1 flushes after every list element
+            chunks = []
+            with mock.patch.object(cli, "_BATCH", batch):
+                cli._write_json(doc, chunks.append)
+            assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a": 1.5}, [Fraction(1, 2)], {"a": {1}}, {"a": {1: "b"}}],
+        ids=["float", "fraction", "set", "int-key"],
+    )
+    def test_writer_rejects_what_documents_never_hold(self, doc):
+        with pytest.raises(TypeError):
+            cli._write_json(doc, io.StringIO().write)
+
+    def test_parser_is_built_once(self, monkeypatch, tmp_path):
+        f = tmp_path / "t.dg"
+        f.write_text(TRIANGLE_DG)
+        cert = tmp_path / "cert.json"
+        cert.write_text(run_cli("witness", "-i", str(f))[1])
+        calls = [("witness", "-i", str(f)), ("verify", "-i", str(cert)), ("witness",), ("--help",)]
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        reused = [run_cli(*argv) for argv in calls]
+        assert built.count("snc") == 1
+        per_build = len(built)  # the subcommand parsers are _Parsers too
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run_cli(*argv))
+        assert len(built) == 5 * per_build
+        assert reused == fresh
+        codes = [code for code, _out, _err in reused]
+        assert codes == [0, 0, 1, 0]
+        usage = reused[2][2]
+        assert json.loads(usage[usage.index("{") :])["error"] == "UsageError"
+        assert reused[3][1].startswith("usage: snc")
+
     def test_reruns_byte_identical(self, tmp_path):
         f = tmp_path / "t.dg"
         f.write_text(TRIANGLE_DG)
@@ -586,6 +649,12 @@ class TestContracts:
 
     def test_importing_the_cli_leaves_multiprocessing_out(self):
         probe = "import sys, snc, snc.cli; sys.exit('multiprocessing' in sys.modules)"
+        src = str(Path(snc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+    def test_importing_the_cli_leaves_the_parser_unbuilt(self):
+        probe = "import sys, snc.cli; sys.exit(snc.cli.build_parser.cache_info().currsize)"
         src = str(Path(snc.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

@@ -219,8 +219,8 @@ def test_unlicensed_orientation_fails_its_check(arcs, orientation):
     wd = WeightedDigraph(d, WeightMap.uniform(3))
     t = d.copy()
     t.add_arc(orientation.tail, orientation.head)
-    order = local_median_order(t, wd.weights).order
-    doc = _certificate(d, t, wd.weights, [orientation], order).to_dict()
+    co = local_median_order(t, wd.weights)
+    doc = _certificate(d, wd.weights, [orientation], co).to_dict()
     checks = dict(verify_certificate(wd, doc))
     assert checks["orientations_licensed"] is False
     assert checks["fields_match"] is True
@@ -234,12 +234,12 @@ def test_order_without_feedback_fails_its_checks():
     t = d.copy()
     t.add_arc(0, 1)
     order = (1, 0, 2)
-    doc = _certificate(d, t, wd.weights, [ConvenientOrientation(0, 1, "i")], order).to_dict()
+    co = CertifiedOrder(order, order_objective(t, wd.weights, order))
+    doc = _certificate(d, wd.weights, [ConvenientOrientation(0, 1, "i")], co).to_dict()
     checks = dict(verify_certificate(wd, doc))
     assert checks["order_feedback_on_t"] is False and checks["order_feedback_on_t_prime"] is False
     assert checks["witness_inequality"] is False  # w(N+(2)) = 2 > w(N++(2)) = 0
     assert checks["orientations_licensed"] is True and checks["fields_match"] is True
-    co = CertifiedOrder(order, order_objective(t, wd.weights, order))
     checks = dict(verify_order(WeightedDigraph(t, wd.weights), co.to_dict()))
     assert checks == {"order_feedback": False, "fields_match": True}
 
