@@ -9,6 +9,9 @@ Text formats (bit-exact, newline-terminated, `#` starts a comment):
 Vertex tokens are either all decimal indices in [0, n) or all symbolic
 labels (mapped to dense indices in first-appearance order); mixing the
 two styles in one file is rejected.  Weights default to 1 when omitted.
+Counts, indices and weight terms are ASCII digits only: other scripts'
+digits, superscripts, signs and underscores, which str.isdigit or int()
+would take, are not numbers here.
 
 JSON instances mirror the same content: {"kind": "digraph", "n": ...,
 "arcs": [[u,v],...], "weights": [{"num","den"},...], "labels": [...]}
@@ -29,6 +32,10 @@ from .errors import ParseError, SncError, TooLarge
 MAX_VERTICES = 512
 
 
+def _decimal(token: str) -> bool:
+    return token.isascii() and token.isdigit()
+
+
 class _LabelTable:
     """Vertex token resolution: numeric ids or dense symbolic labels."""
 
@@ -38,7 +45,7 @@ class _LabelTable:
         self.by_label: dict[str, int] = {}
 
     def resolve(self, token: str, line: int) -> int:
-        numeric = token.isdigit()
+        numeric = token.isdigit() and token.isascii()  # _decimal, inlined: one call per token
         mode = "numeric" if numeric else "symbolic"
         if self.mode is None:
             self.mode = mode
@@ -85,12 +92,9 @@ def _parse_header(it, kind: str) -> int:
         raise ParseError("empty input", 1) from None
     if len(tokens) != 2 or tokens[0] != kind:
         raise ParseError(f"expected header '{kind} <n>'", lineno)
-    try:
-        n = int(tokens[1])
-    except ValueError:
-        raise ParseError(f"bad vertex count {tokens[1]!r}", lineno) from None
-    if n < 0:
-        raise ParseError("vertex count must be nonnegative", lineno)
+    if not _decimal(tokens[1]):
+        raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
+    n = int(tokens[1])
     _check_cap(n)
     return n
 
@@ -116,14 +120,13 @@ def parse_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
             if len(tokens) != 4:
                 raise ParseError("expected 'weight <v> <num> <den>'", lineno)
             v = table.resolve(tokens[1], lineno)
-            try:
-                num, den = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError("weight numerator and denominator must be integers", lineno) from None
-            if den <= 0:
+            if not (_decimal(tokens[2]) and _decimal(tokens[3])):
+                raise ParseError(
+                    "weight numerator and denominator must be nonnegative decimal integers", lineno
+                )
+            num, den = int(tokens[2]), int(tokens[3])
+            if den == 0:
                 raise ParseError("weight denominator must be positive", lineno)
-            if num < 0:
-                raise ParseError("weights must be nonnegative", lineno)
             if v in weights:
                 raise ParseError(f"duplicate weight for vertex token {tokens[1]!r}", lineno)
             weights[v] = Fraction(num, den)

@@ -248,7 +248,7 @@ def _certificate(
         order=co,
         # every completed missing edge at f, as it points after reorientation
         reoriented_arcs=tuple(
-            sorted((a + b - f, f) for a, b in d.missing_pairs() if f in (a, b))
+            sorted((o.tail + o.head - f, f) for o in orientations if f in (o.tail, o.head))
         ),
         lhs=w.total(first),
         rhs=w.total(second),
@@ -289,7 +289,7 @@ def find_witness_good(
     t, orientations = complete_to_tournament(d, statuses)
     co = local_median_order(t, w, move_limit=move_limit)
     f = feed_vertex(co)
-    t2 = reorient_at_feed(t, d.missing_pairs(), f)
+    t2 = reorient_at_feed(t, [(s.a, s.b) for s in statuses], f)
 
     recheck = feedback_check(t2, w, co.order)
     if recheck:
@@ -408,7 +408,9 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     order = int_list(doc.get("order"), "order")
     if not order or sorted(order) != list(range(d.n)):
         return [("order_is_permutation", False)]
-    missing = d.missing_pairs()
+    _ok, statuses = all_missing_edges_good(d)
+    status = {(s.a, s.b): s for s in statuses}
+    missing = list(status)
     if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != missing:
         return [("orientations_cover_missing_edges", False)]
     t = d.copy()
@@ -417,8 +419,6 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     co = CertifiedOrder(tuple(order), order_objective(t, w, order))
     cert = _certificate(d, w, orientations, co)
     t2 = reorient_at_feed(t, missing, cert.witness)
-    _ok, statuses = all_missing_edges_good(d)
-    status = {(s.a, s.b): s for s in statuses}
     return [
         ("orientations_cover_missing_edges", True),
         ("orientations_licensed", all(_licensed(status, o) for o in orientations)),

@@ -23,6 +23,15 @@ Two order constructions are provided:
   violation in a fixed scan order; every move strictly increases the
   perturbed forward-arc objective, so no order repeats and the search
   terminates (a move limit turns pathological slowness into an error).
+  The search keeps what a scan reads across its moves (_ScanState: per
+  position the out-mask, the vertex bit, the perturbed key and the
+  out-minus-in key over the positions before it) and splices it per move
+  in O(span) instead of rebuilding it in O(n^2).  When that maintained
+  state shows no violation, the same feedback_check call builds the
+  state afresh from the order and requires the two to be equal, so the
+  clean scan is a scan of a fresh state and the certificate never rests
+  on the incremental update; a difference is an internal violation
+  (stage local-search-state).
 * exact_median_order: subset dynamic program maximizing the perturbed
   objective globally; feasible to twenty vertices.
 
@@ -36,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
@@ -47,7 +56,7 @@ from .errors import (
     NotATournament,
     TooLarge,
 )
-from .formats import fields_match, int_list
+from .formats import digraph_instance_dict, fields_match, int_list
 
 
 @dataclass(frozen=True, order=True)
@@ -177,29 +186,78 @@ def _objective_key(t: Digraph, keys: list[int], order: Sequence[int]) -> int:
     return total
 
 
-def _scan(
-    t: Digraph, keys: list[int], order: Sequence[int]
-) -> Iterator[tuple[str, int, int, int, int]]:
-    """Every strict interval failure as (kind, i, j, lhs key, rhs key), with
-    1-based positions, in scan order (i, j, prefix before suffix).
+@dataclass(slots=True)
+class _ScanState:
+    """What a feedback scan reads of an order, by position p: the out-mask
+    out[p], the bit bit[p] and the perturbed key key[p] of v_p, and trail[p],
+    v_p's out-minus-in key over positions [0, p).
 
-    Row a tests each interval [a, b], b > a: the prefix test of v_a over
-    (a, b] on a running out-minus-in key, the suffix test of v_b over
-    [a, b) on trail[b].  trail[b] starts as v_b's out-minus-in key over
-    [0, b) and drops position a once row a has read it.  Each side's key
-    is read back from the difference and the key total of the interval.
+    _scan_state builds it from scratch in O(n^2); local search keeps one
+    across its moves and _move splices it in O(span).
     """
-    n = len(order)
+
+    out: list[int]
+    bit: list[int]
+    key: list[int]
+    trail: list[int]
+
+
+def _scan_state(t: Digraph, keys: list[int], order: Sequence[int]) -> _ScanState:
     masks = t.out_masks()
     out = [masks[v] for v in order]
     bit = [1 << v for v in order]
     k = [keys[v] for v in order]
-    upto = list(accumulate(k, initial=0))  # upto[p]: key total of positions [0, p)
+    n = len(order)
     trail = [0] * n
     for p in range(n - 1):
         out_p, kp = out[p], k[p]
         for b in range(p + 1, n):
             trail[b] += -kp if out_p & bit[b] else kp
+    return _ScanState(out, bit, k, trail)
+
+
+def _move(state: _ScanState, kind: str, i: int, j: int) -> int:
+    """Repair the failure of [i, j], 0-based, in state: a prefix failure
+    moves v_i to just after v_j, a suffix failure moves v_j to just before v_i.
+
+    A passed vertex's trail gains or loses the moved vertex's key as the
+    moved vertex enters or leaves the positions before it.  The moved
+    vertex's trail changes by its out-minus-in key over the passed
+    vertices, which is returned for the gain check.
+    """
+    out, bit, k, trail = state.out, state.bit, state.key, state.trail
+    if kind == PREFIX:
+        m, dest, lo, hi, sign = i, j, i + 1, j + 1, 1
+    else:
+        m, dest, lo, hi, sign = j, i, i, j, -1
+    out_m, beaten = out[m], sign * k[m]  # beaten: the change for a vertex v_m beats
+    out_minus_in = 0
+    for p in range(lo, hi):
+        if out_m & bit[p]:
+            out_minus_in += k[p]
+            trail[p] += beaten
+        else:
+            out_minus_in -= k[p]
+            trail[p] -= beaten
+    trail.insert(dest, trail.pop(m) + sign * out_minus_in)
+    for col in (out, bit, k):
+        col.insert(dest, col.pop(m))
+    return out_minus_in
+
+
+def _scan(state: _ScanState) -> Iterator[tuple[str, int, int, int, int]]:
+    """Every strict interval failure as (kind, i, j, lhs key, rhs key), with
+    1-based positions, in scan order (i, j, prefix before suffix).
+
+    Row a tests each interval [a, b], b > a: the prefix test of v_a over
+    (a, b] on a running out-minus-in key, the suffix test of v_b over
+    [a, b) on a copy of trail[b] that drops position a once row a has read
+    it.  Each side's key is read back from the difference and the key total
+    of the interval, which is summed only for a failure.
+    """
+    out, bit, k = state.out, state.bit, state.key
+    trail = state.trail[:]
+    n = len(k)
     for a in range(n - 1):
         out_a, ka = out[a], k[a]
         lead = 0
@@ -212,33 +270,72 @@ def _scan(
                 lead -= k[b]
                 trail[b] = diff - ka
             if lead < 0:
-                total = upto[b + 1] - upto[a + 1]
+                total = sum(k[a + 1 : b + 1])
                 yield PREFIX, a + 1, b + 1, (total + lead) // 2, (total - lead) // 2
             if diff > 0:
-                total = upto[b] - upto[a]
+                total = sum(k[a:b])
                 yield SUFFIX, a + 1, b + 1, (total - diff) // 2, (total + diff) // 2
 
 
+def _violation(found: tuple[str, int, int, int, int], scale: int, base: int) -> FeedbackViolation:
+    kind, i, j, lhs, rhs = found
+    return FeedbackViolation(kind, i, j, _sum_value(lhs, scale, base), _sum_value(rhs, scale, base))
+
+
+def _instance_dump(
+    t: Digraph, w: WeightMap, order: Sequence[int], violation: Optional[FeedbackViolation]
+) -> dict:
+    """A search failure's state: the instance as snc reads it, the order and
+    the violation that stopped the search, if any."""
+    return {
+        "instance": digraph_instance_dict(WeightedDigraph(t, w)),
+        "order": list(order),
+        "violation": violation and violation.to_dict(),
+    }
+
+
 def feedback_check(
-    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False, _keys=None
-) -> list[FeedbackViolation]:
+    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False, _state=None
+) -> list:
     """Every strict interval failure, in scan order: by i, then j, with
     the prefix failure of [i,j] before its suffix failure.
 
     _scan yields them in that order on integer keys, so nothing is
-    sorted.  With first=True the scan stops at the first
-    failure and the list has at most that one; only returned violations
-    are decoded into PerturbedRational values.  _keys passes
-    _perturbed_keys(w) in from a caller that already has it.
+    sorted.  With first=True the scan stops at the first failure and the
+    list has at most that one; only returned violations are decoded into
+    PerturbedRational values.
+
+    _state is local search's maintained _ScanState of order: the check then
+    returns at most the first failure, undecoded, as _scan yields it, and
+    skips the input checks.  When the maintained state shows no failure, it
+    must equal a state built afresh from order, so the clean scan is one of
+    a fresh state and a certified order never rests on the incremental
+    update; a state that differs is an internal violation, whose dump
+    carries the first failure the fresh state shows, if any.
     """
+    if _state is not None:
+        found = next(_scan(_state), None)
+        if found is not None:
+            return [found]
+        keys, scale, base = _perturbed_keys(w)
+        fresh = _scan_state(t, keys, order)
+        if fresh != _state:
+            missed = next(_scan(fresh), None)
+            raise InternalTheoremViolation(
+                CounterexampleReport(
+                    stage="local-search-state",
+                    description="the maintained scan state differs from one built afresh",
+                    state=_instance_dump(
+                        t, w, order, missed and _violation(missed, scale, base)
+                    ),
+                )
+            )
+        return []
     _require_tournament(t)
     _check_order(t, order)
-    keys, scale, base = _keys or _perturbed_keys(w)
-    found = _scan(t, keys, order)
-    return [
-        FeedbackViolation(kind, i, j, _sum_value(lhs, scale, base), _sum_value(rhs, scale, base))
-        for kind, i, j, lhs, rhs in (islice(found, 1) if first else found)
-    ]
+    keys, scale, base = _perturbed_keys(w)
+    found = _scan(_scan_state(t, keys, order))
+    return [_violation(v, scale, base) for v in (islice(found, 1) if first else found)]
 
 
 def default_move_limit(n: int) -> int:
@@ -260,14 +357,15 @@ def local_median_order(
     given), repeatedly repairs the first violation in scan order, and
     stops when a scan finds none, which certifies the result.  Each repair
     strictly increases the perturbed objective, which is asserted per move.
+    The scan state is kept across moves (see _ScanState) and checked
+    against a fresh one when the scan comes out clean.
     """
     _require_tournament(t)
     if move_limit is None:
         move_limit = default_move_limit(t.n)
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
-    perturbed = _perturbed_keys(w)
-    keys, scale, base = perturbed
+    keys, scale, base = _perturbed_keys(w)
     order: Order = tuple(range(t.n))
     if seed is not None:
         from .generators import Rng  # local import; generators depend on digraph only
@@ -275,44 +373,41 @@ def local_median_order(
         lst = list(order)
         Rng(seed).shuffle(lst)
         order = tuple(lst)
+    state = _scan_state(t, keys, order)
 
     moves = 0
     while True:
         # one feedback_check call per scan: the benchmark counts moves by them
-        found = feedback_check(t, w, order, first=True, _keys=perturbed)
+        found = feedback_check(t, w, order, first=True, _state=state)
         if not found:
             break
-        first = found[0]
         if moves >= move_limit:
             raise MoveLimitExceeded(order, feedback_check(t, w, order), moves, t, w)
+        first = found[0]
+        kind, i, j = first[0], first[1] - 1, first[2] - 1
+        if kind == PREFIX:  # v_i moves to just after v_j
+            moved = order[i]
+            repaired = order[:i] + order[i + 1 : j + 1] + (moved,) + order[j + 1 :]
+        else:  # v_j moves to just before v_i
+            moved = order[j]
+            repaired = order[:i] + (moved,) + order[i:j] + order[j + 1 :]
         # the moved vertex flips its arcs to the vertices it passes, so the
         # objective gains w~(v) * (in - out) for a prefix move, (out - in) for a suffix move
-        i, j = first.i - 1, first.j - 1
-        if first.kind == PREFIX:  # v_i moves to just after v_j
-            moved, passed = order[i], order[i + 1 : j + 1]
-            repaired = order[:i] + passed + (moved,) + order[j + 1 :]
-        else:  # v_j moves to just before v_i
-            moved, passed = order[j], order[i:j]
-            repaired = order[:i] + (moved,) + passed + order[j + 1 :]
-        out = t.out_mask(moved)
-        out_minus_in = sum(keys[u] if out >> u & 1 else -keys[u] for u in passed)
-        gain = keys[moved] * (out_minus_in if first.kind == SUFFIX else -out_minus_in)
+        out_minus_in = _move(state, kind, i, j)
+        gain = keys[moved] * (out_minus_in if kind == SUFFIX else -out_minus_in)
         if gain <= 0:
             raise InternalTheoremViolation(
                 CounterexampleReport(
                     stage="local-search-gain",
                     description="repair move did not strictly increase the objective",
-                    state={
-                        "digraph": t.to_dict(),
-                        "order": list(order),
-                        "violation": first.to_dict(),
-                    },
+                    state=_instance_dump(t, w, order, _violation(first, scale, base)),
                 )
             )
         order = repaired
         moves += 1
         if trace is not None:
-            trace.append({"move": moves, "order": list(order), "repaired": first.to_dict()})
+            violation = _violation(first, scale, base)
+            trace.append({"move": moves, "order": list(order), "repaired": violation.to_dict()})
 
     return CertifiedOrder(order, _product_value(_objective_key(t, keys, order), scale, base))
 

@@ -1,6 +1,7 @@
 """Command-line surface: formats, commands, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -29,7 +30,15 @@ from snc import (
     oracle,
 )
 from snc.cli import main
-from snc.generators import gen_generalized_star
+from snc.digraph import WeightedDigraph, WeightMap
+from snc.generators import (
+    Rng,
+    gen_generalized_star,
+    random_digraph_missing,
+    random_star_profile,
+    random_tournament,
+    random_weights,
+)
 from snc.formats import (
     MAX_VERTICES,
     load_digraph,
@@ -75,6 +84,33 @@ _DOCUMENTS = st.recursive(
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
     max_leaves=20,
 )
+
+
+# SHA-256 of the concatenated stdout of _local_search_runs().
+LOCAL_SEARCH_SHA256 = "871497028102f5a53a8fb2f74d9444e6a3ff47f55b277b95e7a9f9c90d928c70"
+
+
+def _local_search_runs() -> list[tuple[list[str], str]]:
+    """15 `snc witness` runs on digraphs missing a generalized star and 15
+    `snc median-order` runs on tournaments (half from a seeded shuffle),
+    n = 18..40, integer weights 0..10 or rationals with zeros."""
+    rng = Rng(2026)
+    runs = []
+    for k in range(30):
+        n = 18 + rng.below(23)
+        r = Rng(rng.next_u64())
+        if k % 2:
+            w = WeightMap([Fraction(r.below(7), 1 + r.below(6)) for _ in range(n)])
+        else:
+            w = random_weights(n, r.next_u64(), 10)
+        if k < 15:
+            g, _ = gen_generalized_star(spec=random_star_profile(n, r))
+            argv, d = ["witness"], random_digraph_missing(g, r.next_u64())
+        else:
+            argv = ["median-order"] + (["--seed", str(r.below(1000))] if k % 3 else [])
+            d = random_tournament(n, r.next_u64())
+        runs.append((argv, serialize_digraph(WeightedDigraph(d, w))))
+    return runs
 
 
 def run_cli(*argv: str):
@@ -125,6 +161,29 @@ class TestParsing:
     def test_out_of_range_vertex(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_graph("graph 2\nedge 0 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("digraph 3\narc \u0661 2\n", "line 2: vertex token '2' mixes"),  # Arabic-Indic one
+            ("digraph 3\narc \u00b2 1\n", "line 2: vertex token '1' mixes"),  # superscript two
+            ("digraph 1_0\n", "line 1: bad vertex count '1_0'"),
+            ("digraph 3\nweight 1 +2 0_3\n", "line 2: weight numerator and denominator"),
+            ("digraph 3\nweight 1 -2 3\n", "line 2: weight numerator and denominator"),
+        ],
+    )
+    def test_only_ascii_digits_are_numbers(self, text, message, tmp_path):
+        with pytest.raises(ParseError) as exc:
+            parse_digraph(text)
+        assert str(exc.value).startswith(message)
+        f = tmp_path / "in.dg"
+        f.write_text(text, encoding="utf-8")
+        code, _, err = run_cli("witness", "-i", str(f))
+        assert code == 1 and json.loads(err)["error"] == "ParseError"
+
+    def test_non_ascii_digits_are_labels(self):
+        _, labels = parse_digraph("digraph 2\narc \u0661 x\n")
+        assert labels == ["\u0661", "x"]
 
     def test_graph_round_trip_is_identity(self):
         g, labels = parse_graph(NESTED_G)
@@ -486,6 +545,18 @@ class TestContracts:
         _, a, _ = run_cli("sweep", "theorem2", "--samples", "5", "--max-n", "8", "--seed", "3")
         _, b, _ = run_cli("sweep", "theorem2", "--samples", "5", "--max-n", "8", "--seed", "3")
         assert a == b
+
+    def test_local_search_outputs_pinned(self, tmp_path):
+        """Which order local search picks, and so which witness, is part of
+        the output: pin the stdout of 30 seeded runs at n = 18..40."""
+        digest = hashlib.sha256()
+        for argv, text in _local_search_runs():
+            f = tmp_path / "in.dg"
+            f.write_text(text)
+            code, out, _ = run_cli(*argv, "-i", str(f))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == LOCAL_SEARCH_SHA256
 
     def test_move_limit_dump_replays(self, tmp_path):
         # reversed transitive triangle: the ascending start needs two repairs

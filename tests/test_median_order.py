@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from snc import (
     CertifiedOrder,
     Digraph,
+    InternalTheoremViolation,
     MoveLimitExceeded,
     NotATournament,
     PerturbedRational,
@@ -30,10 +31,12 @@ from snc import (
     order_objective,
 )
 from snc import median_order
+from snc.formats import digraph_from_instance_dict
 from snc.generators import Rng, random_tournament, random_weights
 from snc.median_order import (
     PREFIX,
     SUFFIX,
+    FeedbackViolation,
     _perturbed_keys,
     _product_value,
     _sum_value,
@@ -190,10 +193,10 @@ def test_feedback_check_examples():
     assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) == []
 
 
-def ref_total(w: WeightMap, vertices) -> tuple:
+def ref_total(ref: list, vertices) -> tuple:
     total = ZERO
     for v in vertices:
-        total = ref_add(total, ref_weight(w[v]))
+        total = ref_add(total, ref[v])
     return total
 
 
@@ -201,15 +204,16 @@ def ref_violations(t: Digraph, w: WeightMap, order):
     """The interval definition of the feedback property on Fraction
     triples: each strict failure, in order of (i, j, prefix then suffix)."""
     n = len(order)
+    ref = [ref_weight(x) for x in w]
     for i in range(n):
         for j in range(i + 1, n):
             inside, lead, trail = order[i : j + 1], order[i], order[j]
-            lead_out = ref_total(w, [u for u in inside if t.has_arc(lead, u)])
-            lead_in = ref_total(w, [u for u in inside if t.has_arc(u, lead)])
+            lead_out = ref_total(ref, [u for u in inside if t.has_arc(lead, u)])
+            lead_in = ref_total(ref, [u for u in inside if t.has_arc(u, lead)])
             if lead_out < lead_in:
                 yield PREFIX, i + 1, j + 1, pr(*lead_out), pr(*lead_in)
-            trail_in = ref_total(w, [u for u in inside if t.has_arc(u, trail)])
-            trail_out = ref_total(w, [u for u in inside if t.has_arc(trail, u)])
+            trail_in = ref_total(ref, [u for u in inside if t.has_arc(u, trail)])
+            trail_out = ref_total(ref, [u for u in inside if t.has_arc(trail, u)])
             if trail_in < trail_out:
                 yield SUFFIX, i + 1, j + 1, pr(*trail_in), pr(*trail_out)
 
@@ -229,6 +233,25 @@ def test_feedback_check_matches_interval_definition():
             assert feedback_check(t, w, order, first=True) == found[:1]
 
 
+def ref_search(t: Digraph, w: WeightMap, start) -> tuple[tuple, list]:
+    """Local search on the interval definition: from the same start, repair
+    the first violation until none is left.  Returns the final order and
+    the trace local_median_order would record."""
+    order = list(range(t.n))
+    if start is not None:
+        Rng(start).shuffle(order)
+    trace = []
+    while (first := next(ref_violations(t, w, order), None)) is not None:
+        kind, i, j = first[:3]
+        if kind == PREFIX:
+            order.insert(j - 1, order.pop(i - 1))  # v_i to just after v_j
+        else:
+            order.insert(i - 1, order.pop(j - 1))  # v_j to just before v_i
+        repaired = FeedbackViolation(*first).to_dict()
+        trace.append({"move": len(trace) + 1, "order": list(order), "repaired": repaired})
+    return tuple(order), trace
+
+
 def test_local_search_matches_first_violation_reference():
     """The search repairs exactly the first violation of the interval
     definition, from the same start, until none is left."""
@@ -238,16 +261,30 @@ def test_local_search_matches_first_violation_reference():
         t = random_tournament(n, rng.next_u64())
         w = rational_weights(n, rng.next_u64()) if seed % 2 else random_weights(n, rng.next_u64(), 10)
         start = None if seed % 3 else rng.next_u64()
-        order = list(range(n))
-        if start is not None:
-            Rng(start).shuffle(order)
-        while (first := next(ref_violations(t, w, order), None)) is not None:
-            kind, i, j = first[:3]
-            if kind == PREFIX:
-                order.insert(j - 1, order.pop(i - 1))  # v_i to just after v_j
-            else:
-                order.insert(i - 1, order.pop(j - 1))  # v_j to just before v_i
-        assert local_median_order(t, w, seed=start).order == tuple(order)
+        assert local_median_order(t, w, seed=start).order == ref_search(t, w, start)[0]
+
+
+def test_local_search_matches_reference_at_witness_sizes():
+    """At n = 18..24, the sizes witness runs at, the search makes the
+    reference's moves: the same order, move count and repaired violations,
+    under zero, rational and integer weights and from shuffled starts."""
+    for seed in range(6):  # each weight kind from the ascending and a shuffled start
+        rng = Rng(1000 + seed)
+        n = 18 + rng.below(7)
+        t = random_tournament(n, rng.next_u64())
+        if seed % 3 == 0:
+            w = WeightMap([0] * n)
+        elif seed % 3 == 1:
+            w = rational_weights(n, rng.next_u64())
+        else:
+            w = random_weights(n, rng.next_u64(), 10)
+        start = rng.next_u64() if seed % 2 else None
+        trace: list = []
+        co = local_median_order(t, w, seed=start, trace=trace)
+        order, ref_trace = ref_search(t, w, start)
+        assert co.order == order
+        assert len(trace) == len(ref_trace) > 0
+        assert trace == ref_trace
 
 
 def test_local_median_order_examples():
@@ -317,6 +354,47 @@ def test_local_search_scans_once_per_move_plus_one(monkeypatch):
         assert calls[-1] == co.order
         moved += bool(trace)
     assert moved
+
+
+@pytest.mark.parametrize(
+    "delta, stage",
+    [
+        (-(10**60), "local-search-state"),  # hides every suffix failure at the last position
+        (10**60, "local-search-gain"),  # reports one that is not there
+    ],
+    ids=["hidden", "spurious"],
+)
+def test_corrupted_scan_state_is_caught(monkeypatch, delta, stage):
+    """A wrong trail entry in local search's maintained state never yields an
+    uncertified order: the comparison with a fresh state or the gain check
+    stops the search with a dump that loads back into the instance."""
+    real = median_order._move
+
+    def corrupting(state, kind, i, j):
+        out_minus_in = real(state, kind, i, j)
+        state.trail[-1] += delta
+        return out_minus_in
+
+    monkeypatch.setattr(median_order, "_move", corrupting)
+    caught = 0
+    for seed in range(20):
+        t = random_tournament(10, seed)
+        w = random_weights(10, seed + 50, 10)
+        try:
+            co = local_median_order(t, w)
+        except InternalTheoremViolation as exc:
+            assert exc.report.stage == stage
+            dump = exc.report.state
+            wd, _ = digraph_from_instance_dict(dump["instance"])
+            assert (wd.digraph, wd.weights) == (t, w)
+            if stage == "local-search-state":
+                # the dump names the first violation of its order, if there is one
+                missed = [v.to_dict() for v in feedback_check(t, w, dump["order"], first=True)]
+                assert missed == ([] if dump["violation"] is None else [dump["violation"]])
+            caught += 1
+        else:
+            assert feedback_check(t, w, co.order) == []
+    assert caught
 
 
 def test_move_limit_exceeded_reports_state():
