@@ -254,6 +254,7 @@ def _weights(args, n: int) -> WeightMap:
 def cmd_gen(args) -> int:
     if args.what in ("tournament", "digraph-missing"):
         if args.what == "tournament":
+            formats.check_cap(args.n)
             d = generators.random_tournament(args.n, args.seed)
         else:
             g, _labels = formats.load_graph(_read_input(args))
@@ -262,15 +263,19 @@ def cmd_gen(args) -> int:
         doc = formats.digraph_instance_dict(wd)
         text = formats.serialize_digraph(wd)
     elif args.what == "weights":
+        formats.check_cap(args.n)
         w = generators.random_weights(args.n, args.seed, args.weights_max or 10)
         doc = {"kind": "weights", "n": args.n, "weights": w.to_dicts()}
         text = None
     else:
         if args.what == "star":
+            formats.check_cap(1 + args.rays_count)
             g, dec = generators.gen_star(args.rays_count)
         elif args.what == "sun":
+            formats.check_cap(args.core + args.rays_count)
             g, dec = generators.gen_sun(args.core, args.rays_count)
         elif args.what == "complete":
+            formats.check_cap(args.k)
             g, dec = generators.gen_complete(args.k)
         else:  # gstar
             if args.spec:
@@ -283,6 +288,7 @@ def cmd_gen(args) -> int:
                     a_profile=_int_list(args.rays),
                     x_profile=_int_list(args.cores),
                 )
+            formats.check_cap(spec.a0 + sum(spec.a_profile) + sum(spec.x_profile))
             g, dec = generators.gen_generalized_star(spec=spec)
         doc = formats.graph_instance_dict(g)
         doc["decomposition"] = dec.to_dict()
@@ -454,7 +460,7 @@ def main(argv=None) -> int:
             {
                 "instance": formats.digraph_instance_dict(WeightedDigraph(exc.tournament, exc.weights)),
                 "last_order": list(exc.order),
-                "remaining_violations": len(exc.violations),
+                "remaining_violations": exc.remaining,
             },
         )
         return 1

@@ -273,9 +273,6 @@ class UndirectedGraph:
         vs = list(vertices)
         return not any(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges()]}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
             return NotImplemented

@@ -58,11 +58,13 @@ class ParseError(SncError):
 
 @dataclass
 class CounterexampleReport:
-    """Full state dump produced when a guaranteed step fails.
+    """State dump produced when a guaranteed step fails.
 
     These reports are the science-alarm channel: they are only created
     when something the underlying theory promises can never happen did
-    happen, and they carry enough state to replay the instance.
+    happen.  formats.counterexample builds every one: state holds the
+    instance, loadable as it stands, and the free choices (order,
+    orientations, code, ...) that replay the failing check on it.
     """
 
     stage: str
@@ -98,13 +100,13 @@ class NoWitnessFound(SncError):
 
 class MoveLimitExceeded(SncError):
     """Local search ran out of moves; carries the tournament, the weights,
-    the last order and the violations that remained, so the run can be
+    the last order and how many violations remained, so the run can be
     replayed."""
 
-    def __init__(self, order, violations, moves: int, tournament, weights):
-        super().__init__(f"no certified order after {moves} moves; {len(violations)} violations remain")
+    def __init__(self, order, remaining: int, moves: int, tournament, weights):
+        super().__init__(f"no certified order after {moves} moves; {remaining} violations remain")
         self.order = order
-        self.violations = violations
+        self.remaining = remaining
         self.moves = moves
         self.tournament = tournament
         self.weights = weights

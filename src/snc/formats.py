@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_from_dict
-from .errors import ParseError, SncError, TooLarge
+from .errors import CounterexampleReport, ParseError, SncError, TooLarge
 
 # Largest vertex count accepted from a header or a JSON n, checked before
 # anything is allocated (see "Scale limits" in the README).
@@ -79,7 +79,7 @@ def _lines(text: str):
             yield lineno, line.split()
 
 
-def _check_cap(n: int) -> None:
+def check_cap(n: int) -> None:
     if n > MAX_VERTICES:
         raise TooLarge(f"instances are limited to {MAX_VERTICES} vertices, got {n}")
 
@@ -95,7 +95,7 @@ def _parse_header(it, kind: str) -> int:
     if not _decimal(tokens[1]):
         raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
     n = int(tokens[1])
-    _check_cap(n)
+    check_cap(n)
     return n
 
 
@@ -196,6 +196,17 @@ def graph_instance_dict(g: UndirectedGraph, labels: Optional[list[str]] = None) 
     }
 
 
+def counterexample(
+    stage: str, description: str, instance: WeightedDigraph | UndirectedGraph, **choices
+) -> CounterexampleReport:
+    """The report of a failed guarantee: its state is the one instance the
+    failure happened on, as digraph_instance_dict or graph_instance_dict
+    writes it (so load_digraph / load_graph read it back), beside the free
+    choices and pointers that replay the failing check on it."""
+    dump = digraph_instance_dict if isinstance(instance, WeightedDigraph) else graph_instance_dict
+    return CounterexampleReport(stage, description, {"instance": dump(instance), **choices})
+
+
 def _labels(doc: dict, n: int) -> list[str]:
     raw = doc.get("labels", [str(v) for v in range(n)])
     if not isinstance(raw, list) or len(raw) != n:
@@ -213,7 +224,7 @@ def _instance(doc, pairs_key: str) -> tuple[int, list[list[int]]]:
     n = doc.get("n")
     if type(n) is not int or n < 0:
         raise ParseError("instance n must be a nonnegative integer")
-    _check_cap(n)
+    check_cap(n)
     pairs = doc.get(pairs_key, [])
     if not isinstance(pairs, list) or any(
         not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .digraph import Digraph, UndirectedGraph, WeightMap, graph_from_pairs, orient_pairs, pair_list
-from .errors import BadProfile
+from .errors import BadProfile, ParseError
+from .formats import int_list
 from .stars import GeneralizedStarDecomposition, validate_decomposition
 
 _MASK = (1 << 64) - 1
@@ -84,14 +85,16 @@ class GenSpec:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GenSpec":
-        return cls(
-            seed=int(d.get("seed", 0)),
-            a0=int(d.get("a0", 0)),
-            a_profile=tuple(int(x) for x in d.get("a_profile", [])),
-            x_profile=tuple(int(x) for x in d.get("x_profile", [])),
-            weight_max=int(d.get("weight_max", 10)),
-        )
+    def from_dict(cls, d) -> "GenSpec":
+        """The spec of a JSON object whose fields are JSON integers, the
+        profiles lists of them (booleans and floats excluded), or ParseError."""
+        if not isinstance(d, dict):
+            raise ParseError("a spec must be a JSON object")
+        scalars = {k: d.get(k, getattr(cls, k)) for k in ("seed", "a0", "weight_max")}
+        if any(type(v) is not int for v in scalars.values()):
+            raise ParseError("spec seed, a0 and weight_max must be integers")
+        profiles = {k: int_list(d.get(k, []), f"spec {k}") for k in ("a_profile", "x_profile")}
+        return cls(**scalars, **profiles)
 
 
 def random_tournament(n: int, seed: int) -> Digraph:

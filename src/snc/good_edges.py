@@ -17,9 +17,10 @@ tournament with convenient orientations, take a weighted local median
 order, reorient the completed missing edges at its feed vertex toward
 that vertex, re-certify the same order on the reoriented tournament, and
 read the inequality off the original digraph.  Every step that the
-supporting theory guarantees is asserted at run time; a failure raises
-InternalTheoremViolation with a full replayable dump instead of being
-swallowed.
+supporting theory guarantees is asserted at run time (_certify); a
+failure raises InternalTheoremViolation instead of being swallowed, and
+its dump is the instance with the certificate's free choices, the
+orientations and the order, on which _certify fails again.
 
 A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _certificate and _fallback derive every
@@ -37,14 +38,13 @@ from typing import Iterable, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, bits, has_weighted_snp, rational_dict
 from .errors import (
-    CounterexampleReport,
     InternalTheoremViolation,
     NoWitnessFound,
     NotAllGood,
     NotMissing,
     ParseError,
 )
-from .formats import fields_match, int_list
+from .formats import counterexample, fields_match, int_list
 from .median_order import (
     CertifiedOrder,
     feed_vertex,
@@ -271,75 +271,67 @@ def _fallback(
     )
 
 
-def _dump_state(d: Digraph, w: WeightMap, **extra) -> dict:
-    state = {"digraph": d.to_dict(), "weights": w.to_dicts()}
-    state.update(extra)
-    return state
-
-
 def find_witness_good(
     wd: WeightedDigraph, move_limit: Optional[int] = None
 ) -> WitnessCertificate:
     """Run the certified pipeline; requires every missing edge good."""
-    d, w = wd.digraph, wd.weights
-    ok, statuses = all_missing_edges_good(d)
+    ok, statuses = all_missing_edges_good(wd.digraph)
     if not ok:
         bad = [(s.a, s.b) for s in statuses if not s.good]
         raise NotAllGood(f"missing edges not good: {bad}")
-    t, orientations = complete_to_tournament(d, statuses)
-    co = local_median_order(t, w, move_limit=move_limit)
+    t, orientations = complete_to_tournament(wd.digraph, statuses)
+    return _certify(wd, t, orientations, local_median_order(t, wd.weights, move_limit=move_limit))
+
+
+def _certify(
+    wd: WeightedDigraph,
+    t: Digraph,
+    orientations: Sequence[ConvenientOrientation],
+    co: CertifiedOrder,
+) -> WitnessCertificate:
+    """The certificate of the completion t of wd by orientations and its
+    certified order co, once the guaranteed steps hold: with the completed
+    missing edges at the feed vertex pointed at it, the order keeps the
+    feedback property, and the feed vertex keeps its out-neighbors and
+    gains no second out-neighbor outside the original N+ and N++; and the
+    feed vertex has the weighted SNP in wd."""
+    d, w = wd.digraph, wd.weights
     f = feed_vertex(co)
-    t2 = reorient_at_feed(t, [(s.a, s.b) for s in statuses], f)
+    t2 = reorient_at_feed(t, [(o.tail, o.head) for o in orientations], f)
+
+    def alarm(stage: str, description: str, **pointers) -> InternalTheoremViolation:
+        return InternalTheoremViolation(
+            counterexample(
+                stage,
+                description,
+                wd,
+                orientations=[o.to_dict() for o in orientations],
+                order=list(co.order),
+                **pointers,
+            )
+        )
 
     recheck = feedback_check(t2, w, co.order)
-    if recheck:
-        raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="feedback-after-reorientation",
-                description="reorienting missing edges at the feed vertex broke the feedback property",
-                state=_dump_state(
-                    d,
-                    w,
-                    tournament=t.to_dict(),
-                    reoriented=t2.to_dict(),
-                    order=list(co.order),
-                    violations=[v.to_dict() for v in recheck],
-                ),
-            )
+    if recheck is not None:
+        raise alarm(
+            "feedback-after-reorientation",
+            "reorienting missing edges at the feed vertex broke the feedback property",
+            violation=recheck.to_dict(),
         )
-
     n_plus_d = d.out_neighbors(f)
     if t2.out_neighbors(f) != n_plus_d:
-        raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="first-neighborhood-mismatch",
-                description="feed vertex gained out-neighbors after reorientation",
-                state=_dump_state(d, w, reoriented=t2.to_dict(), feed=f),
-            )
+        raise alarm(
+            "first-neighborhood-mismatch", "feed vertex gained out-neighbors after reorientation"
         )
-    n_plus_plus_d = d.second_out_neighbors(f)
-    closure = t2.second_out_neighbors(f)
-    if not closure <= (n_plus_d | n_plus_plus_d):
-        raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="second-neighborhood-closure",
-                description="second neighborhood in the reoriented tournament escaped the original one",
-                state=_dump_state(
-                    d, w, reoriented=t2.to_dict(), feed=f, escaped=sorted(closure - (n_plus_d | n_plus_plus_d))
-                ),
-            )
+    if not t2.second_out_neighbors(f) <= n_plus_d | d.second_out_neighbors(f):
+        raise alarm(
+            "second-neighborhood-closure",
+            "second neighborhood in the reoriented tournament escaped the original one",
         )
-
     cert = _certificate(d, w, orientations, co)
     if cert.lhs > cert.rhs:
-        raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="witness-inequality",
-                description="feed vertex failed the weighted SNP in the original digraph",
-                state=_dump_state(
-                    d, w, feed=f, lhs=str(cert.lhs), rhs=str(cert.rhs), order=list(co.order)
-                ),
-            )
+        raise alarm(
+            "witness-inequality", "feed vertex failed the weighted SNP in the original digraph"
         )
     return cert
 
@@ -353,7 +345,7 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     second neighborhood conjecture and is raised as NoWitnessFound with a
     counterexample report.
     """
-    d, w = wd.digraph, wd.weights
+    d = wd.digraph
     if d.n == 0:
         raise ValueError("empty digraph has no witness")
     try:
@@ -366,11 +358,7 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     snp = brute_force_snp_vertices(wd)
     if not snp:
         raise NoWitnessFound(
-            CounterexampleReport(
-                stage="snp-conjecture",
-                description="no vertex has the weighted SNP",
-                state=_dump_state(d, w),
-            )
+            counterexample("snp-conjecture", "no vertex has the weighted SNP", wd)
         )
     return _fallback(wd, min(snp), snp, statuses)
 
@@ -422,8 +410,8 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     return [
         ("orientations_cover_missing_edges", True),
         ("orientations_licensed", all(_licensed(status, o) for o in orientations)),
-        ("order_feedback_on_t", not feedback_check(t, w, order)),
-        ("order_feedback_on_t_prime", not feedback_check(t2, w, order)),
+        ("order_feedback_on_t", feedback_check(t, w, order) is None),
+        ("order_feedback_on_t_prime", feedback_check(t2, w, order) is None),
         ("witness_inequality", cert.lhs <= cert.rhs),
         fields_match(cert.to_dict(), doc),
     ]

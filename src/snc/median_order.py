@@ -38,25 +38,26 @@ Two order constructions are provided:
 Either way the result is a CertifiedOrder.  Its document's one free
 choice is the order: the objective and the feed vertex are derived from
 it, and verify_order re-derives the whole document from the order and
-the instance, so a tampered field fails verification.
+the instance, so a tampered field fails verification.  A guarantee that
+fails (stages local-search-state, local-search-gain, exact-order-feedback)
+dumps the instance, the order and that order's first violation, which
+feedback_check names again on the loaded instance.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
 from .errors import (
-    CounterexampleReport,
     InternalTheoremViolation,
     MoveLimitExceeded,
     NotATournament,
     TooLarge,
 )
-from .formats import digraph_instance_dict, fields_match, int_list
+from .formats import counterexample, fields_match, int_list
 
 
 @dataclass(frozen=True, order=True)
@@ -282,60 +283,45 @@ def _violation(found: tuple[str, int, int, int, int], scale: int, base: int) -> 
     return FeedbackViolation(kind, i, j, _sum_value(lhs, scale, base), _sum_value(rhs, scale, base))
 
 
-def _instance_dump(
-    t: Digraph, w: WeightMap, order: Sequence[int], violation: Optional[FeedbackViolation]
-) -> dict:
-    """A search failure's state: the instance as snc reads it, the order and
-    the violation that stopped the search, if any."""
-    return {
-        "instance": digraph_instance_dict(WeightedDigraph(t, w)),
-        "order": list(order),
-        "violation": violation and violation.to_dict(),
-    }
-
-
 def feedback_check(
-    t: Digraph, w: WeightMap, order: Sequence[int], *, first: bool = False, _state=None
-) -> list:
-    """Every strict interval failure, in scan order: by i, then j, with
-    the prefix failure of [i,j] before its suffix failure.
-
-    _scan yields them in that order on integer keys, so nothing is
-    sorted.  With first=True the scan stops at the first failure and the
-    list has at most that one; only returned violations are decoded into
-    PerturbedRational values.
+    t: Digraph, w: WeightMap, order: Sequence[int], *, _state=None
+) -> Optional[FeedbackViolation]:
+    """The first strict interval failure in scan order (by i, then j, with
+    the prefix failure of [i,j] before its suffix failure), decoded into
+    PerturbedRational values, or None when the order has the feedback
+    property.
 
     _state is local search's maintained _ScanState of order: the check then
-    returns at most the first failure, undecoded, as _scan yields it, and
-    skips the input checks.  When the maintained state shows no failure, it
-    must equal a state built afresh from order, so the clean scan is one of
-    a fresh state and a certified order never rests on the incremental
+    returns the first failure undecoded, as _scan yields it, and skips the
+    input checks.  When the maintained state shows no failure, it must
+    equal a state built afresh from order, so the clean scan is one of a
+    fresh state and a certified order never rests on the incremental
     update; a state that differs is an internal violation, whose dump
     carries the first failure the fresh state shows, if any.
     """
     if _state is not None:
         found = next(_scan(_state), None)
         if found is not None:
-            return [found]
+            return found
         keys, scale, base = _perturbed_keys(w)
         fresh = _scan_state(t, keys, order)
         if fresh != _state:
             missed = next(_scan(fresh), None)
             raise InternalTheoremViolation(
-                CounterexampleReport(
-                    stage="local-search-state",
-                    description="the maintained scan state differs from one built afresh",
-                    state=_instance_dump(
-                        t, w, order, missed and _violation(missed, scale, base)
-                    ),
+                counterexample(
+                    "local-search-state",
+                    "the maintained scan state differs from one built afresh",
+                    WeightedDigraph(t, w),
+                    order=list(order),
+                    violation=missed and _violation(missed, scale, base).to_dict(),
                 )
             )
-        return []
+        return None
     _require_tournament(t)
     _check_order(t, order)
     keys, scale, base = _perturbed_keys(w)
-    found = _scan(_scan_state(t, keys, order))
-    return [_violation(v, scale, base) for v in (islice(found, 1) if first else found)]
+    found = next(_scan(_scan_state(t, keys, order)), None)
+    return found and _violation(found, scale, base)
 
 
 def default_move_limit(n: int) -> int:
@@ -378,12 +364,12 @@ def local_median_order(
     moves = 0
     while True:
         # one feedback_check call per scan: the benchmark counts moves by them
-        found = feedback_check(t, w, order, first=True, _state=state)
-        if not found:
+        first = feedback_check(t, w, order, _state=state)
+        if first is None:
             break
         if moves >= move_limit:
-            raise MoveLimitExceeded(order, feedback_check(t, w, order), moves, t, w)
-        first = found[0]
+            remaining = sum(1 for _ in _scan(_scan_state(t, keys, order)))
+            raise MoveLimitExceeded(order, remaining, moves, t, w)
         kind, i, j = first[0], first[1] - 1, first[2] - 1
         if kind == PREFIX:  # v_i moves to just after v_j
             moved = order[i]
@@ -397,10 +383,12 @@ def local_median_order(
         gain = keys[moved] * (out_minus_in if kind == SUFFIX else -out_minus_in)
         if gain <= 0:
             raise InternalTheoremViolation(
-                CounterexampleReport(
-                    stage="local-search-gain",
-                    description="repair move did not strictly increase the objective",
-                    state=_instance_dump(t, w, order, _violation(first, scale, base)),
+                counterexample(
+                    "local-search-gain",
+                    "repair move did not strictly increase the objective",
+                    WeightedDigraph(t, w),
+                    order=list(order),
+                    violation=_violation(first, scale, base).to_dict(),
                 )
             )
         order = repaired
@@ -459,18 +447,15 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
         mask ^= 1 << v
     order = tuple(reversed(rev))
 
-    violations = feedback_check(t, w, order)
-    if violations:
+    violation = feedback_check(t, w, order)
+    if violation is not None:
         raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="exact-order-feedback",
-                description="globally optimal order failed the feedback check",
-                state={
-                    "digraph": t.to_dict(),
-                    "weights": [str(x) for x in w],
-                    "order": list(order),
-                    "violations": [v.to_dict() for v in violations],
-                },
+            counterexample(
+                "exact-order-feedback",
+                "globally optimal order failed the feedback check",
+                WeightedDigraph(t, w),
+                order=list(order),
+                violation=violation.to_dict(),
             )
         )
     return CertifiedOrder(order, _product_value(dp[size - 1], scale, base))
@@ -495,6 +480,6 @@ def verify_order(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
         return [("order_is_permutation", False)]
     rebuilt = CertifiedOrder(order, order_objective(t, w, order))
     return [
-        ("order_feedback", not feedback_check(t, w, order)),
+        ("order_feedback", feedback_check(t, w, order) is None),
         fields_match(rebuilt.to_dict(), doc),
     ]

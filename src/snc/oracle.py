@@ -31,6 +31,7 @@ from .digraph import (
     pair_list,
 )
 from .errors import CounterexampleReport, InternalTheoremViolation, SncError, TooLarge
+from .formats import counterexample
 from .generators import (
     Rng,
     gen_generalized_star,
@@ -178,16 +179,16 @@ def _drive_codes(check, sizes, jobs: int) -> tuple[int, list[CounterexampleRepor
 
 
 def _feed_vertex_check(
-    t: Digraph, w: WeightMap, stage: str, description: str, state: dict
+    t: Digraph, w: WeightMap, stage: str, description: str, **pointers
 ) -> tuple[int, list[CounterexampleReport]]:
     """One tournament: the feed vertex of a local median order has the
     weighted SNP under the original weights."""
+    wd = WeightedDigraph(t, w)
     co = local_median_order(t, w)
     f = feed_vertex(co)
-    if has_weighted_snp(WeightedDigraph(t, w), f).holds:
+    if has_weighted_snp(wd, f).holds:
         return 1, []
-    state = dict(state, digraph=t.to_dict(), order=list(co.order), feed=f)
-    return 1, [CounterexampleReport(stage=stage, description=description, state=state)]
+    return 1, [counterexample(stage, description, wd, **pointers, order=list(co.order), feed=f)]
 
 
 def _theorem1_check(code: int, n: int) -> tuple[int, list[CounterexampleReport]]:
@@ -196,7 +197,7 @@ def _theorem1_check(code: int, n: int) -> tuple[int, list[CounterexampleReport]]
         WeightMap.uniform(n),
         "feed-vertex-snp",
         "feed vertex without the SNP in a tournament",
-        {"n": n, "code": code},
+        code=code,
     )
 
 
@@ -232,7 +233,7 @@ def _proposition1_check(
         w,
         "feed-vertex-weighted-snp",
         "feed vertex without the weighted SNP in a weighted tournament",
-        {"index": i, "weights": w.to_dicts()},
+        index=i,
     )
 
 
@@ -265,29 +266,26 @@ def _theorem2_check(i: int, max_n: int, seed: int) -> tuple[int, list[Counterexa
     d = random_digraph_missing(g, rng.next_u64())
     w = random_weights(g.n, rng.next_u64(), 10)
     wd = WeightedDigraph(d, w)
-    state = {
-        "index": i,
-        "profile": spec.to_dict(),
-        "digraph": d.to_dict(),
-        "weights": w.to_dicts(),
-    }
     try:
         cert = find_witness_good(wd)
     except SncError as exc:
         report = getattr(exc, "report", None)
         if report is None:
-            report = CounterexampleReport(
-                stage="witness-pipeline-error", description=str(exc), state=state
+            report = counterexample(
+                "witness-pipeline-error", str(exc), wd, index=i, profile=spec.to_dict()
             )
         return 1, [report]
-    snp = brute_force_snp_vertices(wd)
-    if cert.witness in snp:
+    if cert.witness in brute_force_snp_vertices(wd):
         return 1, []
     return 1, [
-        CounterexampleReport(
-            stage="cross-oracle",
-            description="certified witness rejected by the exhaustive scan",
-            state=dict(state, witness=cert.witness, snp_vertices=sorted(snp)),
+        counterexample(
+            "cross-oracle",
+            "certified witness rejected by the exhaustive scan",
+            wd,
+            index=i,
+            profile=spec.to_dict(),
+            orientations=[o.to_dict() for o in cert.orientations],
+            order=list(cert.order.order),
         )
     ]
 
@@ -339,17 +337,14 @@ def _orientation_check(code: int, n: int) -> tuple[int, list[CounterexampleRepor
     if viol is None:
         for orientation in range(1 << len(non_edges)):
             d = orient_pairs(n, non_edges, orientation)
-            ok, statuses = all_missing_edges_good(d)
-            if not ok:
+            if not all_missing_edges_good(d)[0]:
                 failures.append(
-                    CounterexampleReport(
-                        stage="all-orientations-good",
-                        description="non-good missing edge under a square-free missing graph",
-                        state={
-                            "graph": g.to_dict(),
-                            "digraph": d.to_dict(),
-                            "statuses": [s.to_dict() for s in statuses],
-                        },
+                    counterexample(
+                        "all-orientations-good",
+                        "non-good missing edge under a square-free missing graph",
+                        WeightedDigraph(d, WeightMap.uniform(n)),
+                        code=code,
+                        orientation=orientation,
                     )
                 )
         return 1 << len(non_edges), failures
@@ -466,10 +461,11 @@ def _gamma_check(i: int, max_n: int, seed: int) -> tuple[int, list[Counterexampl
     if check_gamma_property(d):
         return 1, []
     return 1, [
-        CounterexampleReport(
-            stage="gamma-property",
-            description="oriented graph without a vertex where d++(v) >= gamma * d+(v)",
-            state={"index": i, "digraph": d.to_dict()},
+        counterexample(
+            "gamma-property",
+            "oriented graph without a vertex where d++(v) >= gamma * d+(v)",
+            WeightedDigraph(d, WeightMap.uniform(n)),
+            index=i,
         )
     ]
 

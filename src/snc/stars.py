@@ -25,8 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph, bits, missing_graph
-from .errors import CounterexampleReport, InternalTheoremViolation, NotAViolation
+from .digraph import Digraph, UndirectedGraph, _above, bits, missing_graph
+from .errors import InternalTheoremViolation, NotAViolation
+from .formats import counterexample
 from .good_edges import classify_missing_edge
 
 
@@ -180,10 +181,8 @@ def decompose(g: UndirectedGraph) -> Optional[GeneralizedStarDecomposition]:
     ok, clause = validate_decomposition(g, candidate)
     if not ok:
         raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="decomposition-invalid",
-                description=f"peeled decomposition fails the {clause} clause",
-                state={"graph": g.to_dict(), "decomposition": candidate.to_dict()},
+            counterexample(
+                "decomposition-invalid", f"peeled decomposition fails the {clause} clause", g
             )
         )
     return candidate
@@ -221,53 +220,56 @@ class SquareViolation:
         }
 
 
-def _induces_square_subgraph(na: int, nx: int, e2: tuple[int, int]) -> Optional[str]:
-    """The pairing whose four-cycle holds every cross edge between
-    e1 = (a, x), given by the neighbor masks na and nx of its endpoints,
-    and e2 = (b, y); None when neither four-cycle does."""
-    b, y = e2
-    if not (nx >> y & 1 or na >> b & 1):  # no xy, no ab
-        return "xb-ay"
-    if not (nx >> b & 1 or na >> y & 1):  # no xb, no ay
-        return "xy-ab"
-    return None
-
-
-def _endpoint_covers(na: int, nx: int, e2: tuple[int, int]) -> bool:
-    # equivalent reading: some endpoint of one edge is adjacent to both
-    # endpoints of the other (an endpoint of e2 adjacent to both a and x
-    # is a bit of na & nx)
-    both = 1 << e2[0] | 1 << e2[1]
-    return na & both == both or nx & both == both or na & nx & both != 0
-
-
 def check_condition_B(g: UndirectedGraph) -> Optional[SquareViolation]:
-    """First pair of disjoint edges inducing a subgraph of a four-cycle.
+    """First pair of disjoint edges inducing a subgraph of a four-cycle, in
+    sorted order of edge pairs, or None when no such pair exists.
 
-    Scans edge pairs in sorted order and returns None when no such pair
-    exists.  Both formalizations (cross-edge containment and the
-    covering-endpoint reading) are evaluated on the neighbor masks of the
-    first edge's endpoints and must agree.
+    An edge after e1 = (a, x) and disjoint from it has both ends above a.
+    It makes such a pair exactly when one end lies outside N(a) and the
+    other outside N(x) (pairing "xb-ay", or "xy-ab" with the ends
+    swapped), so one mask test per edge, against the neighbors of the
+    vertices above a outside N(a), finds the first e1 with a hit.  Its
+    first e2 comes from one mask of ends y per candidate b in increasing
+    order, built by the cross-edge reading and again by the
+    covering-endpoint reading, which must agree.
     """
-    edges = g.edges()
-    for idx, e1 in enumerate(edges):
-        na, nx = g.neighbor_mask(e1[0]), g.neighbor_mask(e1[1])
-        for e2 in edges[idx + 1 :]:
-            if e1[0] in e2 or e1[1] in e2:
-                continue
-            pairing = _induces_square_subgraph(na, nx, e2)
-            covered = _endpoint_covers(na, nx, e2)
-            if covered != (pairing is None):
-                raise InternalTheoremViolation(
-                    CounterexampleReport(
-                        stage="square-formalizations-disagree",
-                        description="cross-edge and covering-endpoint readings disagree",
-                        state={"graph": g.to_dict(), "e1": list(e1), "e2": list(e2)},
-                    )
-                )
-            if pairing is not None:
-                return SquareViolation(e1, e2, pairing)
+    nbr = [g.neighbor_mask(v) for v in range(g.n)]
+    full = (1 << g.n) - 1
+    for a in range(g.n):
+        na, later = nbr[a], _above(full, a)
+        reach = 0  # neighbors of the vertices above a outside na
+        for b in bits(later & ~na):
+            reach |= nbr[b]
+        for x in bits(later & na):
+            if reach & later & ~nbr[x] & ~(1 << x):
+                return _first_square(g, nbr, a, x)
     return None
+
+
+def _first_square(g: UndirectedGraph, nbr: list[int], a: int, x: int) -> SquareViolation:
+    """The first edge (b, y) that spans a subgraph of a four-cycle with the
+    edge (a, x) of g, which must have one; nbr holds g's neighbor masks."""
+    na, nx = nbr[a], nbr[x]
+    both = na & nx
+    for b in bits(_above((1 << g.n) - 1, a) & ~(1 << x)):
+        b_in_na, b_in_nx = na >> b & 1, nx >> b & 1
+        ys = _above(nbr[b], b) & ~(1 << x)
+        # cross-edge reading: "xb-ay" needs no ab and no xy, "xy-ab" no xb and no ay
+        cross = ys & ((0 if b_in_na else ~nx) | (0 if b_in_nx else ~na))
+        # covering reading: b or y adjacent to both a and x, or a or x adjacent to both b and y
+        covered = -1 if both >> b & 1 else both | (na if b_in_na else 0) | (nx if b_in_nx else 0)
+        if cross != ys & ~covered:
+            e2 = [b, bits(cross ^ ys & ~covered)[0]]
+            break
+        if cross:
+            y = (cross & -cross).bit_length() - 1
+            return SquareViolation((a, x), (b, y), "xy-ab" if b_in_na or nx >> y & 1 else "xb-ay")
+    else:
+        e2 = None  # the mask test of check_condition_B found a hit that no y-mask holds
+    description = "cross-edge and covering-endpoint readings disagree"
+    raise InternalTheoremViolation(
+        counterexample("square-formalizations-disagree", description, g, e1=[a, x], e2=e2)
+    )
 
 
 @dataclass(frozen=True)
@@ -380,19 +382,21 @@ def adversarial_digraph(g: UndirectedGraph, viol: SquareViolation) -> Adversaria
 
     if missing_graph(d) != g:
         raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="adversarial-missing-graph",
-                description="constructed digraph does not have the requested missing graph",
-                state={"graph": g.to_dict(), "digraph": d.to_dict()},
+            counterexample(
+                "adversarial-missing-graph",
+                "constructed digraph does not have the requested missing graph",
+                g,
+                violation=viol.to_dict(),
             )
         )
-    status = classify_missing_edge(d, x, y)
-    if status.good:
+    if classify_missing_edge(d, x, y).good:
         raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="adversarial-edge-good",
-                description="designated edge of the adversarial digraph is good",
-                state={"graph": g.to_dict(), "digraph": d.to_dict(), "edge": [x, y]},
+            counterexample(
+                "adversarial-edge-good",
+                "designated edge of the adversarial digraph is good",
+                g,
+                violation=viol.to_dict(),
+                edge=[x, y],
             )
         )
     return AdversarialWitness(d, (min(x, y), max(x, y)))
@@ -430,10 +434,11 @@ def route_agreement(
     dec = decompose(g)
     if (viol is None) != (dec is not None):
         raise InternalTheoremViolation(
-            CounterexampleReport(
-                stage="route-agreement",
-                description="pairwise condition and decomposition disagree",
-                state={"graph": g.to_dict(), "violation": viol.to_dict() if viol else None},
+            counterexample(
+                "route-agreement",
+                "pairwise condition and decomposition disagree",
+                g,
+                violation=viol and viol.to_dict(),
             )
         )
     return viol, dec

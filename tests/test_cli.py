@@ -349,6 +349,27 @@ class TestCommands:
         assert doc["classification"]["primary"] == "sun"
         assert doc["decomposition"]["x_sets"] == [[2, 3]]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tournament", "--n", "600"],
+            ["star", "--rays-count", "512"],
+            ["sun", "--core", "300", "--rays-count", "300"],
+            ["complete", "--k", "600"],
+            ["gstar", "--a0", "1", "--rays", "200,100", "--cores", "100,112"],
+            ["weights", "--n", "100000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_gen_rejects_more_vertices_than_the_cap(self, argv):
+        code, out, err = run_cli("gen", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "TooLarge"
+
+    def test_gen_at_the_cap(self):
+        code, out, _ = run_cli("gen", "weights", "--n", str(MAX_VERTICES))
+        assert code == 0 and len(json.loads(out)["weights"]) == MAX_VERTICES
+
     def test_gen_weights(self):
         code, out, _ = run_cli("gen", "weights", "--n", "4", "--seed", "2", "--weights-max", "5")
         doc = json.loads(out)
@@ -448,6 +469,25 @@ class TestCommands:
 
 
 class TestContracts:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "[1, 2]",
+            '"x"',
+            '{"a0": "x"}',
+            '{"a0": 1.0}',
+            '{"seed": true}',
+            '{"a_profile": [1.5]}',
+            '{"x_profile": 3}',
+        ],
+    )
+    def test_gstar_spec_must_hold_json_integers(self, tmp_path, spec):
+        f = tmp_path / "spec.json"
+        f.write_text(spec)
+        code, out, err = run_cli("gen", "gstar", "--spec", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParseError"
+
     def test_parse_error_exit_code_and_stderr_json(self, tmp_path):
         f = tmp_path / "bad.dg"
         f.write_text("digraph 2\narc 0 0\n")
@@ -569,9 +609,43 @@ class TestContracts:
         assert doc["last_order"] == [1, 0, 2] and doc["remaining_violations"] >= 1
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(doc["instance"]))
+        code, out, err2 = run_cli("median-order", "-i", str(replay), "--move-limit", "1")
+        assert code == 1 and json.loads(err2) == doc  # the same failure, byte for byte
         code, out, _ = run_cli("median-order", "-i", str(replay))
         assert code == 0 and json.loads(out)["order"] == [2, 1, 0]
         assert json.loads(out)["instance"]["weights"][0] == {"num": 1, "den": 2}
+
+    @pytest.mark.parametrize(
+        "argv, text, patch",
+        [
+            # a subset DP that reads out-masks as in-masks puts backward arcs first
+            (
+                ["median-order", "--exact"],
+                "digraph 3\narc 0 1\narc 0 2\narc 1 2\nweight 1 1 2\n",
+                (snc.Digraph, "in_mask", snc.Digraph.out_mask),
+            ),
+            # a validator that rejects every decomposition
+            (
+                ["recognize"],
+                "graph 4\nedge 0 1\nedge 0 2\nedge 0 3\nedge 1 3\n",
+                (snc.stars, "validate_decomposition", lambda g, dec: (False, "clique")),
+            ),
+        ],
+        ids=["exact-order-feedback", "decomposition-invalid"],
+    )
+    def test_failure_dump_instance_replays(self, monkeypatch, tmp_path, argv, text, patch):
+        """A counterexample's instance is a file the failing command reads
+        as it stands, and reading it fails again with the same report."""
+        monkeypatch.setattr(*patch)
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        code, out, err = run_cli(*argv, "-i", str(f))
+        assert code == 2 and out == ""
+        report = json.loads(err)["counterexample"]
+        dump = tmp_path / "dump.json"
+        dump.write_text(json.dumps(report["state"]["instance"]))
+        code, out, err = run_cli(*argv, "-i", str(dump))
+        assert code == 2 and json.loads(err)["counterexample"] == report
 
     def test_internal_violation_maps_to_exit_2(self, monkeypatch, tmp_path):
         # force the science-alarm path; honest inputs cannot reach it

@@ -242,3 +242,18 @@ def test_only_digraph_reads_the_adjacency_store():
             if isinstance(node, ast.Attribute) and node.attr in ("_out", "_in", "_adj"):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
     assert offenders == []
+
+
+def test_only_formats_builds_counterexample_reports():
+    # every dump goes through formats.counterexample: one instance plus choices
+    offenders = []
+    for path in sorted(Path(snc.__file__).parent.glob("*.py")):
+        if path.name == "formats.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and "CounterexampleReport" in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None),
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

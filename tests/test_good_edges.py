@@ -1,6 +1,7 @@
 """Goodness classification, convenient orientations, witness pipeline."""
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -25,6 +26,11 @@ from snc import (
     reorient_at_feed,
     verify_certificate,
 )
+from snc import good_edges
+from snc.errors import InternalTheoremViolation
+from snc.formats import load_digraph
+from snc.good_edges import _certificate, _certify, _orientations_from
+from snc.median_order import CertifiedOrder, order_objective
 from snc.generators import (
     Rng,
     gen_generalized_star,
@@ -238,8 +244,86 @@ def test_pipeline_invariants_on_random_good_instances():
         for o in cert.orientations:
             t.add_arc(o.tail, o.head)
         t2 = reorient_at_feed(t, d.missing_pairs(), cert.witness)
-        assert feedback_check(t2, w, cert.order.order) == []
+        assert feedback_check(t2, w, cert.order.order) is None
         # closure of the second neighborhood
         np_d = d.out_neighbors(cert.witness)
         assert t2.out_neighbors(cert.witness) == np_d
         assert t2.second_out_neighbors(cert.witness) <= np_d | d.second_out_neighbors(cert.witness)
+
+
+def _flip(t: Digraph, which) -> Digraph:
+    """t with each arc (u, v) for which which(u, v) holds reversed."""
+    return Digraph.from_arcs(t.n, [(v, u) if which(u, v) else (u, v) for u, v in t.arcs()])
+
+
+def _skip(t, w, order):
+    return None
+
+
+# one forced failure per post-check of the pipeline, by the module
+# attributes of good_edges it replaces
+POST_CHECK_FAILURES = {
+    # every arc reversed: the order loses the feedback property
+    "feedback-after-reorientation": {
+        "reorient_at_feed": lambda t, missing, f: _flip(t, lambda u, v: True),
+    },
+    # the arcs at the feed vertex reversed, the feedback recheck skipped
+    "first-neighborhood-mismatch": {
+        "reorient_at_feed": lambda t, missing, f: _flip(
+            reorient_at_feed(t, missing, f), lambda u, v: f in (u, v)
+        ),
+        "feedback_check": _skip,
+    },
+    # the arcs away from the feed vertex reversed, the feedback recheck skipped
+    "second-neighborhood-closure": {
+        "reorient_at_feed": lambda t, missing, f: _flip(
+            reorient_at_feed(t, missing, f), lambda u, v: f not in (u, v)
+        ),
+        "feedback_check": _skip,
+    },
+    # the certificate's inequality turned around
+    "witness-inequality": {
+        "_certificate": lambda *args: dataclasses.replace(
+            _certificate(*args), lhs=Fraction(1), rhs=Fraction(0)
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("stage", sorted(POST_CHECK_FAILURES))
+def test_post_check_failure_dump_replays(monkeypatch, stage):
+    """Each post-check of find_witness_good, forced to fail, dumps the
+    instance, the orientations and the order, and _certify on them fails
+    again with the same report."""
+    for name, patched in POST_CHECK_FAILURES[stage].items():
+        monkeypatch.setattr(good_edges, name, patched)
+    caught = 0
+    for i in range(20):
+        rng = Rng(0xD0 ^ i)
+        g, _dec = gen_generalized_star(spec=random_star_profile(3 + rng.below(8), rng))
+        d = random_digraph_missing(g, rng.next_u64())
+        wd = WeightedDigraph(d, random_weights(g.n, rng.next_u64(), 10))
+        try:
+            find_witness_good(wd)
+        except InternalTheoremViolation as exc:
+            report = exc.report
+        else:
+            continue
+        assert report.stage == stage
+        state = report.state
+        assert set(state) == {"instance", "orientations", "order"} | (
+            {"violation"} if stage == "feedback-after-reorientation" else set()
+        )
+        loaded = load_digraph(json.dumps(state["instance"]))[0]
+        assert (loaded.digraph, loaded.weights) == (d, wd.weights)
+        orientations = _orientations_from(state["orientations"])
+        t = loaded.digraph.copy()
+        for o in orientations:
+            t.add_arc(o.tail, o.head)
+        order = tuple(state["order"])
+        co = CertifiedOrder(order, order_objective(t, loaded.weights, order))
+        with pytest.raises(InternalTheoremViolation) as again:
+            _certify(loaded, t, orientations, co)
+        assert again.value.report == report
+        caught += 1
+    assert caught

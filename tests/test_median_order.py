@@ -8,6 +8,7 @@ assertions.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from snc import (
     order_objective,
 )
 from snc import median_order
-from snc.formats import digraph_from_instance_dict
+from snc.formats import load_digraph
 from snc.generators import Rng, random_tournament, random_weights
 from snc.median_order import (
     PREFIX,
@@ -39,7 +40,10 @@ from snc.median_order import (
     FeedbackViolation,
     _perturbed_keys,
     _product_value,
+    _scan,
+    _scan_state,
     _sum_value,
+    _violation,
     default_move_limit,
 )
 from snc.oracle import enumerate_tournaments
@@ -184,13 +188,11 @@ def test_order_objective_rejects_non_tournament():
 
 def test_feedback_check_examples():
     w1 = WeightMap.uniform(3)
-    assert feedback_check(cycle3(), w1, (0, 1, 2)) == []
-    violations = feedback_check(transitive3(), w1, (2, 1, 0))
-    assert violations
-    first = violations[0]
+    assert feedback_check(cycle3(), w1, (0, 1, 2)) is None
+    first = feedback_check(transitive3(), w1, (2, 1, 0))
     assert (first.kind, first.i, first.j) == (PREFIX, 1, 2)
     assert first.lhs < first.rhs
-    assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) == []
+    assert feedback_check(Digraph(1), WeightMap.uniform(1), (0,)) is None
 
 
 def ref_total(ref: list, vertices) -> tuple:
@@ -226,11 +228,12 @@ def test_feedback_check_matches_interval_definition():
         order = list(range(n))
         rng.shuffle(order)
         for w in (WeightMap([0] * n), rational_weights(n, rng.next_u64())):
-            found = feedback_check(t, w, order)
+            keys, scale, base = _perturbed_keys(w)
+            found = [_violation(v, scale, base) for v in _scan(_scan_state(t, keys, order))]
             assert [(v.kind, v.i, v.j, v.lhs, v.rhs) for v in found] == list(
                 ref_violations(t, w, order)
             )
-            assert feedback_check(t, w, order, first=True) == found[:1]
+            assert feedback_check(t, w, order) == (found[0] if found else None)
 
 
 def ref_search(t: Digraph, w: WeightMap, start) -> tuple[tuple, list]:
@@ -299,7 +302,7 @@ def test_local_median_order_examples():
     best = brute_force_best(cycle3(), w)
     assert best.c0 == 9
     co = local_median_order(cycle3(), w)
-    assert feedback_check(cycle3(), w, co.order) == []
+    assert feedback_check(cycle3(), w, co.order) is None
     assert co.objective <= best
 
 
@@ -308,7 +311,7 @@ def test_local_search_reaches_unique_certified_order():
     w1 = WeightMap.uniform(3)
     certified = [
         p for p in itertools.permutations(range(3))
-        if not feedback_check(transitive3(), w1, p)
+        if feedback_check(transitive3(), w1, p) is None
     ]
     assert certified == [(0, 1, 2)]
     for start in itertools.permutations(range(3)):
@@ -367,7 +370,9 @@ def test_local_search_scans_once_per_move_plus_one(monkeypatch):
 def test_corrupted_scan_state_is_caught(monkeypatch, delta, stage):
     """A wrong trail entry in local search's maintained state never yields an
     uncertified order: the comparison with a fresh state or the gain check
-    stops the search with a dump that loads back into the instance."""
+    stops the search with a dump that loads back into the instance, names
+    its order's first violation, and fails alike when the search is run on
+    it again."""
     real = median_order._move
 
     def corrupting(state, kind, i, j):
@@ -385,15 +390,19 @@ def test_corrupted_scan_state_is_caught(monkeypatch, delta, stage):
         except InternalTheoremViolation as exc:
             assert exc.report.stage == stage
             dump = exc.report.state
-            wd, _ = digraph_from_instance_dict(dump["instance"])
+            wd, _ = load_digraph(json.dumps(dump["instance"]))
             assert (wd.digraph, wd.weights) == (t, w)
+            assert set(dump) == {"instance", "order", "violation"}
             if stage == "local-search-state":
                 # the dump names the first violation of its order, if there is one
-                missed = [v.to_dict() for v in feedback_check(t, w, dump["order"], first=True)]
-                assert missed == ([] if dump["violation"] is None else [dump["violation"]])
+                missed = feedback_check(t, w, dump["order"])
+                assert dump["violation"] == (missed and missed.to_dict())
+            with pytest.raises(InternalTheoremViolation) as again:
+                local_median_order(wd.digraph, wd.weights)
+            assert again.value.report == exc.report
             caught += 1
         else:
-            assert feedback_check(t, w, co.order) == []
+            assert feedback_check(t, w, co.order) is None
     assert caught
 
 
@@ -405,9 +414,30 @@ def test_move_limit_exceeded_reports_state():
         local_median_order(t, WeightMap.uniform(3), move_limit=1)
     err = exc.value
     assert err.moves == 1
-    assert err.violations
+    # every violation that remains, counted without decoding
+    assert err.remaining == len(list(ref_violations(t, WeightMap.uniform(3), err.order))) > 0
     assert (err.tournament, err.weights) == (t, WeightMap.uniform(3))
     assert default_move_limit(3) == 50 * 27
+
+
+def test_exact_order_feedback_dump_replays(monkeypatch):
+    """A wrong subset DP, here one that reads out-masks as in-masks and so
+    puts the heaviest backward arcs first, is caught by the feedback check;
+    the dump holds the instance, the order and its first violation, which
+    feedback_check finds again on the loaded instance."""
+    monkeypatch.setattr(Digraph, "in_mask", Digraph.out_mask)
+    for seed in range(5):
+        t = random_tournament(6, seed)
+        w = rational_weights(6, seed + 30)
+        with pytest.raises(InternalTheoremViolation) as exc:
+            exact_median_order(t, w)
+        report = exc.value.report
+        assert report.stage == "exact-order-feedback"
+        assert set(report.state) == {"instance", "order", "violation"}
+        wd, _ = load_digraph(json.dumps(report.state["instance"]))
+        assert (wd.digraph, wd.weights) == (t, w)
+        again = feedback_check(wd.digraph, wd.weights, report.state["order"])
+        assert again.to_dict() == report.state["violation"]
 
 
 def test_exact_median_order_examples():

@@ -1,6 +1,7 @@
 """Brute-force ground truth, sweeps, and the cubic-root constant."""
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -27,7 +28,15 @@ from snc import (
     sweep_theorem3,
 )
 from snc import oracle, stars
-from snc.generators import Rng, random_digraph_missing, random_graph, random_weights
+from snc.formats import load_digraph, load_graph
+from snc.generators import (
+    Rng,
+    random_digraph_missing,
+    random_graph,
+    random_tournament,
+    random_weights,
+)
+from snc.digraph import orient_pairs
 from snc.oracle import gamma_sign, graph_from_code
 
 
@@ -162,10 +171,16 @@ class TestSweepFailures:
         assert [f.state["index"] for f in r.failures] == even
         for f in r.failures:
             assert f.stage == "feed-vertex-weighted-snp"
-            t = Digraph.from_arcs(f.state["digraph"]["n"], f.state["digraph"]["arcs"])
-            w = WeightMap([Fraction(x["num"], x["den"]) for x in f.state["weights"]])
-            order = local_median_order(t, w).order
+            assert set(f.state) == {"instance", "index", "order", "feed"}
+            rng = Rng(8 ^ f.state["index"])
+            n = 1 + rng.below(5)
+            t, w = random_tournament(n, rng.next_u64()), random_weights(n, rng.next_u64(), 10)
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            assert (wd.digraph, wd.weights) == (t, w)
+            # replay: the same order, and its feed vertex fails the (patched) check again
+            order = local_median_order(wd.digraph, wd.weights).order
             assert (list(order), order[-1]) == (f.state["order"], f.state["feed"])
+            assert not oracle.has_weighted_snp(wd, f.state["feed"]).holds
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_route_agreement_report_matches_recognize(self, monkeypatch, jobs):
@@ -173,14 +188,44 @@ class TestSweepFailures:
         monkeypatch.setattr(stars, "decompose", lambda g: None if g.n == 3 else real(g))
         r = sweep_theorem3(3, jobs=jobs)
         # no graph on 3 vertices has two disjoint edges, so all 8 disagree
-        assert [f.state["graph"] for f in r.failures] == [
-            graph_from_code(3, code).to_dict() for code in range(8)
-        ]
-        for code, f in enumerate(r.failures):
+        graphs = [load_graph(json.dumps(f.state["instance"]))[0] for f in r.failures]
+        assert graphs == [graph_from_code(3, code) for code in range(8)]
+        for g, f in zip(graphs, r.failures):
             assert f.stage == "route-agreement"
+            assert f.state["violation"] is None
             with pytest.raises(InternalTheoremViolation) as raised:
-                recognize(graph_from_code(3, code))
+                recognize(g)
             assert raised.value.report.to_dict() == f.to_dict()
+
+    def test_cross_oracle_counterexamples_replay(self, monkeypatch):
+        # an exhaustive scan that finds no SNP vertex rejects every witness
+        monkeypatch.setattr(oracle, "brute_force_snp_vertices", lambda wd: set())
+        r = sweep_theorem2(4, 8, seed=5)
+        assert [f.state["index"] for f in r.failures] == [0, 1, 2, 3]
+        for f in r.failures:
+            assert f.stage == "cross-oracle"
+            assert set(f.state) == {"instance", "index", "profile", "orientations", "order"}
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            # the dumped choices are the certificate the pipeline builds again
+            cert = oracle.find_witness_good(wd)
+            assert [o.to_dict() for o in cert.orientations] == f.state["orientations"]
+            assert list(cert.order.order) == f.state["order"]
+            assert cert.witness not in oracle.brute_force_snp_vertices(wd)
+
+    def test_orientation_counterexamples_replay(self, monkeypatch):
+        # a goodness check that rejects every completion on three vertices
+        real = oracle.all_missing_edges_good
+        monkeypatch.setattr(
+            oracle, "all_missing_edges_good", lambda d: (False, []) if d.n == 3 else real(d)
+        )
+        r = sweep_theorem3(3)
+        assert r.failures
+        for f in r.failures:
+            assert f.stage == "all-orientations-good"
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            g = graph_from_code(3, f.state["code"])
+            assert wd.digraph == orient_pairs(3, g.non_edges(), f.state["orientation"])
+            assert not oracle.all_missing_edges_good(wd.digraph)[0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_gamma_counterexamples_replay(self, monkeypatch, jobs):
@@ -192,7 +237,10 @@ class TestSweepFailures:
             rng = Rng(1 ^ f.state["index"])
             n = 1 + rng.below(6)
             d = random_digraph_missing(random_graph(n, rng.next_u64()), rng.next_u64())
-            assert f.stage == "gamma-property" and f.state["digraph"] == d.to_dict()
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            assert f.stage == "gamma-property" and wd.digraph == d
+            assert set(f.state) == {"instance", "index"}
+            assert not oracle.check_gamma_property(wd.digraph)
 
 
 class TestGamma:

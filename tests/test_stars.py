@@ -8,6 +8,7 @@ picks {1,2}, computed here by the exhaustive subset oracle.
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from snc import (
     Digraph,
     GeneralizedStarDecomposition,
     InternalTheoremViolation,
+    MissingEdgeStatus,
     NotAViolation,
     UndirectedGraph,
     adversarial_digraph,
@@ -31,7 +33,9 @@ from snc import (
 from snc import stars
 from snc.generators import Rng, random_graph
 from snc.oracle import enumerate_graphs, graph_from_code
-from snc.stars import _endpoint_covers, _induces_square_subgraph, route_agreement
+from snc.formats import load_graph
+from snc.generators import GenSpec, gen_generalized_star, random_star_profile
+from snc.stars import SquareViolation, route_agreement
 
 
 def two_k2() -> UndirectedGraph:
@@ -76,6 +80,49 @@ def recognition_inputs():
         yield random_graph(6 + rng.below(4), rng.next_u64())
 
 
+def _induces_square_subgraph(na: int, nx: int, e2: tuple[int, int]):
+    """The pairing whose four-cycle holds every cross edge between
+    e1 = (a, x), given by the neighbor masks na and nx of its endpoints,
+    and e2 = (b, y); None when neither four-cycle does."""
+    b, y = e2
+    if not (nx >> y & 1 or na >> b & 1):  # no xy, no ab
+        return "xb-ay"
+    if not (nx >> b & 1 or na >> y & 1):  # no xb, no ay
+        return "xy-ab"
+    return None
+
+
+def _endpoint_covers(na: int, nx: int, e2: tuple[int, int]) -> bool:
+    # equivalent reading: some endpoint of one edge is adjacent to both
+    # endpoints of the other (an endpoint of e2 adjacent to both a and x
+    # is a bit of na & nx)
+    both = 1 << e2[0] | 1 << e2[1]
+    return na & both == both or nx & both == both or na & nx & both != 0
+
+
+def ref_condition_B(g: UndirectedGraph):
+    """Reference: the first square pair by testing every pair of edges in
+    sorted order, with both formalizations required to agree."""
+    edges = g.edges()
+    for idx, e1 in enumerate(edges):
+        na, nx = g.neighbor_mask(e1[0]), g.neighbor_mask(e1[1])
+        for e2 in edges[idx + 1 :]:
+            if e1[0] in e2 or e1[1] in e2:
+                continue
+            pairing = _induces_square_subgraph(na, nx, e2)
+            assert _endpoint_covers(na, nx, e2) == (pairing is None)
+            if pairing is not None:
+                return SquareViolation(e1, e2, pairing)
+    return None
+
+
+def star_minus_edge(spec, k: int) -> UndirectedGraph:
+    """The generalized star of spec without its edge number k (mod m)."""
+    g, _dec = gen_generalized_star(spec=spec)
+    edges = g.edges()
+    return UndirectedGraph.from_edges(g.n, edges[: k % len(edges)] + edges[k % len(edges) + 1 :])
+
+
 class TestConditionB:
     def test_two_disjoint_bare_edges_violate(self):
         v = check_condition_B(two_k2())
@@ -100,6 +147,27 @@ class TestConditionB:
                     assert _endpoint_covers(na, nx, e2) == (
                         _induces_square_subgraph(na, nx, e2) is None
                     )
+
+    def test_mask_scan_matches_pair_scan_on_every_small_graph(self):
+        for n in range(1, 7):
+            for code in range(1 << n * (n - 1) // 2):
+                g = graph_from_code(n, code)
+                assert check_condition_B(g) == ref_condition_B(g)
+
+    def test_mask_scan_matches_pair_scan_on_random_and_near_stars(self):
+        rng = Rng(11)
+        for _ in range(300):
+            g = random_graph(7 + rng.below(14), rng.next_u64())
+            assert check_condition_B(g) == ref_condition_B(g)
+        for _ in range(300):
+            g = star_minus_edge(random_star_profile(4 + rng.below(20), rng), rng.next_u64())
+            assert check_condition_B(g) == ref_condition_B(g)
+
+    def test_star_minus_last_core_edge_at_256(self):
+        # four ray classes of 32 over four core layers of 32, minus the last
+        # edge (254, 255); the pair scan takes 96 s here to find the same pair
+        g = star_minus_edge(GenSpec(a_profile=(32,) * 4, x_profile=(32,) * 4), -1)
+        assert check_condition_B(g) == SquareViolation((96, 254), (97, 255), "xb-ay")
 
 
 class TestMaxStableSet:
@@ -144,7 +212,12 @@ class TestDecompose:
             decompose(nested_star())
         report = raised.value.report
         assert report.stage == "decomposition-invalid" and "clique" in report.description
-        assert report.state["graph"] == nested_star().to_dict()
+        # the dump is the graph alone; decomposing it again fails alike
+        g, _labels = load_graph(json.dumps(report.state["instance"]))
+        assert g == nested_star() and list(report.state) == ["instance"]
+        with pytest.raises(InternalTheoremViolation) as again:
+            decompose(g)
+        assert again.value.report == report
 
 
 class TestValidator:
@@ -246,6 +319,33 @@ class TestAdversarial:
             status = classify_missing_edge(w.digraph, *w.designated_edge)
             assert not status.satisfies_i and not status.satisfies_ii
         assert found > 20
+
+    @pytest.mark.parametrize(
+        "name, patched, stage",
+        [
+            ("missing_graph", lambda d: UndirectedGraph(d.n), "adversarial-missing-graph"),
+            (
+                "classify_missing_edge",
+                lambda d, x, y: MissingEdgeStatus(x, y, True, True),
+                "adversarial-edge-good",
+            ),
+        ],
+        ids=["missing-graph", "edge-good"],
+    )
+    def test_failure_dump_replays(self, monkeypatch, name, patched, stage):
+        # the dump is the graph and the violation; building on them again fails alike
+        monkeypatch.setattr(stars, name, patched)
+        with pytest.raises(InternalTheoremViolation) as raised:
+            adversarial_digraph(p4(), check_condition_B(p4()))
+        report = raised.value.report
+        assert report.stage == stage
+        g, _labels = load_graph(json.dumps(report.state["instance"]))
+        v = report.state["violation"]
+        viol = SquareViolation(tuple(v["e1"]), tuple(v["e2"]), v["pairing"])
+        assert (g, viol) == (p4(), check_condition_B(p4()))
+        with pytest.raises(InternalTheoremViolation) as again:
+            adversarial_digraph(g, viol)
+        assert again.value.report == report
 
 
 class TestRecognize:
