@@ -26,6 +26,7 @@ from .errors import (
     NotMissing,
     NoWitnessFound,
     ParseError,
+    ReportedFailure,
     SncError,
     TooLarge,
 )

@@ -2,9 +2,10 @@
 
 Every command prints one canonical JSON document (sorted keys, fixed
 indentation) so identical inputs, flags, and seeds produce byte-identical
-output.  Exit codes: 0 success, 1 usage or input errors, 2 when a
-guaranteed assertion failed and a counterexample report was emitted.
-Timing and progress go to stderr only.
+output.  Exit codes: 0 success, 1 usage or input errors and exhausted
+move limits, 2 when a guaranteed assertion failed.  A failure with a
+counterexample report writes it beside the error on stderr.  Timing and
+progress go to stderr only.
 
 Implementation: the argument parser is built once per process, on the
 first call to main, and documents are written in one pass by
@@ -23,15 +24,7 @@ from pathlib import Path
 
 from . import formats, generators, good_edges, median_order, oracle, stars
 from .digraph import WeightedDigraph, WeightMap
-from .errors import (
-    BadProfile,
-    InternalTheoremViolation,
-    MoveLimitExceeded,
-    NoWitnessFound,
-    NotAViolation,
-    ParseError,
-    SncError,
-)
+from .errors import BadProfile, NotAViolation, ParseError, ReportedFailure, SncError
 
 # pieces per write; a piece is mostly a key with its value, about 20
 # bytes, and a larger batch raises the peak memory of large documents
@@ -117,11 +110,8 @@ def _emit(args, payload) -> None:
             _write_json(payload, f.write)
 
 
-def _emit_error(kind: str, message: str, extra: dict | None = None) -> None:
-    doc = {"error": kind, "message": message}
-    if extra:
-        doc.update(extra)
-    _write_json(doc, sys.stderr.write)
+def _emit_error(kind: str, message: str, **extra) -> None:
+    _write_json({"error": kind, "message": message, **extra}, sys.stderr.write)
 
 
 def _read_input(args) -> str:
@@ -264,7 +254,8 @@ def cmd_gen(args) -> int:
         text = formats.serialize_digraph(wd)
     elif args.what == "weights":
         formats.check_cap(args.n)
-        w = generators.random_weights(args.n, args.seed, args.weights_max or 10)
+        max_w = 10 if args.weights_max is None else args.weights_max
+        w = generators.random_weights(args.n, args.seed, max_w)
         doc = {"kind": "weights", "n": args.n, "weights": w.to_dicts()}
         text = None
     else:
@@ -280,7 +271,7 @@ def cmd_gen(args) -> int:
         else:  # gstar
             if args.spec:
                 spec = generators.GenSpec.from_dict(
-                    json.loads(Path(args.spec).read_text(encoding="utf-8"))
+                    formats.load_json(Path(args.spec).read_text(encoding="utf-8"))
                 )
             else:
                 spec = generators.GenSpec(
@@ -445,28 +436,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 1
     try:
         return args.func(args)
-    except InternalTheoremViolation as exc:
-        _emit_error(
-            "InternalTheoremViolation", str(exc), {"counterexample": exc.report.to_dict()}
-        )
-        return 2
-    except NoWitnessFound as exc:
-        _emit_error("NoWitnessFound", str(exc), {"counterexample": exc.report.to_dict()})
-        return 2
-    except MoveLimitExceeded as exc:
-        _emit_error(
-            "MoveLimitExceeded",
-            str(exc),
-            {
-                "instance": formats.digraph_instance_dict(WeightedDigraph(exc.tournament, exc.weights)),
-                "last_order": list(exc.order),
-                "remaining_violations": exc.remaining,
-            },
-        )
-        return 1
-    except json.JSONDecodeError as exc:
-        _emit_error("ParseError", f"bad JSON: {exc}")
-        return 1
+    except ReportedFailure as exc:
+        _emit_error(type(exc).__name__, str(exc), counterexample=exc.report.to_dict())
+        return exc.exit_code
     except (SncError, ValueError, OSError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1

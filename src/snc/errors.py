@@ -1,4 +1,8 @@
-"""Exception types and the counterexample channel shared by all modules."""
+"""Exception types and the counterexample channel shared by all modules.
+
+Every failure that dumps state is a ReportedFailure holding one
+CounterexampleReport; the other SncErrors carry a message only.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -75,38 +79,37 @@ class CounterexampleReport:
         return {"stage": self.stage, "description": self.description, "state": self.state}
 
 
-class InternalTheoremViolation(SncError):
-    """A step that is guaranteed by a proved statement failed.
+class ReportedFailure(SncError):
+    """A failure that carries its CounterexampleReport, the one channel
+    every failure dump leaves through.  The command line writes the report
+    beside the error and exits with the class's exit_code."""
 
-    Never swallowed: callers surface the attached CounterexampleReport.
-    """
+    exit_code = 2
 
     def __init__(self, report: CounterexampleReport):
         super().__init__(f"{report.stage}: {report.description}")
         self.report = report
 
 
-class NoWitnessFound(SncError):
+class InternalTheoremViolation(ReportedFailure):
+    """A step that is guaranteed by a proved statement failed.
+
+    Never swallowed: callers surface the attached CounterexampleReport.
+    """
+
+
+class NoWitnessFound(ReportedFailure):
     """The exhaustive fallback found no vertex with the weighted SNP.
 
     An instance triggering this would refute the second neighborhood
     conjecture, so it is reported as a counterexample, not an error state.
     """
 
-    def __init__(self, report: CounterexampleReport):
-        super().__init__(f"{report.stage}: {report.description}")
-        self.report = report
 
+class MoveLimitExceeded(ReportedFailure):
+    """Local search ran out of moves (stage move-limit).  Its report holds
+    the tournament, the last order, the moves made and the violations that
+    remain; the same command with the same move limit replays it.  A move
+    limit is a budget, not a guarantee, so this is an error, exit 1."""
 
-class MoveLimitExceeded(SncError):
-    """Local search ran out of moves; carries the tournament, the weights,
-    the last order and how many violations remained, so the run can be
-    replayed."""
-
-    def __init__(self, order, remaining: int, moves: int, tournament, weights):
-        super().__init__(f"no certified order after {moves} moves; {remaining} violations remain")
-        self.order = order
-        self.remaining = remaining
-        self.moves = moves
-        self.tournament = tournament
-        self.weights = weights
+    exit_code = 1

@@ -69,32 +69,25 @@ class GenSpec:
     (each >= 1, k <= n), a0 counts isolated vertices.
     """
 
-    seed: int = 0
     a0: int = 0
     a_profile: tuple[int, ...] = ()
     x_profile: tuple[int, ...] = ()
-    weight_max: int = 10
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "a0": self.a0,
-            "a_profile": list(self.a_profile),
-            "x_profile": list(self.x_profile),
-            "weight_max": self.weight_max,
-        }
+        return {"a0": self.a0, "a_profile": list(self.a_profile), "x_profile": list(self.x_profile)}
 
     @classmethod
     def from_dict(cls, d) -> "GenSpec":
-        """The spec of a JSON object whose fields are JSON integers, the
-        profiles lists of them (booleans and floats excluded), or ParseError."""
+        """The spec of a JSON object whose a0 is a JSON integer and whose
+        profiles are lists of them (booleans and floats excluded), or
+        ParseError.  Other keys are ignored."""
         if not isinstance(d, dict):
             raise ParseError("a spec must be a JSON object")
-        scalars = {k: d.get(k, getattr(cls, k)) for k in ("seed", "a0", "weight_max")}
-        if any(type(v) is not int for v in scalars.values()):
-            raise ParseError("spec seed, a0 and weight_max must be integers")
+        a0 = d.get("a0", 0)
+        if type(a0) is not int:
+            raise ParseError("spec a0 must be an integer")
         profiles = {k: int_list(d.get(k, []), f"spec {k}") for k in ("a_profile", "x_profile")}
-        return cls(**scalars, **profiles)
+        return cls(a0, **profiles)
 
 
 def random_tournament(n: int, seed: int) -> Digraph:
@@ -121,6 +114,8 @@ def random_digraph_missing(g: UndirectedGraph, seed: int) -> Digraph:
 def random_weights(n: int, seed: int, max_w: int) -> WeightMap:
     """Integer weights uniform in [0, max_w]; zeros exercise the
     infinitesimal perturbation downstream."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if max_w < 0:
         raise ValueError("max_w must be nonnegative")
     rng = Rng(seed)

@@ -16,11 +16,14 @@ neighborhood property is found constructively: complete the digraph to a
 tournament with convenient orientations, take a weighted local median
 order, reorient the completed missing edges at its feed vertex toward
 that vertex, re-certify the same order on the reoriented tournament, and
-read the inequality off the original digraph.  Every step that the
-supporting theory guarantees is asserted at run time (_certify); a
-failure raises InternalTheoremViolation instead of being swallowed, and
-its dump is the instance with the certificate's free choices, the
-orientations and the order, on which _certify fails again.
+read the inequality off the original digraph.  One list of checks,
+_checks, holds every step that the supporting theory guarantees:
+order_feedback_on_t_prime, first_neighborhood_kept,
+second_neighborhood_closed and witness_inequality.  find_witness_good
+raises InternalTheoremViolation on the first that fails, with the check's
+name as its stage and the instance with the certificate's free choices,
+the orientations and the order, as its dump; verify_certificate reports
+the same list between its input checks and fields_match.
 
 A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _certificate and _fallback derive every
@@ -147,18 +150,22 @@ def complete_to_tournament(
         _ok, statuses = all_missing_edges_good(d)
     if not all(s.good for s in statuses):
         raise NotAllGood("some missing edge is not good")
-    t = d.copy()
-    orientations = []
-    for s in statuses:
-        if s.satisfies_i:
-            o = ConvenientOrientation(s.a, s.b, "i")
-        else:
-            o = ConvenientOrientation(s.b, s.a, "ii")
-        t.add_arc(o.tail, o.head)
-        orientations.append(o)
+    orientations = [
+        ConvenientOrientation(*((s.a, s.b, "i") if s.satisfies_i else (s.b, s.a, "ii")))
+        for s in statuses
+    ]
+    t = _completion(d, orientations)
     if not t.is_tournament():
         raise NotAllGood("statuses did not cover every missing edge")
     return t, orientations
+
+
+def _completion(d: Digraph, orientations: Iterable[ConvenientOrientation]) -> Digraph:
+    """d with the arc of each orientation added."""
+    t = d.copy()
+    for o in orientations:
+        t.add_arc(o.tail, o.head)
+    return t
 
 
 def reorient_at_feed(
@@ -274,66 +281,53 @@ def _fallback(
 def find_witness_good(
     wd: WeightedDigraph, move_limit: Optional[int] = None
 ) -> WitnessCertificate:
-    """Run the certified pipeline; requires every missing edge good."""
+    """Run the certified pipeline; requires every missing edge good.  The
+    first of _checks that fails is raised under its name (see above)."""
     ok, statuses = all_missing_edges_good(wd.digraph)
     if not ok:
         bad = [(s.a, s.b) for s in statuses if not s.good]
         raise NotAllGood(f"missing edges not good: {bad}")
     t, orientations = complete_to_tournament(wd.digraph, statuses)
-    return _certify(wd, t, orientations, local_median_order(t, wd.weights, move_limit=move_limit))
+    co = local_median_order(t, wd.weights, move_limit=move_limit)
+    cert, checks = _checks(wd, t, orientations, co)
+    for name, ok in checks:
+        if not ok:
+            raise InternalTheoremViolation(
+                counterexample(
+                    name,
+                    "a step that the witness proof guarantees failed",
+                    wd,
+                    orientations=[o.to_dict() for o in orientations],
+                    order=list(co.order),
+                )
+            )
+    return cert
 
 
-def _certify(
+def _checks(
     wd: WeightedDigraph,
     t: Digraph,
     orientations: Sequence[ConvenientOrientation],
     co: CertifiedOrder,
-) -> WitnessCertificate:
+) -> tuple[WitnessCertificate, list[tuple[str, bool]]]:
     """The certificate of the completion t of wd by orientations and its
-    certified order co, once the guaranteed steps hold: with the completed
-    missing edges at the feed vertex pointed at it, the order keeps the
-    feedback property, and the feed vertex keeps its out-neighbors and
-    gains no second out-neighbor outside the original N+ and N++; and the
-    feed vertex has the weighted SNP in wd."""
+    order co, with the checks of the steps the theory guarantees, in proof
+    order: with the completed missing edges at the feed vertex f pointed at
+    it, the order keeps the feedback property, f keeps its out-neighbors
+    and gains no second out-neighbor outside the original N+ and N++; and
+    f has the weighted SNP in wd."""
     d, w = wd.digraph, wd.weights
-    f = feed_vertex(co)
-    t2 = reorient_at_feed(t, [(o.tail, o.head) for o in orientations], f)
-
-    def alarm(stage: str, description: str, **pointers) -> InternalTheoremViolation:
-        return InternalTheoremViolation(
-            counterexample(
-                stage,
-                description,
-                wd,
-                orientations=[o.to_dict() for o in orientations],
-                order=list(co.order),
-                **pointers,
-            )
-        )
-
-    recheck = feedback_check(t2, w, co.order)
-    if recheck is not None:
-        raise alarm(
-            "feedback-after-reorientation",
-            "reorienting missing edges at the feed vertex broke the feedback property",
-            violation=recheck.to_dict(),
-        )
-    n_plus_d = d.out_neighbors(f)
-    if t2.out_neighbors(f) != n_plus_d:
-        raise alarm(
-            "first-neighborhood-mismatch", "feed vertex gained out-neighbors after reorientation"
-        )
-    if not t2.second_out_neighbors(f) <= n_plus_d | d.second_out_neighbors(f):
-        raise alarm(
-            "second-neighborhood-closure",
-            "second neighborhood in the reoriented tournament escaped the original one",
-        )
     cert = _certificate(d, w, orientations, co)
-    if cert.lhs > cert.rhs:
-        raise alarm(
-            "witness-inequality", "feed vertex failed the weighted SNP in the original digraph"
-        )
-    return cert
+    f = cert.witness
+    t2 = reorient_at_feed(t, [(o.tail, o.head) for o in orientations], f)
+    first = d.out_mask(f)
+    closure = first | d.second_out_mask(f)
+    return cert, [
+        ("order_feedback_on_t_prime", feedback_check(t2, w, co.order) is None),
+        ("first_neighborhood_kept", t2.out_mask(f) == first),
+        ("second_neighborhood_closed", not (t2.second_out_mask(f) & ~closure)),
+        ("witness_inequality", cert.lhs <= cert.rhs),
+    ]
 
 
 def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
@@ -386,10 +380,11 @@ def _licensed(status: dict[tuple[int, int], MissingEdgeStatus], o: ConvenientOri
 def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
     """Re-derive a witness_certificate document from its free choices.
 
-    Reads only orientations and order from doc, re-runs the theorem
-    checks, and compares the rebuilt certificate with doc (minus its
-    instance) as a whole.  Returns (check name, ok) pairs; all must be
-    true for a sound certificate.  Ill-typed choices raise ParseError.
+    Reads only orientations and order from doc, checks them as inputs,
+    runs the theorem checks of _checks on them, and compares the rebuilt
+    certificate with doc (minus its instance) as a whole.  Returns (check
+    name, ok) pairs; all must be true for a sound certificate.  Ill-typed
+    choices raise ParseError.
     """
     d, w = wd.digraph, wd.weights
     orientations = _orientations_from(doc.get("orientations"))
@@ -398,21 +393,15 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
         return [("order_is_permutation", False)]
     _ok, statuses = all_missing_edges_good(d)
     status = {(s.a, s.b): s for s in statuses}
-    missing = list(status)
-    if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != missing:
+    if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != list(status):
         return [("orientations_cover_missing_edges", False)]
-    t = d.copy()
-    for o in orientations:
-        t.add_arc(o.tail, o.head)
-    co = CertifiedOrder(tuple(order), order_objective(t, w, order))
-    cert = _certificate(d, w, orientations, co)
-    t2 = reorient_at_feed(t, missing, cert.witness)
+    t = _completion(d, orientations)
+    cert, checks = _checks(wd, t, orientations, CertifiedOrder(order, order_objective(t, w, order)))
     return [
         ("orientations_cover_missing_edges", True),
         ("orientations_licensed", all(_licensed(status, o) for o in orientations)),
         ("order_feedback_on_t", feedback_check(t, w, order) is None),
-        ("order_feedback_on_t_prime", feedback_check(t2, w, order) is None),
-        ("witness_inequality", cert.lhs <= cert.rhs),
+        *checks,
         fields_match(cert.to_dict(), doc),
     ]
 

@@ -41,7 +41,10 @@ it, and verify_order re-derives the whole document from the order and
 the instance, so a tampered field fails verification.  A guarantee that
 fails (stages local-search-state, local-search-gain, exact-order-feedback)
 dumps the instance, the order and that order's first violation, which
-feedback_check names again on the loaded instance.
+feedback_check names again on the loaded instance.  Running out of moves
+(MoveLimitExceeded, stage move-limit) dumps the instance, the last order,
+the moves made and the violations that remain; local search on the loaded
+instance with the same move limit stops at the same point.
 """
 from __future__ import annotations
 
@@ -51,12 +54,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
-from .errors import (
-    InternalTheoremViolation,
-    MoveLimitExceeded,
-    NotATournament,
-    TooLarge,
-)
+from .errors import InternalTheoremViolation, MoveLimitExceeded, NotATournament, TooLarge
 from .formats import counterexample, fields_match, int_list
 
 
@@ -369,7 +367,16 @@ def local_median_order(
             break
         if moves >= move_limit:
             remaining = sum(1 for _ in _scan(_scan_state(t, keys, order)))
-            raise MoveLimitExceeded(order, remaining, moves, t, w)
+            raise MoveLimitExceeded(
+                counterexample(
+                    "move-limit",
+                    f"no certified order after {moves} moves; {remaining} violations remain",
+                    WeightedDigraph(t, w),
+                    order=list(order),
+                    moves=moves,
+                    remaining=remaining,
+                )
+            )
         kind, i, j = first[0], first[1] - 1, first[2] - 1
         if kind == PREFIX:  # v_i moves to just after v_j
             moved = order[i]
@@ -472,12 +479,15 @@ def verify_order(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
     """Re-derive a certified_order document from its order alone.
 
     A missing or ill-typed order is a ParseError; an order that is not a
-    permutation of the vertices fails verification.
+    permutation of the vertices, or an instance that is not a tournament,
+    fails verification.
     """
     t, w = wd.digraph, wd.weights
     order = int_list(doc.get("order"), "order")
     if sorted(order) != list(range(t.n)):
         return [("order_is_permutation", False)]
+    if not t.is_tournament():
+        return [("instance_is_tournament", False)]
     rebuilt = CertifiedOrder(order, order_objective(t, w, order))
     return [
         ("order_feedback", feedback_check(t, w, order) is None),

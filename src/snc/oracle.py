@@ -30,7 +30,7 @@ from .digraph import (
     orient_pairs,
     pair_list,
 )
-from .errors import CounterexampleReport, InternalTheoremViolation, SncError, TooLarge
+from .errors import CounterexampleReport, ReportedFailure, SncError, TooLarge
 from .formats import counterexample
 from .generators import (
     Rng,
@@ -268,13 +268,12 @@ def _theorem2_check(i: int, max_n: int, seed: int) -> tuple[int, list[Counterexa
     wd = WeightedDigraph(d, w)
     try:
         cert = find_witness_good(wd)
+    except ReportedFailure as exc:
+        return 1, [exc.report]
     except SncError as exc:
-        report = getattr(exc, "report", None)
-        if report is None:
-            report = counterexample(
-                "witness-pipeline-error", str(exc), wd, index=i, profile=spec.to_dict()
-            )
-        return 1, [report]
+        return 1, [
+            counterexample("witness-pipeline-error", str(exc), wd, index=i, profile=spec.to_dict())
+        ]
     if cert.witness in brute_force_snp_vertices(wd):
         return 1, []
     return 1, [
@@ -309,7 +308,7 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
 def _routes_check(g: UndirectedGraph) -> tuple[int, list[CounterexampleReport]]:
     try:
         route_agreement(g)
-    except InternalTheoremViolation as exc:
+    except ReportedFailure as exc:
         return 1, [exc.report]
     return 1, []
 
@@ -350,7 +349,7 @@ def _orientation_check(code: int, n: int) -> tuple[int, list[CounterexampleRepor
         return 1 << len(non_edges), failures
     try:
         adversarial_digraph(g, viol)  # internal assertions raise on failure
-    except InternalTheoremViolation as exc:
+    except ReportedFailure as exc:
         failures.append(exc.report)
     return 1, failures
 

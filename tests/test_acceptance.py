@@ -3,7 +3,8 @@
 Each criterion prints one PASS/FAIL line (run with `pytest -s` to watch
 them).  Criteria 1 to 5 run through the command-line interface so that
 criterion 8 can hash the exact bytes a user would see and compare them
-with pinned digests; each command runs twice and both outputs are kept.  Expected instance counts: 33867 labeled
+with pinned digests; each command runs twice, with --jobs 1 and with
+--jobs 2, and both outputs are kept.  Expected instance counts: 33867 labeled
 tournaments on 1..6 vertices, 1099 labeled graphs on 1..5 vertices, 622
 exhaustive orientation checks on up to 4 vertices (every completion of
 every square-free graph, one adversarial build per violating graph).
@@ -63,13 +64,14 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 @pytest.fixture(scope="module")
 def runs() -> dict:
-    """Each acceptance command executed twice, with wall time of the first."""
+    """Each acceptance command executed with --jobs 1 and with --jobs 2,
+    with wall time of the first."""
     results = {}
     for name, argv in COMMANDS.items():
         t0 = time.perf_counter()
         code1, out1 = _run(argv)
         elapsed = time.perf_counter() - t0
-        code2, out2 = _run(argv)
+        code2, out2 = _run(argv + ["--jobs", "2"])
         results[name] = {
             "codes": (code1, code2),
             "outputs": (out1, out2),
@@ -209,7 +211,7 @@ def test_criterion_8_byte_identical_reruns(runs):
             mismatched.append(name)
     ok = not mismatched
     _report(
-        "8 determinism, criteria 1-5 hashed twice and against the pinned digests",
+        "8 determinism, criteria 1-5 hashed with --jobs 1 and 2 and against the pinned digests",
         ok,
         "all digests stable and pinned" if ok else f"mismatch in {mismatched}",
     )

@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 import snc
 from snc import (
     DigonRejected,
-    InternalTheoremViolation,
     LoopRejected,
-    MoveLimitExceeded,
-    NoWitnessFound,
     ParseError,
+    ReportedFailure,
     SncError,
     cli,
     oracle,
@@ -375,6 +373,16 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0 and len(doc["weights"]) == 4
 
+    @pytest.mark.parametrize("what, n", [("weights", "3"), ("tournament", "3")])
+    def test_gen_weights_max_zero_gives_zeros(self, what, n):
+        code, out, _ = run_cli("gen", what, "--n", n, "--weights-max", "0", "--seed", "4", "--json")
+        assert code == 0 and json.loads(out)["weights"] == [{"num": 0, "den": 1}] * 3
+
+    def test_gen_weights_rejects_a_negative_n(self):
+        code, out, err = run_cli("gen", "weights", "--n", "-2")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
     def test_verify_witness_round_trip(self, tmp_path):
         f = tmp_path / "t.dg"
         f.write_text(TRIANGLE_DG)
@@ -476,7 +484,7 @@ class TestContracts:
             '"x"',
             '{"a0": "x"}',
             '{"a0": 1.0}',
-            '{"seed": true}',
+            '{"a0": true}',
             '{"a_profile": [1.5]}',
             '{"x_profile": 3}',
         ],
@@ -606,11 +614,14 @@ class TestContracts:
         assert code == 1 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "MoveLimitExceeded"
-        assert doc["last_order"] == [1, 0, 2] and doc["remaining_violations"] >= 1
+        report = doc["counterexample"]
+        assert report["stage"] == "move-limit"
+        state = report["state"]
+        assert state["order"] == [1, 0, 2] and state["moves"] == 1 and state["remaining"] >= 1
         replay = tmp_path / "replay.json"
-        replay.write_text(json.dumps(doc["instance"]))
+        replay.write_text(json.dumps(state["instance"]))
         code, out, err2 = run_cli("median-order", "-i", str(replay), "--move-limit", "1")
-        assert code == 1 and json.loads(err2) == doc  # the same failure, byte for byte
+        assert code == 1 and err2 == err  # the same failure, byte for byte
         code, out, _ = run_cli("median-order", "-i", str(replay))
         assert code == 0 and json.loads(out)["order"] == [2, 1, 0]
         assert json.loads(out)["instance"]["weights"][0] == {"num": 1, "den": 2}
@@ -666,16 +677,34 @@ class TestContracts:
         assert doc["error"] == "InternalTheoremViolation"
         assert doc["counterexample"]["stage"] == "test"
 
-    # every SncError without a handler of its own; InternalTheoremViolation,
-    # NoWitnessFound and MoveLimitExceeded are tested above
+    @pytest.mark.parametrize(
+        "exc", [ReportedFailure, *ReportedFailure.__subclasses__()], ids=lambda c: c.__name__
+    )
+    def test_reported_failure_is_a_json_error_with_its_exit_code(self, exc, monkeypatch, tmp_path):
+        import snc.good_edges as ge
+        from snc.errors import CounterexampleReport
+
+        report = CounterexampleReport(stage="test", description="forced", state={"order": [0]})
+
+        def boom(wd, move_limit=None):
+            raise exc(report)
+
+        monkeypatch.setattr(ge, "find_witness", boom)
+        f = tmp_path / "t.dg"
+        f.write_text(TRIANGLE_DG)
+        code, out, err = run_cli("witness", "-i", str(f))
+        assert code == exc.exit_code and out == ""
+        assert json.loads(err) == {
+            "error": exc.__name__,
+            "message": "test: forced",
+            "counterexample": report.to_dict(),
+        }
+
+    # every SncError that carries no report; ReportedFailure and its
+    # subclasses are tested above
     @pytest.mark.parametrize(
         "exc",
-        [SncError]
-        + [
-            c
-            for c in SncError.__subclasses__()
-            if c not in (InternalTheoremViolation, NoWitnessFound, MoveLimitExceeded)
-        ],
+        [SncError] + [c for c in SncError.__subclasses__() if not issubclass(c, ReportedFailure)],
         ids=lambda c: c.__name__,
     )
     def test_every_snc_error_is_a_json_error_with_exit_1(self, exc, monkeypatch, tmp_path):
@@ -852,6 +881,7 @@ class TestContracts:
             (CYCLE_DG, ["median-order"], _set(("objective",), _DROP)),
             (CYCLE_DG, ["median-order"], _set(("order",), [0, 1, 1])),
             (CYCLE_DG, ["median-order", "--exact"], _set(("exact",), True)),
+            (CYCLE_DG, ["median-order"], _set(("instance", "arcs"), [[0, 1], [1, 2]])),
         ],
         ids=[
             "certificate-objective",
@@ -866,6 +896,7 @@ class TestContracts:
             "order-no-objective",
             "order-not-a-permutation",
             "order-added-exact",
+            "order-instance-not-a-tournament",
         ],
     )
     def test_tampered_documents_read_verified_false(self, instance, argv, tamper, tmp_path):

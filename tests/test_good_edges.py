@@ -29,7 +29,7 @@ from snc import (
 from snc import good_edges
 from snc.errors import InternalTheoremViolation
 from snc.formats import load_digraph
-from snc.good_edges import _certificate, _certify, _orientations_from
+from snc.good_edges import _certificate, _checks, _completion, _orientations_from
 from snc.median_order import CertifiedOrder, order_objective
 from snc.generators import (
     Rng,
@@ -260,29 +260,29 @@ def _skip(t, w, order):
     return None
 
 
-# one forced failure per post-check of the pipeline, by the module
+# one forced failure per check of good_edges._checks, by the module
 # attributes of good_edges it replaces
 POST_CHECK_FAILURES = {
     # every arc reversed: the order loses the feedback property
-    "feedback-after-reorientation": {
+    "order_feedback_on_t_prime": {
         "reorient_at_feed": lambda t, missing, f: _flip(t, lambda u, v: True),
     },
     # the arcs at the feed vertex reversed, the feedback recheck skipped
-    "first-neighborhood-mismatch": {
+    "first_neighborhood_kept": {
         "reorient_at_feed": lambda t, missing, f: _flip(
             reorient_at_feed(t, missing, f), lambda u, v: f in (u, v)
         ),
         "feedback_check": _skip,
     },
     # the arcs away from the feed vertex reversed, the feedback recheck skipped
-    "second-neighborhood-closure": {
+    "second_neighborhood_closed": {
         "reorient_at_feed": lambda t, missing, f: _flip(
             reorient_at_feed(t, missing, f), lambda u, v: f not in (u, v)
         ),
         "feedback_check": _skip,
     },
     # the certificate's inequality turned around
-    "witness-inequality": {
+    "witness_inequality": {
         "_certificate": lambda *args: dataclasses.replace(
             _certificate(*args), lhs=Fraction(1), rhs=Fraction(0)
         ),
@@ -292,9 +292,10 @@ POST_CHECK_FAILURES = {
 
 @pytest.mark.parametrize("stage", sorted(POST_CHECK_FAILURES))
 def test_post_check_failure_dump_replays(monkeypatch, stage):
-    """Each post-check of find_witness_good, forced to fail, dumps the
-    instance, the orientations and the order, and _certify on them fails
-    again with the same report."""
+    """Each check of find_witness_good, forced to fail, dumps the instance,
+    the orientations and the order under the check's name; _checks on the
+    completion rebuilt from them fails that check first again, and
+    verify_certificate reports it false for the document they rebuild."""
     for name, patched in POST_CHECK_FAILURES[stage].items():
         monkeypatch.setattr(good_edges, name, patched)
     caught = 0
@@ -311,19 +312,16 @@ def test_post_check_failure_dump_replays(monkeypatch, stage):
             continue
         assert report.stage == stage
         state = report.state
-        assert set(state) == {"instance", "orientations", "order"} | (
-            {"violation"} if stage == "feedback-after-reorientation" else set()
-        )
+        assert set(state) == {"instance", "orientations", "order"}
         loaded = load_digraph(json.dumps(state["instance"]))[0]
         assert (loaded.digraph, loaded.weights) == (d, wd.weights)
         orientations = _orientations_from(state["orientations"])
-        t = loaded.digraph.copy()
-        for o in orientations:
-            t.add_arc(o.tail, o.head)
+        t = _completion(loaded.digraph, orientations)
         order = tuple(state["order"])
         co = CertifiedOrder(order, order_objective(t, loaded.weights, order))
-        with pytest.raises(InternalTheoremViolation) as again:
-            _certify(loaded, t, orientations, co)
-        assert again.value.report == report
+        cert, checks = _checks(loaded, t, orientations, co)
+        assert next(name for name, ok in checks if not ok) == stage
+        verdict = dict(verify_certificate(loaded, cert.to_dict()))
+        assert verdict[stage] is False and verdict["fields_match"] is True
         caught += 1
     assert caught

@@ -412,11 +412,14 @@ def test_move_limit_exceeded_reports_state():
     assert local_median_order(t, WeightMap.uniform(3)).order == (2, 1, 0)
     with pytest.raises(MoveLimitExceeded) as exc:
         local_median_order(t, WeightMap.uniform(3), move_limit=1)
-    err = exc.value
-    assert err.moves == 1
+    report = exc.value.report
+    state = report.state
+    assert report.stage == "move-limit" and state["moves"] == 1
     # every violation that remains, counted without decoding
-    assert err.remaining == len(list(ref_violations(t, WeightMap.uniform(3), err.order))) > 0
-    assert (err.tournament, err.weights) == (t, WeightMap.uniform(3))
+    remaining = list(ref_violations(t, WeightMap.uniform(3), state["order"]))
+    assert state["remaining"] == len(remaining) > 0
+    wd = load_digraph(json.dumps(state["instance"]))[0]
+    assert (wd.digraph, wd.weights) == (t, WeightMap.uniform(3))
     assert default_move_limit(3) == 50 * 27
 
 

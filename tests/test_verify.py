@@ -254,3 +254,10 @@ def test_fallback_witness_without_the_snp_fails_its_check():
     doc = _fallback(wd, 3, snp, statuses).to_dict()
     checks = dict(verify_fallback(wd, doc))
     assert checks == {"witness_inequality": False, "fields_match": True}
+
+
+def test_order_on_a_non_tournament_fails_its_check():
+    # a certified order of a 3-cycle, checked against the cycle minus one arc
+    doc = local_median_order(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), WeightMap.uniform(3))
+    tampered = WeightedDigraph(Digraph.from_arcs(3, [(0, 1), (1, 2)]), WeightMap.uniform(3))
+    assert verify_order(tampered, doc.to_dict()) == [("instance_is_tournament", False)]
