@@ -70,9 +70,20 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        """The digraph with the given arcs, built in one loop over them.
+        An endpoint that is not an int (a bool included) is a TypeError;
+        the first arc that add_arc would reject raises add_arc's error."""
         g = cls(n)
+        out, into = g._out, g._in
         for u, v in arcs:
-            g.add_arc(u, v)
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"arc ({u!r},{v!r}) has an endpoint that is not an int")
+            if 0 <= u < n and 0 <= v < n and u != v and not (out[u] | into[u]) >> v & 1:
+                out[u] |= 1 << v
+                into[v] |= 1 << u
+            else:
+                g.add_arc(u, v)  # breaks a ban, so it raises
+        g._m = sum(heads.bit_count() for heads in out)
         return g
 
     @classmethod
@@ -205,9 +216,20 @@ class UndirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "UndirectedGraph":
+        """The graph with the given edges, built in one loop over them.
+        An endpoint that is not an int (a bool included) is a TypeError;
+        the first edge that add_edge would reject raises add_edge's error."""
         g = cls(n)
+        adj = g._adj
         for u, v in edges:
-            g.add_edge(u, v)
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
+            if 0 <= u < n and 0 <= v < n and u != v and not adj[u] >> v & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            else:
+                g.add_edge(u, v)  # breaks a ban, so it raises
+        g._m = sum(nbrs.bit_count() for nbrs in adj) // 2
         return g
 
     @classmethod
@@ -339,7 +361,7 @@ class WeightMap:
     __slots__ = ("_w",)
 
     def __init__(self, values: Iterable):
-        ws = tuple(Fraction(v) for v in values)
+        ws = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
         for i, w in enumerate(ws):
             if w < 0:
                 raise NegativeWeight(f"weight of vertex {i} is negative: {w}")

@@ -90,6 +90,11 @@ class ReportedFailure(SncError):
         super().__init__(f"{report.stage}: {report.description}")
         self.report = report
 
+    def __reduce__(self):
+        # rebuilt from the report, not the message, so that a failure
+        # raised in a sweep worker process reaches the parent whole
+        return type(self), (self.report,)
+
 
 class InternalTheoremViolation(ReportedFailure):
     """A step that is guaranteed by a proved statement failed.
@@ -108,8 +113,9 @@ class NoWitnessFound(ReportedFailure):
 
 class MoveLimitExceeded(ReportedFailure):
     """Local search ran out of moves (stage move-limit).  Its report holds
-    the tournament, the last order, the moves made and the violations that
-    remain; the same command with the same move limit replays it.  A move
+    the tournament, the last order, the moves made, the violations that
+    remain and the seed of the start order (null for the ascending one);
+    the same command with the same move limit and seed replays it.  A move
     limit is a budget, not a guarantee, so this is an error, exit 1."""
 
     exit_code = 1

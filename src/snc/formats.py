@@ -208,7 +208,9 @@ def counterexample(
 
 
 def _labels(doc: dict, n: int) -> list[str]:
-    raw = doc.get("labels", [str(v) for v in range(n)])
+    if "labels" not in doc:
+        return [str(v) for v in range(n)]
+    raw = doc["labels"]
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError("labels list must cover every vertex")
     if not all(isinstance(x, str) for x in raw) or len(set(raw)) != n:
@@ -216,27 +218,41 @@ def _labels(doc: dict, n: int) -> list[str]:
     return list(raw)
 
 
-def _instance(doc, pairs_key: str) -> tuple[int, list[list[int]]]:
-    """The vertex count and vertex pairs of a JSON instance, which must be
-    JSON integers (booleans and floats excluded)."""
+def _vertex_count(doc) -> int:
+    """The vertex count of a JSON instance, a JSON integer within the cap."""
     if not isinstance(doc, dict):
         raise ParseError("an instance must be a JSON object")
     n = doc.get("n")
     if type(n) is not int or n < 0:
         raise ParseError("instance n must be a nonnegative integer")
     check_cap(n)
+    return n
+
+
+def _from_pairs(build, n: int, doc: dict, pairs_key: str):
+    """build(n, pairs) on the vertex pairs of a JSON instance, which must
+    be JSON integers (booleans and floats excluded).
+
+    build reads the pairs in one loop and fails at the first pair that is
+    ill-typed or that it rejects; only then are all pairs type-checked, so
+    that an ill-typed pair anywhere is the ParseError reported before any
+    range, loop, duplicate or digon error."""
     pairs = doc.get(pairs_key, [])
-    if not isinstance(pairs, list) or any(
-        not isinstance(p, list) or len(p) != 2 or any(type(x) is not int for x in p)
-        for p in pairs
-    ):
-        raise ParseError(f"instance {pairs_key} must be a list of integer pairs")
-    return n, pairs
+    if isinstance(pairs, list):
+        try:
+            return build(n, pairs)
+        except (TypeError, ValueError, SncError):
+            if all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+                for p in pairs
+            ):
+                raise
+    raise ParseError(f"instance {pairs_key} must be a list of integer pairs")
 
 
 def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
-    n, arcs = _instance(doc, "arcs")
-    g = Digraph.from_arcs(n, arcs)
+    n = _vertex_count(doc)
+    g = _from_pairs(Digraph.from_arcs, n, doc, "arcs")
     raw = doc.get("weights")
     if raw is None:
         w = WeightMap.uniform(n)
@@ -248,8 +264,8 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
 
 
 def graph_from_instance_dict(doc: dict) -> tuple[UndirectedGraph, list[str]]:
-    n, edges = _instance(doc, "edges")
-    return UndirectedGraph.from_edges(n, edges), _labels(doc, n)
+    n = _vertex_count(doc)
+    return _from_pairs(UndirectedGraph.from_edges, n, doc, "edges"), _labels(doc, n)
 
 
 def int_list(value, where: str) -> tuple[int, ...]:

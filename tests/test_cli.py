@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -109,6 +110,32 @@ def _local_search_runs() -> list[tuple[list[str], str]]:
             d = random_tournament(n, r.next_u64())
         runs.append((argv, serialize_digraph(WeightedDigraph(d, w))))
     return runs
+
+
+# SHA-256 of the concatenated stdout of _exact_runs().
+EXACT_SHA256 = "897f9995dd5138604f8fedf566a7a0da7a9012942c06807d265a0b1fa6c70d5a"
+
+
+def _exact_runs() -> list[str]:
+    """30 tournaments for `snc median-order --exact`, n = 1..14 (each
+    twice, 1 and 2 three times), with integer weights 0..10, all-zero
+    weights, or rationals with zeros."""
+    rng = Rng(2027)
+    runs = []
+    for k in range(30):
+        n = 1 + k % 14
+        r = Rng(rng.next_u64())
+        if k % 3 == 0:
+            w = random_weights(n, r.next_u64(), 10)
+        elif k % 3 == 1:
+            w = WeightMap.uniform(n, 0)
+        else:
+            w = WeightMap([Fraction(r.below(4), 1 + r.below(5)) for _ in range(n)])
+        runs.append(serialize_digraph(WeightedDigraph(random_tournament(n, r.next_u64()), w)))
+    return runs
+
+
+BAD_ARCS = "instance arcs must be a list of integer pairs"
 
 
 def run_cli(*argv: str):
@@ -606,6 +633,18 @@ class TestContracts:
             digest.update(out.encode())
         assert digest.hexdigest() == LOCAL_SEARCH_SHA256
 
+    def test_exact_outputs_pinned(self, tmp_path):
+        """The order the subset DP reconstructs, among optimal ties, is part
+        of the output: pin the stdout of 30 runs at n = 1..14."""
+        digest = hashlib.sha256()
+        for text in _exact_runs():
+            f = tmp_path / "in.dg"
+            f.write_text(text)
+            code, out, _ = run_cli("median-order", "--exact", "-i", str(f))
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == EXACT_SHA256
+
     def test_move_limit_dump_replays(self, tmp_path):
         # reversed transitive triangle: the ascending start needs two repairs
         f = tmp_path / "r.dg"
@@ -618,6 +657,7 @@ class TestContracts:
         assert report["stage"] == "move-limit"
         state = report["state"]
         assert state["order"] == [1, 0, 2] and state["moves"] == 1 and state["remaining"] >= 1
+        assert state["seed"] is None
         replay = tmp_path / "replay.json"
         replay.write_text(json.dumps(state["instance"]))
         code, out, err2 = run_cli("median-order", "-i", str(replay), "--move-limit", "1")
@@ -625,6 +665,17 @@ class TestContracts:
         code, out, _ = run_cli("median-order", "-i", str(replay))
         assert code == 0 and json.loads(out)["order"] == [2, 1, 0]
         assert json.loads(out)["instance"]["weights"][0] == {"num": 1, "den": 2}
+        # a seeded start order: the dump holds the seed, which its replay needs
+        f.write_text(serialize_digraph(WeightedDigraph(random_tournament(8, 3), WeightMap.uniform(8))))
+        code, _, err = run_cli("median-order", "-i", str(f), "--seed", "5", "--move-limit", "1")
+        state = json.loads(err)["counterexample"]["state"]
+        assert code == 1 and state["seed"] == 5
+        replay.write_text(json.dumps(state["instance"]))
+        limit = ["--move-limit", str(state["moves"])]
+        code, _, err2 = run_cli("median-order", "-i", str(replay), "--seed", str(state["seed"]), *limit)
+        assert code == 1 and err2 == err
+        code, _, err2 = run_cli("median-order", "-i", str(replay), *limit)
+        assert code == 1 and json.loads(err2)["counterexample"]["state"]["order"] != state["order"]
 
     @pytest.mark.parametrize(
         "argv, text, patch",
@@ -699,6 +750,19 @@ class TestContracts:
             "message": "test: forced",
             "counterexample": report.to_dict(),
         }
+
+    @pytest.mark.parametrize(
+        "exc", [ReportedFailure, *ReportedFailure.__subclasses__()], ids=lambda c: c.__name__
+    )
+    def test_reported_failure_survives_pickling(self, exc):
+        """A failure raised in a sweep worker process reaches the parent
+        pickled, and must arrive with its report."""
+        from snc.errors import CounterexampleReport
+
+        report = CounterexampleReport(stage="test", description="forced", state={"order": [0]})
+        again = pickle.loads(pickle.dumps(exc(report)))
+        assert type(again) is exc and again.report == report
+        assert again.exit_code == exc.exit_code and str(again) == "test: forced"
 
     # every SncError that carries no report; ReportedFailure and its
     # subclasses are tested above
@@ -795,6 +859,57 @@ class TestContracts:
         code, out, err = run_cli(command, "-i", str(f))
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "command, instance, error, message",
+        [
+            ("check-good", {"n": 3, "arcs": [[0, 1], [0, 3]]}, "ValueError", "vertex 3 out of range [0,3)"),
+            ("check-good", {"n": 3, "arcs": [[0, 1], [-1, 2]]}, "ValueError", "vertex -1 out of range [0,3)"),
+            ("check-good", {"n": 3, "arcs": [[0, 1], [2, 2]]}, "LoopRejected", "loop (2,2) rejected"),
+            ("check-good", {"n": 3, "arcs": [[0, 1], [0, 1]]}, "DuplicateArc", "arc (0,1) already present"),
+            (
+                "check-good",
+                {"n": 3, "arcs": [[0, 1], [1, 0]]},
+                "DigonRejected",
+                "arc (1,0) would close a digon with (0,1)",
+            ),
+            # the first bad arc decides; an ill-typed pair anywhere comes first
+            ("check-good", {"n": 3, "arcs": [[2, 2], [0, 3]]}, "LoopRejected", "loop (2,2) rejected"),
+            ("check-good", {"n": 3, "arcs": [[1, 1], [0, True]]}, "ParseError", BAD_ARCS),
+            ("check-good", {"n": 3, "arcs": [[0, 1], [1, 0], [2]]}, "ParseError", BAD_ARCS),
+            ("recognize", {"n": 3, "edges": [[0, 1], [1, 3]]}, "ValueError", "edge (1,3) out of range [0,3)"),
+            ("recognize", {"n": 3, "edges": [[0, 1], [1, 1]]}, "LoopRejected", "loop edge (1,1) rejected"),
+            ("recognize", {"n": 3, "edges": [[0, 1], [1, 0]]}, "DuplicateArc", "edge (1,0) already present"),
+            (
+                "recognize",
+                {"n": 3, "edges": [[1, 1], [0, 1.0]]},
+                "ParseError",
+                "instance edges must be a list of integer pairs",
+            ),
+            (
+                "verify",
+                {"kind": "certified_order", "order": [0, 1], "instance": {"n": 2, "arcs": [[0, 1], [1, 0]]}},
+                "DigonRejected",
+                "arc (1,0) would close a digon with (0,1)",
+            ),
+            (
+                "verify",
+                {"kind": "certified_order", "order": [0, 1], "instance": {"n": 2, "arcs": [[0, 0], "01"]}},
+                "ParseError",
+                BAD_ARCS,
+            ),
+        ],
+    )
+    def test_json_instance_errors(self, command, instance, error, message, tmp_path):
+        """Each error class a JSON instance's pairs can raise, with the
+        first bad pair in list order deciding among well-typed ones."""
+        if command != "verify":
+            instance = {"kind": "graph" if command == "recognize" else "digraph", **instance}
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(instance))
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": error, "message": message}
 
     @pytest.mark.parametrize(
         "command, text",

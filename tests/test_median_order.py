@@ -414,7 +414,7 @@ def test_move_limit_exceeded_reports_state():
         local_median_order(t, WeightMap.uniform(3), move_limit=1)
     report = exc.value.report
     state = report.state
-    assert report.stage == "move-limit" and state["moves"] == 1
+    assert report.stage == "move-limit" and state["moves"] == 1 and state["seed"] is None
     # every violation that remains, counted without decoding
     remaining = list(ref_violations(t, WeightMap.uniform(3), state["order"]))
     assert state["remaining"] == len(remaining) > 0
@@ -451,6 +451,121 @@ def test_exact_median_order_examples():
     assert co.objective.c0 == 3
     co = exact_median_order(Digraph.from_arcs(2, [(0, 1)]), WeightMap.uniform(2))
     assert co.order == (0, 1)
+
+
+def ref_exact(t: Digraph, keys: list[int]) -> tuple[tuple, int]:
+    """The subset DP without pruning: every set pushes every vertex it
+    lacks, masks in increasing order, a candidate replacing a value only
+    when strictly greater.  Returns the reconstructed order and its key."""
+    n = t.n
+    size = 1 << n
+    subset_key = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        subset_key[mask] = subset_key[mask ^ low] + keys[low.bit_length() - 1]
+    dp, parent = [-1] * size, [-1] * size
+    dp[0] = 0
+    for mask in range(size):
+        for v in range(n):
+            if mask >> v & 1:
+                continue
+            cand = dp[mask] + keys[v] * subset_key[mask & t.in_mask(v)]
+            if dp[mask | 1 << v] < cand:
+                dp[mask | 1 << v], parent[mask | 1 << v] = cand, v
+    rev, mask = [], size - 1
+    while mask:
+        rev.append(parent[mask])
+        mask ^= 1 << parent[mask]
+    return tuple(reversed(rev)), dp[size - 1]
+
+
+def assert_exact_matches_reference(t: Digraph, w: WeightMap) -> None:
+    keys, scale, base = _perturbed_keys(w)
+    order, key = ref_exact(t, keys)
+    co = exact_median_order(t, w)
+    assert (co.order, co.objective) == (order, _product_value(key, scale, base))
+
+
+def test_pruned_exact_matches_reference_exhaustive_small():
+    """Pruning keeps the order among optimal ties, not only the optimum:
+    every labelled tournament on up to 5 vertices, under unit, zero,
+    small-integer and rational weights."""
+    for n in range(1, 6):
+        weightings = [
+            WeightMap.uniform(n),
+            WeightMap.uniform(n, 0),
+            WeightMap([v % 3 for v in range(n)]),
+            WeightMap([Fraction(1, v + 1) for v in range(n)]),
+        ]
+        for t in enumerate_tournaments(n):
+            for w in weightings:
+                assert_exact_matches_reference(t, w)
+
+
+def test_pruned_exact_matches_reference_on_ties():
+    """Seeded tournaments on 6 to 12 vertices with weights at most 0, 1
+    or 2, where optimal orders tie often."""
+    rng = Rng(1313)
+    for k in range(120):
+        n = 6 + k % 7  # 6..12
+        t = random_tournament(n, rng.next_u64())
+        assert_exact_matches_reference(t, random_weights(n, rng.next_u64(), k % 3))
+
+
+def ref_pushes(t: Digraph, keys: list[int]) -> tuple[int, int]:
+    """The pushes the pruning rule allows, made only from sets that an
+    allowed push reaches, read with out-masks for test (b); returns the
+    number of pushes and of reached sets."""
+    n = t.n
+    full = (1 << n) - 1
+
+    def key_sum(mask):
+        return sum(keys[v] for v in range(n) if mask >> v & 1)
+
+    reached, pushes = {0}, 0
+    for mask in range(full + 1):
+        if mask not in reached:
+            continue
+        for v in range(n):
+            if mask >> v & 1:
+                continue
+            rest = full ^ mask ^ 1 << v
+            if 2 * key_sum(mask & t.in_mask(v)) < key_sum(mask):
+                continue
+            if 2 * key_sum(rest & t.out_mask(v)) < key_sum(rest):
+                continue
+            pushes += 1
+            reached.add(mask | 1 << v)
+    return pushes, len(reached)
+
+
+def test_pruned_exact_pushes_only_what_the_rule_allows(monkeypatch):
+    """The DP computes one candidate, a product with the appended vertex's
+    key on the left, per push: count them through an int subclass and
+    compare with the rule applied from the reached sets only."""
+    products = [0]
+
+    class CountingKey(int):
+        def __mul__(self, other):
+            products[0] += 1
+            return int(self) * other
+
+    perturbed_keys = median_order._perturbed_keys
+
+    def counting_keys(w):
+        keys, scale, base = perturbed_keys(w)
+        return [CountingKey(k) for k in keys], scale, base
+
+    monkeypatch.setattr(median_order, "_perturbed_keys", counting_keys)
+    rng = Rng(2718)
+    for n in (7, 8, 9, 10):
+        t = random_tournament(n, rng.next_u64())
+        for w in (random_weights(n, rng.next_u64(), 1), rational_weights(n, rng.next_u64())):
+            products[0] = 0
+            exact_median_order(t, w)
+            pushes, reached = ref_pushes(t, perturbed_keys(w)[0])
+            assert products[0] == pushes
+            assert reached < 1 << n
 
 
 def test_exact_matches_permutation_brute_force():
