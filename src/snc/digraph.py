@@ -2,8 +2,11 @@
 
 Digraphs here are orientations of simple graphs: no loops, no parallel
 arcs, no digons (directed 2-cycles).  Vertices are dense integer indices
-in [0, n).  Weights are exact rationals (fractions.Fraction); every
-comparison made anywhere in the package is exact, never floating point.
+in [0, n).  Weights are exact rationals, held as int numerators over one
+common denominator per weight map, so that sums and comparisons of
+weights run on ints; Fractions are built only where a weight is
+returned.  Every comparison made anywhere in the package is exact, never
+floating point.
 
 Adjacency is stored once, as one int bitmask per vertex: a digraph keeps
 out-masks (bit u of v's is set when v -> u) and in-masks, an undirected
@@ -16,6 +19,7 @@ safe to share.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -356,16 +360,23 @@ def rational_from_dict(doc, where: str) -> Fraction:
 
 
 class WeightMap:
-    """Exact nonnegative rational vertex weights, one per vertex."""
+    """Exact nonnegative rational vertex weights, one per vertex: weight v
+    is scaled[v] / scale, with scale the LCM of the weights' denominators
+    in lowest terms (1 for integer weights), so equal maps hold equal ints."""
 
-    __slots__ = ("_w",)
+    __slots__ = ("scaled", "scale")
 
     def __init__(self, values: Iterable):
-        ws = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-        for i, w in enumerate(ws):
-            if w < 0:
-                raise NegativeWeight(f"weight of vertex {i} is negative: {w}")
-        self._w = ws
+        scaled, scale = list(values), 1
+        if not all(type(x) is int for x in scaled):
+            ws = [x if type(x) is Fraction else Fraction(x) for x in scaled]
+            scale = math.lcm(*(x.denominator for x in ws))
+            scaled = [x.numerator * (scale // x.denominator) for x in ws]
+        for i, s in enumerate(scaled):
+            if s < 0:
+                raise NegativeWeight(f"weight of vertex {i} is negative: {Fraction(s, scale)}")
+        self.scaled: tuple[int, ...] = tuple(scaled)
+        self.scale: int = scale
 
     @classmethod
     def uniform(cls, n: int, value=1) -> "WeightMap":
@@ -376,24 +387,29 @@ class WeightMap:
         return cls([mapping.get(v, default) for v in range(n)])
 
     def __len__(self) -> int:
-        return len(self._w)
+        return len(self.scaled)
 
     def __getitem__(self, v: int) -> Fraction:
-        return self._w[v]
+        return Fraction(self.scaled[v], self.scale)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._w)
+        return (Fraction(s, self.scale) for s in self.scaled)
 
-    def total(self, vertices: Iterable[int]) -> Fraction:
-        return sum((self._w[v] for v in vertices), Fraction(0))
+    def mask_sum(self, mask: int) -> int:
+        """scale times the total weight of the vertices of mask."""
+        scaled = self.scaled
+        return sum([scaled[v] for v in bits(mask)])
 
     def to_dicts(self) -> list[dict]:
-        return [rational_dict(w) for w in self._w]
+        """rational_dict of each weight, reduced by a gcd rather than a Fraction."""
+        scaled, scale = self.scaled, self.scale
+        gcds = [math.gcd(s, scale) for s in scaled]
+        return [{"num": s // g, "den": scale // g} for s, g in zip(scaled, gcds)]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightMap):
             return NotImplemented
-        return self._w == other._w
+        return self.scale == other.scale and self.scaled == other.scaled
 
 
 class WeightedDigraph:
@@ -421,6 +437,6 @@ class SnpCheck(NamedTuple):
 def has_weighted_snp(d: WeightedDigraph, v: int) -> SnpCheck:
     """Whether w(N+(v)) <= w(N++(v)), with both exact sums."""
     g, w = d.digraph, d.weights
-    first = w.total(bits(g.out_mask(v)))
-    second = w.total(bits(g.second_out_mask(v)))
-    return SnpCheck(first <= second, first, second)
+    first = w.mask_sum(g.out_mask(v))
+    second = w.mask_sum(g.second_out_mask(v))
+    return SnpCheck(first <= second, Fraction(first, w.scale), Fraction(second, w.scale))

@@ -162,9 +162,7 @@ def serialize_digraph(wd: WeightedDigraph, labels: Optional[list[str]] = None) -
     lines = [f"digraph {d.n}"]
     lines += [f"arc {name[u]} {name[v]}" for u, v in d.arcs()]
     lines += [
-        f"weight {name[v]} {w[v].numerator} {w[v].denominator}"
-        for v in range(d.n)
-        if w[v] != 1
+        f"weight {name[v]} {x.numerator} {x.denominator}" for v, x in enumerate(w) if x != 1
     ]
     return "\n".join(lines) + "\n"
 

@@ -111,8 +111,8 @@ def _classify(d: Digraph, a: int, b: int, reaching) -> MissingEdgeStatus:
     reaching[x] the _reaching mask of each endpoint x."""
     against_i = d.in_mask(a) & ~reaching[b]
     against_ii = d.in_mask(b) & ~reaching[a]
-    witness_i = bits(against_i)[0] if against_i else None
-    witness_ii = bits(against_ii)[0] if against_ii else None
+    witness_i = (against_i & -against_i).bit_length() - 1 if against_i else None
+    witness_ii = (against_ii & -against_ii).bit_length() - 1 if against_ii else None
     return MissingEdgeStatus(a, b, not against_i, not against_ii, witness_i, witness_ii)
 
 
@@ -248,7 +248,7 @@ def _certificate(
     order of it with its objective, every other field computed here; the
     witness is the feed vertex."""
     f = feed_vertex(co)
-    first, second = d.out_neighbors(f), d.second_out_neighbors(f)
+    first, second = d.out_mask(f), d.second_out_mask(f)
     return WitnessCertificate(
         witness=f,
         orientations=tuple(orientations),
@@ -257,10 +257,10 @@ def _certificate(
         reoriented_arcs=tuple(
             sorted((o.tail + o.head - f, f) for o in orientations if f in (o.tail, o.head))
         ),
-        lhs=w.total(first),
-        rhs=w.total(second),
-        first_neighborhood=tuple(sorted(first)),
-        second_neighborhood=tuple(sorted(second)),
+        lhs=Fraction(w.mask_sum(first), w.scale),
+        rhs=Fraction(w.mask_sum(second), w.scale),
+        first_neighborhood=tuple(bits(first)),
+        second_neighborhood=tuple(bits(second)),
     )
 
 

@@ -53,7 +53,6 @@ stops at the same point.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -87,17 +86,16 @@ def perturbed_from_dict(doc: dict) -> PerturbedRational:
 def _perturbed_keys(w: WeightMap) -> tuple[list[int], int, int]:
     """Perturbed weights w(v) + eps as ints, with their scale and base.
 
-    With L the LCM of the weight denominators and B = n^2 (max L*w + 1) + 1,
-    w(v) + eps is the int L*w(v)*B + 1.  Every eps-coefficient of a sum of
-    at most n weights, or of at most n^2/2 products of two, stays below B,
-    so int order is exactly lexicographic (c0, c1, c2) order; _sum_value
-    and _product_value read such sums back.
+    With L = w.scale, the common denominator of the weights, and
+    B = n^2 (max L*w + 1) + 1, w(v) + eps is the int L*w(v)*B + 1, L*w(v)
+    being w.scaled[v].  Every eps-coefficient of a sum of at most n
+    weights, or of at most n^2/2 products of two, stays below B, so int
+    order is exactly lexicographic (c0, c1, c2) order; _sum_value and
+    _product_value read such sums back.
     """
-    n = len(w)
-    scale = math.lcm(*(x.denominator for x in w))
-    scaled = [x.numerator * (scale // x.denominator) for x in w]
+    n, scaled = len(w), w.scaled
     base = n * n * (max(scaled, default=0) + 1) + 1
-    return [s * base + 1 for s in scaled], scale, base
+    return [s * base + 1 for s in scaled], w.scale, base
 
 
 def _sum_value(k: int, scale: int, base: int) -> PerturbedRational:

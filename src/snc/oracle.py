@@ -73,12 +73,16 @@ def brute_force_snp_vertices(wd: WeightedDigraph) -> set[int]:
     Intentionally avoids second_out_neighbors so it stays an independent
     check of that code path.
     """
-    d, w = wd.digraph, wd.weights
+    d, scaled = wd.digraph, wd.weights.scaled
     out = set()
     for v in range(d.n):
         dist = bfs_distances(d, v)
-        first = w.total(u for u in range(d.n) if dist[u] == 1)
-        second = w.total(u for u in range(d.n) if dist[u] == 2)
+        first = second = 0
+        for s, k in zip(scaled, dist):
+            if k == 1:
+                first += s
+            elif k == 2:
+                second += s
         if first <= second:
             out.add(v)
     return out

@@ -259,7 +259,8 @@ def _first_square(g: UndirectedGraph, nbr: list[int], a: int, x: int) -> SquareV
         # covering reading: b or y adjacent to both a and x, or a or x adjacent to both b and y
         covered = -1 if both >> b & 1 else both | (na if b_in_na else 0) | (nx if b_in_nx else 0)
         if cross != ys & ~covered:
-            e2 = [b, bits(cross ^ ys & ~covered)[0]]
+            odd = cross ^ ys & ~covered
+            e2 = [b, (odd & -odd).bit_length() - 1]
             break
         if cross:
             y = (cross & -cross).bit_length() - 1

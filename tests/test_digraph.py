@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snc import (
     Digraph,
@@ -20,9 +22,16 @@ from snc import (
     missing_graph,
 )
 import snc
-from snc.generators import Rng, random_graph, random_digraph_missing
+from snc.generators import (
+    Rng,
+    gen_generalized_star,
+    random_digraph_missing,
+    random_graph,
+    random_star_profile,
+    random_weights,
+)
 from snc.digraph import graph_from_pairs, orient_pairs, pair_list
-from snc.oracle import bfs_distances, graph_from_code, tournament_from_code
+from snc.oracle import bfs_distances, brute_force_snp_vertices, graph_from_code, tournament_from_code
 
 
 def cycle3() -> Digraph:
@@ -145,6 +154,120 @@ def test_has_weighted_snp_examples():
 def test_weight_map_rejects_negative():
     with pytest.raises(NegativeWeight):
         WeightMap([1, -1])
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1, -3], "weight of vertex 1 is negative: -3"),
+        ([Fraction(1, 2), 0, -3], "weight of vertex 2 is negative: -3"),
+        ([Fraction(-1, 2)], "weight of vertex 0 is negative: -1/2"),
+        ([2, Fraction(-2, 4), -1], "weight of vertex 1 is negative: -1/2"),
+    ],
+)
+def test_weight_map_negative_weight_message(values, message):
+    with pytest.raises(NegativeWeight) as exc:
+        WeightMap(values)
+    assert str(exc.value) == message
+
+
+weight_values_st = st.lists(
+    st.one_of(
+        st.integers(0, 40),
+        st.just(0),
+        st.builds(Fraction, st.integers(0, 40), st.integers(1, 12)),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_values_st, st.data())
+def test_weight_map_ints_over_one_denominator(values, data):
+    """The int numerators over one common denominator read back as the
+    lowest-terms Fractions of the input, and their mask sums as the
+    Fraction sums."""
+    w = WeightMap(values)
+    ref = [Fraction(x) for x in values]
+    assert list(w) == ref and [w[v] for v in range(len(w))] == ref
+    assert all(type(x) is Fraction for x in w)
+    assert w.to_dicts() == [{"num": x.numerator, "den": x.denominator} for x in ref]
+    assert all(type(s) is int for s in w.scaled) and type(w.scale) is int
+    mask = data.draw(st.integers(0, (1 << len(values)) - 1))
+    expect = sum((ref[v] for v in range(len(ref)) if mask >> v & 1), Fraction(0))
+    assert Fraction(w.mask_sum(mask), w.scale) == expect
+
+
+def test_weight_map_equality_is_by_value():
+    assert WeightMap([Fraction(2, 4), 1]) == WeightMap([Fraction(1, 2), Fraction(1)])
+    assert WeightMap([Fraction(4, 2), 0]) == WeightMap([2, 0])
+    assert WeightMap([1, 2]) != WeightMap([Fraction(1, 2), 1])
+
+
+def test_weight_map_keeps_other_rational_inputs():
+    w = WeightMap([True, False, 0.5, "1/3", 2.25, "7"])
+    assert list(w) == [1, 0, Fraction(1, 2), Fraction(1, 3), Fraction(9, 4), 7]
+    assert w.scale == 12
+
+
+def _fraction_snp(d: Digraph, weights: list[Fraction], v: int) -> tuple[bool, Fraction, Fraction]:
+    """Reference for has_weighted_snp: the Fraction sums over the
+    neighborhood sets."""
+    first = sum((weights[u] for u in d.out_neighbors(v)), Fraction(0))
+    second = sum((weights[u] for u in d.second_out_neighbors(v)), Fraction(0))
+    return first <= second, first, second
+
+
+def _fraction_snp_vertices(d: Digraph, weights: list[Fraction]) -> set[int]:
+    """Reference for brute_force_snp_vertices: Fraction sums over the
+    breadth-first distance levels."""
+    out = set()
+    for v in range(d.n):
+        dist = bfs_distances(d, v)
+        first = sum((weights[u] for u in range(d.n) if dist[u] == 1), Fraction(0))
+        second = sum((weights[u] for u in range(d.n) if dist[u] == 2), Fraction(0))
+        if first <= second:
+            out.add(v)
+    return out
+
+
+def _assert_snp_checks_match_reference(d: Digraph, weights: list[Fraction]) -> None:
+    wd = WeightedDigraph(d, WeightMap(weights))
+    for v in range(d.n):
+        assert tuple(has_weighted_snp(wd, v)) == _fraction_snp(d, weights, v)
+    assert brute_force_snp_vertices(wd) == _fraction_snp_vertices(d, weights)
+
+
+def test_snp_checks_match_fraction_reference_on_all_small_oriented_graphs():
+    """Every labeled oriented graph on at most 4 vertices (each pair
+    missing or oriented either way), under unit, all-zero and rational
+    weights."""
+    rational = [Fraction(1, 2), Fraction(2, 3), 0, Fraction(5, 6)]
+    for n in range(5):
+        pairs = pair_list(n)
+        for code in range(3 ** len(pairs)):
+            arcs = []
+            for u, v in pairs:
+                code, state = divmod(code, 3)
+                if state:
+                    arcs.append((u, v) if state == 1 else (v, u))
+            d = Digraph.from_arcs(n, arcs)
+            for weights in ([Fraction(1)] * n, [Fraction(0)] * n, rational[:n]):
+                _assert_snp_checks_match_reference(d, weights)
+
+
+def test_snp_checks_match_fraction_reference_on_star_missing_digraphs():
+    """Seeded instances built as the theorem2 sweep builds them, n <= 14,
+    under their integer weights and under the same numerators over
+    per-vertex denominators."""
+    for i in range(150):
+        rng = Rng(0x5EED ^ i)
+        n = 2 + rng.below(13)
+        g, _dec = gen_generalized_star(spec=random_star_profile(n, rng))
+        d = random_digraph_missing(g, rng.next_u64())
+        ints = list(random_weights(n, rng.next_u64(), 10))
+        _assert_snp_checks_match_reference(d, ints)
+        _assert_snp_checks_match_reference(d, [x / (1 + rng.below(6)) for x in ints])
 
 
 def test_weighted_digraph_requires_full_cover():
