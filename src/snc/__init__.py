@@ -57,7 +57,6 @@ from .oracle import (
     SweepReport,
     brute_force_snp_vertices,
     check_gamma_property,
-    enumerate_tournaments,
     gamma_bracket,
     gamma_constant,
     sweep_gamma,

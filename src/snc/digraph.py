@@ -13,9 +13,9 @@ out-masks (bit u of v's is set when v -> u) and in-masks, an undirected
 graph neighbor masks.  Other modules read them through out_mask, in_mask
 and neighbor_mask; the set-returning accessors are derived from them.
 
-Graphs are built single-owner (add_arc / add_edge, or whole from masks)
-and treated as immutable afterwards; all query methods are read-only and
-safe to share.
+Graphs are built whole, from their arcs, edges or masks, and never
+change: the masks are tuples, a digraph with more arcs is a new digraph
+(with_arcs), and every query method is read-only and safe to share.
 """
 from __future__ import annotations
 
@@ -51,12 +51,33 @@ def _check_masks(masks: list[int]) -> None:
             raise ValueError(f"mask of vertex {v} holds a loop or a vertex out of range [0,{n})")
 
 
-def _second_step(masks: list[int], first: int) -> int:
+def _second_step(masks: tuple[int, ...], first: int) -> int:
     """Vertices one step past the mask first and not in it."""
     reach = 0
     for u in bits(first):
         reach |= masks[u]
     return reach & ~first
+
+
+def _arc_error(n: int, out: list[int], u: int, v: int) -> Exception:
+    """The error for an arc u -> v that the digraph with out-masks out rejects."""
+    for x in (u, v):
+        if not 0 <= x < n:
+            return ValueError(f"vertex {x} out of range [0,{n})")
+    if u == v:
+        return LoopRejected(f"loop ({u},{v}) rejected")
+    if out[u] >> v & 1:
+        return DuplicateArc(f"arc ({u},{v}) already present")
+    return DigonRejected(f"arc ({u},{v}) would close a digon with ({v},{u})")
+
+
+def _edge_error(n: int, u: int, v: int) -> Exception:
+    """The error for an edge uv out of range, a loop or already present."""
+    if not (0 <= u < n and 0 <= v < n):
+        return ValueError(f"edge ({u},{v}) out of range [0,{n})")
+    if u == v:
+        return LoopRejected(f"loop edge ({u},{v}) rejected")
+    return DuplicateArc(f"edge ({u},{v}) already present")
 
 
 class Digraph:
@@ -68,17 +89,22 @@ class Digraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._out = [0] * n
-        self._in = [0] * n
+        self._out = self._in = (0,) * n
         self._m = 0
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        """The digraph with the given arcs, built in one loop over them.
+        """The digraph on n vertices with the given arcs (see with_arcs)."""
+        return cls(n).with_arcs(arcs)
+
+    def with_arcs(self, arcs: Iterable[tuple[int, int]]) -> "Digraph":
+        """A new digraph: this one plus the given arcs, read in one loop.
         An endpoint that is not an int (a bool included) is a TypeError;
-        the first arc that add_arc would reject raises add_arc's error."""
-        g = cls(n)
-        out, into = g._out, g._in
+        the first arc out of range, a loop, already present or closing a
+        digon raises ValueError, LoopRejected, DuplicateArc or
+        DigonRejected."""
+        n = self.n
+        out, into = list(self._out), list(self._in)
         for u, v in arcs:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"arc ({u!r},{v!r}) has an endpoint that is not an int")
@@ -86,9 +112,8 @@ class Digraph:
                 out[u] |= 1 << v
                 into[v] |= 1 << u
             else:
-                g.add_arc(u, v)  # breaks a ban, so it raises
-        g._m = sum(heads.bit_count() for heads in out)
-        return g
+                raise _arc_error(n, out, u, v)
+        return self._from_masks(out, into)
 
     @classmethod
     def from_out_masks(cls, out_masks: Iterable[int]) -> "Digraph":
@@ -109,23 +134,9 @@ class Digraph:
         if any(heads & tails for heads, tails in zip(out, into)):
             raise DigonRejected("out-masks hold a digon")
         g = cls(len(out))
-        g._out, g._in = out, into
+        g._out, g._in = tuple(out), tuple(into)
         g._m = sum(heads.bit_count() for heads in out)
         return g
-
-    def add_arc(self, u: int, v: int) -> None:
-        """Add arc u -> v, enforcing the loop/digon/duplicate bans."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if u == v:
-            raise LoopRejected(f"loop ({u},{v}) rejected")
-        if self._out[u] >> v & 1:
-            raise DuplicateArc(f"arc ({u},{v}) already present")
-        if self._in[u] >> v & 1:
-            raise DigonRejected(f"arc ({u},{v}) would close a digon with ({v},{u})")
-        self._out[u] |= 1 << v
-        self._in[v] |= 1 << u
-        self._m += 1
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -149,7 +160,7 @@ class Digraph:
 
     def out_masks(self) -> tuple[int, ...]:
         """Every out-mask, indexed by vertex, for scans over the whole digraph."""
-        return tuple(self._out)
+        return self._out
 
     def in_mask(self, v: int) -> int:
         """Bit u is set when u -> v."""
@@ -170,12 +181,6 @@ class Digraph:
         self._check_vertex(v)
         return (1 << self.n) - 1 & ~(self._out[v] | self._in[v] | 1 << v)
 
-    def out_neighbors(self, v: int) -> set[int]:
-        return set(bits(self.out_mask(v)))
-
-    def in_neighbors(self, v: int) -> set[int]:
-        return set(bits(self.in_mask(v)))
-
     def out_degree(self, v: int) -> int:
         return self.out_mask(v).bit_count()
 
@@ -190,9 +195,6 @@ class Digraph:
     def missing_pairs(self) -> list[tuple[int, int]]:
         """Unordered pairs with no arc in either direction, sorted."""
         return [(u, v) for u in range(self.n) for v in bits(_above(self.missing_mask(u), u))]
-
-    def copy(self) -> "Digraph":
-        return Digraph._from_masks(list(self._out), list(self._in))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "arcs": [list(a) for a in self.arcs()]}
@@ -215,16 +217,18 @@ class UndirectedGraph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        self._adj = [0] * n
+        self._adj = (0,) * n
         self._m = 0
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "UndirectedGraph":
         """The graph with the given edges, built in one loop over them.
         An endpoint that is not an int (a bool included) is a TypeError;
-        the first edge that add_edge would reject raises add_edge's error."""
-        g = cls(n)
-        adj = g._adj
+        the first edge out of range, a loop or already present raises
+        ValueError, LoopRejected or DuplicateArc."""
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        adj = [0] * n
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 raise TypeError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
@@ -232,9 +236,8 @@ class UndirectedGraph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             else:
-                g.add_edge(u, v)  # breaks a ban, so it raises
-        g._m = sum(nbrs.bit_count() for nbrs in adj) // 2
-        return g
+                raise _edge_error(n, u, v)
+        return cls._from_masks(adj)
 
     @classmethod
     def _from_masks(cls, adj: list[int]) -> "UndirectedGraph":
@@ -242,20 +245,9 @@ class UndirectedGraph:
         every caller; loops and neighbors out of range are rejected."""
         _check_masks(adj)
         g = cls(len(adj))
-        g._adj = adj
+        g._adj = tuple(adj)
         g._m = sum(nbrs.bit_count() for nbrs in adj) // 2
         return g
-
-    def add_edge(self, u: int, v: int) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range [0,{self.n})")
-        if u == v:
-            raise LoopRejected(f"loop edge ({u},{v}) rejected")
-        if self._adj[u] >> v & 1:
-            raise DuplicateArc(f"edge ({u},{v}) already present")
-        self._adj[u] |= 1 << v
-        self._adj[v] |= 1 << u
-        self._m += 1
 
     @property
     def edge_count(self) -> int:
@@ -291,13 +283,24 @@ class UndirectedGraph:
     def isolated(self) -> set[int]:
         return {v for v in range(self.n) if not self._adj[v]}
 
+    def _set_mask(self, vertices: Iterable[int]) -> int:
+        """The mask of the given vertices, which must be in range."""
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        if mask >> self.n:
+            raise ValueError(f"vertex out of range [0,{self.n})")
+        return mask
+
     def is_clique(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        return all(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
+        """Whether every two of the given vertices are adjacent."""
+        mask = self._set_mask(vertices)
+        return all(mask & ~self._adj[v] == 1 << v for v in bits(mask))
 
     def is_stable(self, vertices: Iterable[int]) -> bool:
-        vs = list(vertices)
-        return not any(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :])
+        """Whether no two of the given vertices are adjacent."""
+        mask = self._set_mask(vertices)
+        return not any(self._adj[v] & mask for v in bits(mask))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UndirectedGraph):
@@ -351,12 +354,18 @@ def rational_dict(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
-def rational_from_dict(doc, where: str) -> Fraction:
-    """Inverse of rational_dict: two ints with a positive denominator."""
+def rational_terms(doc, where: str) -> tuple[int, int]:
+    """The numerator and denominator of rational_dict's form: two ints,
+    the denominator positive."""
     num, den = (doc.get("num"), doc.get("den")) if isinstance(doc, dict) else (None, None)
     if type(num) is not int or type(den) is not int or den <= 0:
         raise ParseError(f"bad rational in {where}")
-    return Fraction(num, den)
+    return num, den
+
+
+def rational_from_dict(doc, where: str) -> Fraction:
+    """Inverse of rational_dict."""
+    return Fraction(*rational_terms(doc, where))
 
 
 class WeightMap:

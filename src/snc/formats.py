@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_from_dict
+from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_terms
 from .errors import CounterexampleReport, ParseError, SncError, TooLarge
 
 # Largest vertex count accepted from a header or a JSON n, checked before
@@ -99,66 +99,82 @@ def _parse_header(it, kind: str) -> int:
     return n
 
 
+def _weight(num: int, den: int) -> int | Fraction:
+    """A weight as WeightMap reads it fastest: an int when whole."""
+    return num if den == 1 else Fraction(num, den)
+
+
+def _parse(text: str, kind: str):
+    """The graph of the text format of kind, "digraph" or "graph", its
+    weights by vertex (a digraph's weight lines) and its labels.  Pairs go
+    to from_arcs or from_edges as they are read, so a file's first bad line
+    is the one reported."""
+    it = _lines(text)
+    n = _parse_header(it, kind)
+    digraph = kind == "digraph"
+    # looked up only once the header has passed the vertex cap
+    build = Digraph.from_arcs if digraph else UndirectedGraph.from_edges
+    pair = "arc" if digraph else "edge"
+    table = _LabelTable(n)
+    weights: dict[int, int | Fraction] = {}
+    at = 0  # the line of the pair being added
+
+    def pairs():
+        nonlocal at
+        for lineno, tokens in it:
+            if tokens[0] == pair:
+                if len(tokens) != 3:
+                    raise ParseError(f"expected '{pair} <u> <v>'", lineno)
+                at = lineno
+                yield table.resolve(tokens[1], lineno), table.resolve(tokens[2], lineno)
+            elif tokens[0] == "weight" and digraph:
+                if len(tokens) != 4:
+                    raise ParseError("expected 'weight <v> <num> <den>'", lineno)
+                v = table.resolve(tokens[1], lineno)
+                if not (_decimal(tokens[2]) and _decimal(tokens[3])):
+                    raise ParseError(
+                        "weight numerator and denominator must be nonnegative decimal integers",
+                        lineno,
+                    )
+                num, den = int(tokens[2]), int(tokens[3])
+                if den == 0:
+                    raise ParseError("weight denominator must be positive", lineno)
+                if v in weights:
+                    raise ParseError(f"duplicate weight for vertex token {tokens[1]!r}", lineno)
+                weights[v] = _weight(num, den)
+            else:
+                raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
+
+    try:
+        g = build(n, pairs())
+    except ParseError:  # raised by pairs(), with its own line
+        raise
+    except SncError as exc:  # build rejected the pair at line at
+        raise type(exc)(f"line {at}: {exc}") from None
+    return g, weights, table.labels()
+
+
 def parse_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
     """Parse the digraph text format; weights default to 1."""
-    it = _lines(text)
-    n = _parse_header(it, "digraph")
-    g = Digraph(n)
-    table = _LabelTable(n)
-    weights: dict[int, Fraction] = {}
-    for lineno, tokens in it:
-        if tokens[0] == "arc":
-            if len(tokens) != 3:
-                raise ParseError("expected 'arc <u> <v>'", lineno)
-            u = table.resolve(tokens[1], lineno)
-            v = table.resolve(tokens[2], lineno)
-            try:
-                g.add_arc(u, v)
-            except SncError as exc:
-                raise type(exc)(f"line {lineno}: {exc}") from None
-        elif tokens[0] == "weight":
-            if len(tokens) != 4:
-                raise ParseError("expected 'weight <v> <num> <den>'", lineno)
-            v = table.resolve(tokens[1], lineno)
-            if not (_decimal(tokens[2]) and _decimal(tokens[3])):
-                raise ParseError(
-                    "weight numerator and denominator must be nonnegative decimal integers", lineno
-                )
-            num, den = int(tokens[2]), int(tokens[3])
-            if den == 0:
-                raise ParseError("weight denominator must be positive", lineno)
-            if v in weights:
-                raise ParseError(f"duplicate weight for vertex token {tokens[1]!r}", lineno)
-            weights[v] = Fraction(num, den)
-        else:
-            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
-    return WeightedDigraph(g, WeightMap.from_dict(n, weights)), table.labels()
+    g, weights, labels = _parse(text, "digraph")
+    return WeightedDigraph(g, WeightMap.from_dict(g.n, weights)), labels
 
 
 def parse_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
     """Parse the undirected graph text format."""
-    it = _lines(text)
-    n = _parse_header(it, "graph")
-    g = UndirectedGraph(n)
-    table = _LabelTable(n)
-    for lineno, tokens in it:
-        if tokens[0] != "edge":
-            raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
-        if len(tokens) != 3:
-            raise ParseError("expected 'edge <u> <v>'", lineno)
-        u = table.resolve(tokens[1], lineno)
-        v = table.resolve(tokens[2], lineno)
-        try:
-            g.add_edge(u, v)
-        except SncError as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-    return g, table.labels()
+    g, _weights, labels = _parse(text, "graph")
+    return g, labels
+
+
+def _names(labels: Optional[list[str]], n: int) -> list[str]:
+    """labels, or each vertex's index as its name when there are none."""
+    return labels if labels is not None else [str(v) for v in range(n)]
 
 
 def serialize_digraph(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> str:
     """Canonical text form: sorted arcs, weight lines only where not 1."""
     d, w = wd.digraph, wd.weights
-    name = labels if labels is not None else [str(v) for v in range(d.n)]
+    name = _names(labels, d.n)
     lines = [f"digraph {d.n}"]
     lines += [f"arc {name[u]} {name[v]}" for u, v in d.arcs()]
     lines += [
@@ -168,7 +184,7 @@ def serialize_digraph(wd: WeightedDigraph, labels: Optional[list[str]] = None) -
 
 
 def serialize_graph(g: UndirectedGraph, labels: Optional[list[str]] = None) -> str:
-    name = labels if labels is not None else [str(v) for v in range(g.n)]
+    name = _names(labels, g.n)
     lines = [f"graph {g.n}"]
     lines += [f"edge {name[u]} {name[v]}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
@@ -181,7 +197,7 @@ def digraph_instance_dict(wd: WeightedDigraph, labels: Optional[list[str]] = Non
         "n": d.n,
         "arcs": [list(a) for a in d.arcs()],
         "weights": wd.weights.to_dicts(),
-        "labels": labels if labels is not None else [str(v) for v in range(d.n)],
+        "labels": _names(labels, d.n),
     }
 
 
@@ -190,7 +206,7 @@ def graph_instance_dict(g: UndirectedGraph, labels: Optional[list[str]] = None) 
         "kind": "graph",
         "n": g.n,
         "edges": [list(e) for e in g.edges()],
-        "labels": labels if labels is not None else [str(v) for v in range(g.n)],
+        "labels": _names(labels, g.n),
     }
 
 
@@ -207,7 +223,7 @@ def counterexample(
 
 def _labels(doc: dict, n: int) -> list[str]:
     if "labels" not in doc:
-        return [str(v) for v in range(n)]
+        return _names(None, n)
     raw = doc["labels"]
     if not isinstance(raw, list) or len(raw) != n:
         raise ParseError("labels list must cover every vertex")
@@ -255,7 +271,7 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
     if raw is None:
         w = WeightMap.uniform(n)
     elif isinstance(raw, list) and len(raw) == n:
-        w = WeightMap([rational_from_dict(r, "weights") for r in raw])
+        w = WeightMap([_weight(*rational_terms(r, "weights")) for r in raw])
     else:
         raise ParseError("weights list must cover every vertex")
     return WeightedDigraph(g, w), _labels(doc, n)
@@ -312,7 +328,7 @@ def load_json(text: str) -> dict:
 def digraph_to_dot(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> str:
     """Lossy DOT export for human inspection; missing edges are dashed."""
     d = wd.digraph
-    name = labels if labels is not None else [str(v) for v in range(d.n)]
+    name = _names(labels, d.n)
     out = ["digraph G {"]
     for v in range(d.n):
         w = wd.weights[v]
@@ -326,7 +342,7 @@ def digraph_to_dot(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> s
 
 
 def graph_to_dot(g: UndirectedGraph, labels: Optional[list[str]] = None) -> str:
-    name = labels if labels is not None else [str(v) for v in range(g.n)]
+    name = _names(labels, g.n)
     out = ["graph G {"]
     for v in range(g.n):
         out.append(f'  {v} [label="{name[v]}"];')

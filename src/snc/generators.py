@@ -162,18 +162,14 @@ def gen_generalized_star(
         x_sets.append(frozenset(range(nxt, nxt + size)))
         nxt += size
 
-    g = UndirectedGraph(nxt)
     core: list[int] = sorted(v for x in x_sets for v in x)
-    for i, u in enumerate(core):
-        for v in core[i + 1 :]:
-            g.add_edge(u, v)
+    edges = [(u, v) for i, u in enumerate(core) for v in core[i + 1 :]]
     ladder: list[int] = []
     for i, x in enumerate(x_sets, start=1):
         ladder.extend(sorted(x))
         if i < len(a_sets):
-            for a in sorted(a_sets[i]):
-                for c in ladder:
-                    g.add_edge(a, c)
+            edges += [(a, c) for a in sorted(a_sets[i]) for c in ladder]
+    g = UndirectedGraph.from_edges(nxt, edges)
 
     dec = GeneralizedStarDecomposition(tuple(a_sets), tuple(x_sets))
     ok, clause = validate_decomposition(g, dec)

@@ -162,10 +162,7 @@ def complete_to_tournament(
 
 def _completion(d: Digraph, orientations: Iterable[ConvenientOrientation]) -> Digraph:
     """d with the arc of each orientation added."""
-    t = d.copy()
-    for o in orientations:
-        t.add_arc(o.tail, o.head)
-    return t
+    return d.with_arcs((o.tail, o.head) for o in orientations)
 
 
 def reorient_at_feed(

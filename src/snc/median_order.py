@@ -355,7 +355,9 @@ def local_median_order(
     keys, scale, base = _perturbed_keys(w)
     order: Order = tuple(range(t.n))
     if seed is not None:
-        from .generators import Rng  # local import; generators depend on digraph only
+        # a local import: generators imports stars, which imports
+        # good_edges, which imports this module
+        from .generators import Rng
 
         lst = list(order)
         Rng(seed).shuffle(lst)

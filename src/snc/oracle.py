@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .digraph import (
     Digraph,
@@ -53,6 +53,7 @@ MAX_GAMMA_DIGITS = 50
 
 def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
     """Directed breadth-first distances from source; None when unreachable."""
+    out = d.out_masks()
     dist: list[Optional[int]] = [None] * d.n
     seen = frontier = 1 << source
     k = 0
@@ -60,7 +61,7 @@ def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
         reach = 0
         for u in bits(frontier):
             dist[u] = k
-            reach |= d.out_mask(u)
+            reach |= out[u]
         frontier = reach & ~seen
         seen |= reach
         k += 1
@@ -70,7 +71,7 @@ def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
 def brute_force_snp_vertices(wd: WeightedDigraph) -> set[int]:
     """All vertices with the weighted SNP, via breadth-first distances.
 
-    Intentionally avoids second_out_neighbors so it stays an independent
+    Intentionally avoids second_out_mask so it stays an independent
     check of that code path.
     """
     d, scaled = wd.digraph, wd.weights.scaled
@@ -96,24 +97,6 @@ def tournament_from_code(n: int, code: int) -> Digraph:
 def graph_from_code(n: int, code: int) -> UndirectedGraph:
     """Graph number `code`: bit k puts pair k of the sorted pair list in."""
     return graph_from_pairs(n, pair_list(n), code)
-
-
-def _enumerate(build, n: int, cap: int, what: str):
-    if n > cap:
-        raise TooLarge(f"{what} enumeration limited to n <= {cap}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    return (build(n, code) for code in range(1 << n * (n - 1) // 2))
-
-
-def enumerate_tournaments(n: int) -> Iterator[Digraph]:
-    """All 2^(n(n-1)/2) labeled tournaments in code order."""
-    return _enumerate(tournament_from_code, n, MAX_ENUM_TOURNAMENT_N, "tournament")
-
-
-def enumerate_graphs(n: int) -> Iterator[UndirectedGraph]:
-    """All 2^(n(n-1)/2) labeled graphs in code order."""
-    return _enumerate(graph_from_code, n, MAX_ENUM_GRAPH_N, "graph")
 
 
 @dataclass

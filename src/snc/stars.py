@@ -362,24 +362,11 @@ def adversarial_digraph(g: UndirectedGraph, viol: SquareViolation) -> Adversaria
     if g.has_edge(x, u) or g.has_edge(y, v):
         raise NotAViolation("labeled pairs xu and yv must be non-edges")
 
-    # uv is an edge of g, so neither loop ever touches the pair {u,v}
-    d = Digraph(g.n)
-    for w in range(g.n):
-        if w != u and not g.has_edge(w, u):
-            if w == x:
-                d.add_arc(u, x)
-            else:
-                d.add_arc(w, u)
-    for w in range(g.n):
-        if w != v and not g.has_edge(w, v):
-            if w == y:
-                d.add_arc(v, y)
-            else:
-                d.add_arc(w, v)
-    for p, q in g.non_edges():
-        if p in (u, v) or q in (u, v):
-            continue
-        d.add_arc(p, q)
+    # uv is an edge of g, so no arc below joins u and v
+    at_u = [(u, x) if w == x else (w, u) for w in range(g.n) if w != u and not g.has_edge(w, u)]
+    at_v = [(v, y) if w == y else (w, v) for w in range(g.n) if w != v and not g.has_edge(w, v)]
+    rest = [(p, q) for p, q in g.non_edges() if p not in (u, v) and q not in (u, v)]
+    d = Digraph.from_arcs(g.n, at_u + at_v + rest)
 
     if missing_graph(d) != g:
         raise InternalTheoremViolation(

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import snc
 from snc import (
     DigonRejected,
+    DuplicateArc,
     LoopRejected,
     ParseError,
     ReportedFailure,
@@ -164,6 +165,28 @@ class TestParsing:
     def test_digon_reported_with_line_number(self):
         with pytest.raises(DigonRejected, match="line 3"):
             parse_digraph("digraph 2\narc 0 1\narc 1 0\n")
+
+    @pytest.mark.parametrize(
+        "parse, text, error, message",
+        [
+            (parse_digraph, "digraph 3\narc 0 0\nweight 1 x 1\n", LoopRejected, "line 2: loop (0,0)"),
+            (parse_digraph, "digraph 3\nweight 1 x 1\narc 0 0\n", ParseError, "line 2: weight"),
+            (parse_graph, "graph 3\nedge 0 1\nedge 1 0\nfoo 1\n", DuplicateArc, "line 3: edge (1,0)"),
+            (parse_graph, "graph 3\nedge 2 2\nedge 0 1\n", LoopRejected, "line 2: loop edge (2,2)"),
+        ],
+    )
+    def test_first_bad_line_is_reported(self, parse, text, error, message):
+        with pytest.raises(error) as exc:
+            parse(text)
+        assert type(exc.value) is error and str(exc.value).startswith(message)
+
+    def test_weights_load_as_ints_when_whole(self):
+        text = CYCLE_DG + "weight 0 4 2\nweight 1 3 1\n"
+        doc = {"kind": "digraph", "n": 2, "weights": [{"num": 4, "den": 2}, {"num": 3, "den": 1}]}
+        for wd in (parse_digraph(text)[0], load_digraph(json.dumps(doc))[0]):
+            assert wd.weights.scale == 1 and wd.weights.scaled[:2] == (2, 3)
+        wd, _ = load_digraph(json.dumps({**doc, "weights": [{"num": 4, "den": 2}, {"num": 1, "den": 3}]}))
+        assert list(wd.weights) == [2, Fraction(1, 3)] and wd.weights == WeightMap([2, Fraction(1, 3)])
 
     def test_comments_and_blank_lines(self):
         wd, _ = parse_digraph("# a digraph\ndigraph 2\n\narc 0 1  # forward\n")

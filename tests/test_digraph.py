@@ -30,7 +30,7 @@ from snc.generators import (
     random_star_profile,
     random_weights,
 )
-from snc.digraph import graph_from_pairs, orient_pairs, pair_list
+from snc.digraph import bits, graph_from_pairs, orient_pairs, pair_list
 from snc.oracle import bfs_distances, brute_force_snp_vertices, graph_from_code, tournament_from_code
 
 
@@ -43,34 +43,49 @@ def transitive3() -> Digraph:
 
 
 def test_add_arc_base_case():
-    g = Digraph(2)
-    g.add_arc(0, 1)
+    g = Digraph(2).with_arcs([(0, 1)])
     assert g.arcs() == [(0, 1)]
 
 
 def test_add_arc_rejects_loop():
-    g = Digraph(2)
     with pytest.raises(LoopRejected):
-        g.add_arc(0, 0)
+        Digraph(2).with_arcs([(0, 0)])
 
 
 def test_add_arc_rejects_digon():
     g = Digraph.from_arcs(2, [(0, 1)])
     with pytest.raises(DigonRejected):
-        g.add_arc(1, 0)
+        g.with_arcs([(1, 0)])
 
 
 def test_add_arc_rejects_duplicate():
     g = Digraph.from_arcs(2, [(0, 1)])
     with pytest.raises(DuplicateArc):
-        g.add_arc(0, 1)
+        g.with_arcs([(0, 1)])
+
+
+def test_with_arcs_leaves_the_original_and_rejects_what_from_arcs_rejects():
+    base = [(0, 1), (1, 2)]
+    d = Digraph.from_arcs(4, base)
+    e = d.with_arcs([(2, 3), (3, 0)])
+    assert e.arcs() == [(0, 1), (1, 2), (2, 3), (3, 0)] and e.arc_count == 4
+    assert e.in_mask(0) == 1 << 3 and d.in_mask(0) == 0
+    bad_arcs = [(0, 0), (0, 1), (1, 0), (2, 4), (-1, 2), (True, 2), (2, 1.0)]
+    for bad in bad_arcs:
+        with pytest.raises(Exception) as whole:
+            Digraph.from_arcs(4, base + [(2, 3), bad])
+        with pytest.raises(Exception) as added:
+            d.with_arcs([(2, 3), bad])
+        assert type(added.value) is type(whole.value)
+        assert str(added.value) == str(whole.value)
+    assert d.arcs() == base and d.arc_count == 2 and d.out_masks() == (0b10, 0b100, 0, 0)
 
 
 def test_out_neighborhoods():
-    assert cycle3().out_neighbors(0) == {1}
-    assert transitive3().out_neighbors(0) == {1, 2}
-    assert Digraph(1).out_neighbors(0) == set()
-    assert cycle3().in_neighbors(0) == {2}
+    assert bits(cycle3().out_mask(0)) == [1]
+    assert bits(transitive3().out_mask(0)) == [1, 2]
+    assert bits(Digraph(1).out_mask(0)) == []
+    assert bits(cycle3().in_mask(0)) == [2]
 
 
 def test_second_out_neighborhood():
@@ -95,7 +110,7 @@ def test_neighborhoods_disjoint_and_match_bfs_on_random_digraphs():
             rng_seed = n * 1000 + trial
             g = random_digraph_missing(random_graph(n, rng_seed), rng_seed ^ 0xABCDEF)
             for v in range(n):
-                first = g.out_neighbors(v)
+                first = set(bits(g.out_mask(v)))
                 second = g.second_out_neighbors(v)
                 assert not first & second
                 assert v not in first and v not in second
@@ -213,7 +228,7 @@ def test_weight_map_keeps_other_rational_inputs():
 def _fraction_snp(d: Digraph, weights: list[Fraction], v: int) -> tuple[bool, Fraction, Fraction]:
     """Reference for has_weighted_snp: the Fraction sums over the
     neighborhood sets."""
-    first = sum((weights[u] for u in d.out_neighbors(v)), Fraction(0))
+    first = sum((weights[u] for u in bits(d.out_mask(v))), Fraction(0))
     second = sum((weights[u] for u in d.second_out_neighbors(v)), Fraction(0))
     return first <= second, first, second
 
@@ -282,7 +297,21 @@ def test_undirected_graph_basics():
     assert g.support() == {0, 1, 2}
     assert g.non_edges() == [(0, 2), (0, 3), (1, 3), (2, 3)]
     with pytest.raises(LoopRejected):
-        g.add_edge(2, 2)
+        UndirectedGraph.from_edges(4, g.edges() + [(2, 2)])
+
+
+def test_clique_and_stable_match_the_pairwise_reference():
+    for n in range(6):
+        pairs = pair_list(n)
+        for code in range(1 << len(pairs)):
+            g = graph_from_code(n, code)
+            for subset in range(1 << n):
+                vs = bits(subset)
+                adjacent = [g.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :]]
+                assert g.is_clique(vs) == all(adjacent)
+                assert g.is_stable(vs) == (not any(adjacent))
+    with pytest.raises(ValueError):
+        UndirectedGraph(2).is_clique([0, 2])
 
 
 def test_rng_is_deterministic_and_bounded():
@@ -336,7 +365,7 @@ def test_masks_agree_with_arcs_and_edges():
             assert d.missing_mask(v) == g.neighbor_mask(v)
         assert missing_graph(d) == g
         assert _same_digraph(Digraph.from_out_masks(d.out_mask(v) for v in range(n)), d)
-        assert _same_digraph(d.copy(), d)
+        assert _same_digraph(d.with_arcs([]), d)
 
 
 def test_mask_builds_reject_invalid_masks():
@@ -364,6 +393,39 @@ def test_only_digraph_reads_the_adjacency_store():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("_out", "_in", "_adj"):
                 offenders.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert offenders == []
+
+
+def test_only_the_constructors_set_the_adjacency_store():
+    # graphs are built whole: outside digraph's __init__ and _from_masks,
+    # no assignment targets a mask store or an arc count, or an item of one
+    store = ("_out", "_in", "_adj", "_m")
+    offenders = []
+    for path in sorted(Path(snc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        exempt = {
+            id(node)
+            for func in ast.walk(tree)
+            if path.name == "digraph.py"
+            and isinstance(func, ast.FunctionDef)
+            and func.name in ("__init__", "_from_masks")
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if any(
+                isinstance(t, ast.Attribute) and t.attr in store
+                for target in targets
+                for t in ast.walk(target)
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
 
 

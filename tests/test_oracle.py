@@ -15,7 +15,6 @@ from snc import (
     WeightedDigraph,
     brute_force_snp_vertices,
     check_gamma_property,
-    enumerate_tournaments,
     gamma_bracket,
     gamma_constant,
     has_weighted_snp,
@@ -37,7 +36,7 @@ from snc.generators import (
     random_weights,
 )
 from snc.digraph import orient_pairs
-from snc.oracle import gamma_sign, graph_from_code
+from snc.oracle import gamma_sign, graph_from_code, tournament_from_code
 
 
 def cycle3() -> Digraph:
@@ -71,17 +70,23 @@ class TestBruteForce:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 8), (4, 64), (5, 1024)])
     def test_counts(self, n, count):
-        seen = list(enumerate_tournaments(n))
+        # the codes 0 .. 2^(n(n-1)/2) - 1 give every tournament once, in code order
+        codes = range(1 << n * (n - 1) // 2)
+        seen = [tournament_from_code(n, code) for code in codes]
         assert len(seen) == count
         assert all(t.is_tournament() for t in seen)
+        assert len({tuple(t.arcs()) for t in seen}) == count
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        flips = [sum(1 << k for k, (u, v) in enumerate(pairs) if t.has_arc(v, u)) for t in seen]
+        assert flips == list(codes)
 
     def test_covers_both_orientations(self):
-        arcs = {tuple(t.arcs()) for t in enumerate_tournaments(2)}
+        arcs = {tuple(tournament_from_code(2, code).arcs()) for code in (0, 1)}
         assert arcs == {((0, 1),), ((1, 0),)}
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            list(enumerate_tournaments(7))
+            sweep_theorem1(7)
 
 
 class TestSweeps:

@@ -217,8 +217,7 @@ def test_equal_values_of_another_json_type_fail(kind):
 def test_unlicensed_orientation_fails_its_check(arcs, orientation):
     d = Digraph.from_arcs(3, arcs)
     wd = WeightedDigraph(d, WeightMap.uniform(3))
-    t = d.copy()
-    t.add_arc(orientation.tail, orientation.head)
+    t = d.with_arcs([(orientation.tail, orientation.head)])
     co = local_median_order(t, wd.weights)
     doc = _certificate(d, wd.weights, [orientation], co).to_dict()
     checks = dict(verify_certificate(wd, doc))
@@ -231,8 +230,7 @@ def test_order_without_feedback_fails_its_checks():
     # puts the source last, so it fails the feedback property on t and t'
     d = Digraph.from_arcs(3, [(2, 0), (2, 1)])
     wd = WeightedDigraph(d, WeightMap.uniform(3))
-    t = d.copy()
-    t.add_arc(0, 1)
+    t = d.with_arcs([(0, 1)])
     order = (1, 0, 2)
     co = CertifiedOrder(order, order_objective(t, wd.weights, order))
     doc = _certificate(d, wd.weights, [ConvenientOrientation(0, 1, "i")], co).to_dict()
