@@ -121,14 +121,19 @@ def _read_input(args) -> str:
 
 
 def _load_any(text: str):
+    """(kind, instance, labels) of a digraph or graph input, JSON parsed once."""
     if text.lstrip().startswith("{"):
-        kind = formats.load_json(text).get("kind")
+        source = formats.load_json(text)
+        kind = source.get("kind")
+        read_digraph, read_graph = formats.digraph_from_instance_dict, formats.graph_from_instance_dict
     else:  # the first directive, past comments, as the text parsers read it
+        source = text
         kind = next((tokens[0] for _lineno, tokens in formats._lines(text)), "")
+        read_digraph, read_graph = formats.parse_digraph, formats.parse_graph
     if kind == "digraph":
-        return ("digraph", *formats.load_digraph(text))
+        return ("digraph", *read_digraph(source))
     if kind == "graph":
-        return ("graph", *formats.load_graph(text))
+        return ("graph", *read_graph(source))
     raise ParseError(f"unknown instance kind {kind!r}")
 
 

@@ -116,18 +116,6 @@ class Digraph:
         return self._from_masks(out, into)
 
     @classmethod
-    def from_out_masks(cls, out_masks: Iterable[int]) -> "Digraph":
-        """The digraph with the given out-mask per vertex, its in-masks
-        derived; loops, digons and heads out of range are rejected."""
-        out = list(out_masks)
-        _check_masks(out)
-        into = [0] * len(out)
-        for u, heads in enumerate(out):
-            for v in bits(heads):
-                into[v] |= 1 << u
-        return cls._from_masks(out, into)
-
-    @classmethod
     def _from_masks(cls, out: list[int], into: list[int]) -> "Digraph":
         """The digraph with out-masks out, already through _check_masks,
         and their transpose into as in-masks; digons are rejected."""
@@ -166,6 +154,10 @@ class Digraph:
         """Bit u is set when u -> v."""
         self._check_vertex(v)
         return self._in[v]
+
+    def in_masks(self) -> tuple[int, ...]:
+        """Every in-mask, indexed by vertex, for scans over the whole digraph."""
+        return self._in
 
     def second_out_mask(self, v: int) -> int:
         """Vertices at directed distance exactly two from v (with digons
@@ -211,14 +203,13 @@ class Digraph:
 class UndirectedGraph:
     """Simple undirected graph over dense integer vertices: a neighbor mask per vertex."""
 
-    __slots__ = ("n", "_adj", "_m")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self._adj = (0,) * n
-        self._m = 0
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "UndirectedGraph":
@@ -246,12 +237,7 @@ class UndirectedGraph:
         _check_masks(adj)
         g = cls(len(adj))
         g._adj = tuple(adj)
-        g._m = sum(nbrs.bit_count() for nbrs in adj) // 2
         return g
-
-    @property
-    def edge_count(self) -> int:
-        return self._m
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v >= 0 and self._adj[u] >> v & 1 == 1
@@ -262,9 +248,6 @@ class UndirectedGraph:
             raise ValueError(f"vertex {v} out of range [0,{self.n})")
         return self._adj[v]
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(bits(self.neighbor_mask(v)))
-
     def degree(self, v: int) -> int:
         return self.neighbor_mask(v).bit_count()
 
@@ -274,11 +257,6 @@ class UndirectedGraph:
     def non_edges(self) -> list[tuple[int, int]]:
         full = (1 << self.n) - 1
         return [(u, v) for u in range(self.n) for v in bits(_above(full & ~self._adj[u], u))]
-
-    def support(self) -> set[int]:
-        """Vertices incident to at least one edge (the non-whole vertices
-        when this graph was extracted as a missing graph)."""
-        return {v for v in range(self.n) if self._adj[v]}
 
     def isolated(self) -> set[int]:
         return {v for v in range(self.n) if not self._adj[v]}
@@ -344,7 +322,7 @@ def missing_graph(g: Digraph) -> UndirectedGraph:
 
     All n vertices are kept; the support of the result (its non-isolated
     vertices) is what a whole-vertex-free reading of the missing graph
-    would use as vertex set, and is available via .support().
+    would use as vertex set.
     """
     return UndirectedGraph._from_masks([g.missing_mask(v) for v in range(g.n)])
 
@@ -392,8 +370,9 @@ class WeightMap:
         return cls([value] * n)
 
     @classmethod
-    def from_dict(cls, n: int, mapping: dict, default=1) -> "WeightMap":
-        return cls([mapping.get(v, default) for v in range(n)])
+    def from_dict(cls, n: int, mapping: dict) -> "WeightMap":
+        """Weight mapping[v] for each vertex v in it, 1 for the others."""
+        return cls([mapping.get(v, 1) for v in range(n)])
 
     def __len__(self) -> int:
         return len(self.scaled)

@@ -8,17 +8,17 @@ digraph's int bitmasks: with R(x) the mask of the vertices that reach x
 within two steps (x's in-mask ORed with its in-neighbors' in-masks),
 (i) holds exactly when the in-mask of a lies inside R(b), and the
 lowest in-neighbor of a outside R(b) is the failure witness.
-all_missing_edges_good builds R once per vertex, classify_missing_edge
-only for the two endpoints of its edge.
+all_missing_edges_good builds R once per vertex from the in-masks,
+classify_missing_edge only for the two endpoints of its edge.
 
 When every missing edge is good, a vertex with the weighted second
 neighborhood property is found constructively: complete the digraph to a
-tournament with convenient orientations, take a weighted local median
-order, reorient the completed missing edges at its feed vertex toward
-that vertex, re-certify the same order on the reoriented tournament, and
-read the inequality off the original digraph.  One list of checks,
-_checks, holds every step that the supporting theory guarantees:
-order_feedback_on_t_prime, first_neighborhood_kept,
+tournament T with convenient orientations, take a weighted local median
+order of T, complete the digraph a second time to T', with the
+orientations at the order's feed vertex f pointed toward f, re-certify
+the same order on T', and read the inequality off the original digraph.
+One list of checks, _checks, holds every step that the supporting theory
+guarantees: order_feedback_on_t_prime, first_neighborhood_kept,
 second_neighborhood_closed and witness_inequality.  find_witness_good
 raises InternalTheoremViolation on the first that fails, with the check's
 name as its stage and the instance with the certificate's free choices,
@@ -26,12 +26,13 @@ the orientations and the order, as its dump; verify_certificate reports
 the same list between its input checks and fields_match.
 
 A certificate's free choices are its orientations and order, a
-fallback's is its witness.  _certificate and _fallback derive every
-other field, except that the order comes with its objective: local
-search returns it, and verify_certificate recomputes it with
-order_objective.  The producers and verify_certificate / verify_fallback
-share them, so verification re-runs the theorem checks and compares the
-rebuilt document with the given one as a whole.
+fallback's is its witness.  _checks (through _certificate) and _fallback
+derive every other field, the fallback's not-good edges included, except
+that the order comes with its objective: local search returns it, and
+verify_certificate recomputes it with order_objective.  The producers
+and verify_certificate / verify_fallback share them, so verification
+re-runs the theorem checks and compares the rebuilt document with the
+given one as a whole.
 """
 from __future__ import annotations
 
@@ -99,18 +100,22 @@ class ConvenientOrientation:
         return {"arc": [self.tail, self.head], "condition": self.condition}
 
 
-def _reaching(d: Digraph, x: int) -> int:
-    """The mask of the vertices that reach x within two steps: x's in-mask
-    ORed with its in-neighbors' in-masks.  With digons banned, x itself is
-    never among them."""
-    return d.in_mask(x) | d.second_in_mask(x)
+def _reaching(into: Sequence[int], x: int) -> int:
+    """The mask of the vertices that reach x within two steps, into being
+    the digraph's in-masks: x's in-mask ORed with its in-neighbors'
+    in-masks.  With digons banned, x itself is never among them."""
+    reach = into[x]
+    for u in bits(into[x]):
+        reach |= into[u]
+    return reach
 
 
-def _classify(d: Digraph, a: int, b: int, reaching) -> MissingEdgeStatus:
+def _classify(into: Sequence[int], a: int, b: int, reaching) -> MissingEdgeStatus:
     """Conditions (i) and (ii) for the missing edge {a,b}, a < b, with
-    reaching[x] the _reaching mask of each endpoint x."""
-    against_i = d.in_mask(a) & ~reaching[b]
-    against_ii = d.in_mask(b) & ~reaching[a]
+    into the digraph's in-masks and reaching[x] the _reaching mask of each
+    endpoint x."""
+    against_i = into[a] & ~reaching[b]
+    against_ii = into[b] & ~reaching[a]
     witness_i = (against_i & -against_i).bit_length() - 1 if against_i else None
     witness_ii = (against_ii & -against_ii).bit_length() - 1 if against_ii else None
     return MissingEdgeStatus(a, b, not against_i, not against_ii, witness_i, witness_ii)
@@ -127,29 +132,34 @@ def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
     a, b = (a, b) if a < b else (b, a)
     if d.has_arc(a, b) or d.has_arc(b, a) or a == b:
         raise NotMissing(f"{{{a},{b}}} is not a missing edge")
-    return _classify(d, a, b, {a: _reaching(d, a), b: _reaching(d, b)})
+    if a < 0 or b >= d.n:
+        raise ValueError(f"vertex {a if a < 0 else b} out of range [0,{d.n})")
+    into = d.in_masks()
+    return _classify(into, a, b, {a: _reaching(into, a), b: _reaching(into, b)})
 
 
 def all_missing_edges_good(d: Digraph) -> tuple[bool, list[MissingEdgeStatus]]:
     """Goodness of every missing edge, in sorted edge order, from one
     _reaching mask per vertex."""
-    reaching = [_reaching(d, x) for x in range(d.n)]
-    statuses = [_classify(d, a, b, reaching) for a, b in d.missing_pairs()]
+    into = d.in_masks()
+    reaching = [_reaching(into, x) for x in range(d.n)]
+    statuses = [_classify(into, a, b, reaching) for a, b in d.missing_pairs()]
     return all(s.good for s in statuses), statuses
 
 
 def complete_to_tournament(
-    d: Digraph, statuses: Optional[Sequence[MissingEdgeStatus]] = None
+    d: Digraph, statuses: Sequence[MissingEdgeStatus]
 ) -> tuple[Digraph, list[ConvenientOrientation]]:
-    """Add one convenient orientation per missing edge.
+    """Add one convenient orientation per missing edge, statuses being the
+    verdicts of all_missing_edges_good(d); a missing edge that is not good
+    raises NotAllGood, which names every such edge.
 
     Deterministic rule: when both conditions hold the (i)-orientation
     (lower index -> higher index) wins.
     """
-    if statuses is None:
-        _ok, statuses = all_missing_edges_good(d)
-    if not all(s.good for s in statuses):
-        raise NotAllGood("some missing edge is not good")
+    bad = [(s.a, s.b) for s in statuses if not s.good]
+    if bad:
+        raise NotAllGood(f"missing edges not good: {bad}")
     orientations = [
         ConvenientOrientation(*((s.a, s.b, "i") if s.satisfies_i else (s.b, s.a, "ii")))
         for s in statuses
@@ -165,17 +175,20 @@ def _completion(d: Digraph, orientations: Iterable[ConvenientOrientation]) -> Di
     return d.with_arcs((o.tail, o.head) for o in orientations)
 
 
+def _pointed_at(f: int, orientations: Iterable[ConvenientOrientation]) -> list[tuple[int, int]]:
+    """The arc of each orientation, the ones at f pointed at f."""
+    return [
+        (o.tail + o.head - f, f) if f in (o.tail, o.head) else (o.tail, o.head)
+        for o in orientations
+    ]
+
+
 def reorient_at_feed(
-    t: Digraph, missing_of_d: Sequence[tuple[int, int]], f: int
+    d: Digraph, orientations: Sequence[ConvenientOrientation], f: int
 ) -> Digraph:
-    """Redirect every completed missing edge incident to f to point at f."""
-    flip = 0  # heads of the completed missing edges leaving f
-    for a, b in missing_of_d:
-        if f in (a, b) and t.has_arc(f, a + b - f):
-            flip |= 1 << (a + b - f)
-    out = [t.out_mask(v) | (flip >> v & 1) << f for v in range(t.n)]
-    out[f] &= ~flip
-    return Digraph.from_out_masks(out)
+    """T': the completion of d by orientations, with every completed
+    missing edge at f pointed at f."""
+    return d.with_arcs(_pointed_at(f, orientations))
 
 
 @dataclass(frozen=True)
@@ -236,24 +249,23 @@ class FallbackWitness:
 
 
 def _certificate(
-    d: Digraph,
     w: WeightMap,
     orientations: Sequence[ConvenientOrientation],
     co: CertifiedOrder,
+    first: int,
+    second: int,
 ) -> WitnessCertificate:
-    """The certificate of the completion of d by orientations and an
-    order of it with its objective, every other field computed here; the
-    witness is the feed vertex."""
+    """The certificate of an order co, with its objective, of a completion
+    by orientations, first and second being the masks of the first and
+    second out-neighborhoods of its feed vertex in the original digraph;
+    every other field is computed here.  The witness is the feed vertex."""
     f = feed_vertex(co)
-    first, second = d.out_mask(f), d.second_out_mask(f)
     return WitnessCertificate(
         witness=f,
         orientations=tuple(orientations),
         order=co,
-        # every completed missing edge at f, as it points after reorientation
-        reoriented_arcs=tuple(
-            sorted((o.tail + o.head - f, f) for o in orientations if f in (o.tail, o.head))
-        ),
+        # every completed missing edge at f, as it points in T'
+        reoriented_arcs=tuple(sorted(a for a in _pointed_at(f, orientations) if a[1] == f)),
         lhs=Fraction(w.mask_sum(first), w.scale),
         rhs=Fraction(w.mask_sum(second), w.scale),
         first_neighborhood=tuple(bits(first)),
@@ -261,11 +273,11 @@ def _certificate(
     )
 
 
-def _fallback(
-    wd: WeightedDigraph, v: int, snp: Iterable[int], statuses: Sequence[MissingEdgeStatus]
-) -> FallbackWitness:
-    """The fallback document for witness v, every other field derived here."""
+def _fallback(wd: WeightedDigraph, v: int, snp: Iterable[int]) -> FallbackWitness:
+    """The fallback document for witness v among the vertices snp with the
+    weighted SNP, every other field derived here."""
     check = has_weighted_snp(wd, v)
+    _ok, statuses = all_missing_edges_good(wd.digraph)
     return FallbackWitness(
         witness=v,
         lhs=check.first_weight,
@@ -280,13 +292,10 @@ def find_witness_good(
 ) -> WitnessCertificate:
     """Run the certified pipeline; requires every missing edge good.  The
     first of _checks that fails is raised under its name (see above)."""
-    ok, statuses = all_missing_edges_good(wd.digraph)
-    if not ok:
-        bad = [(s.a, s.b) for s in statuses if not s.good]
-        raise NotAllGood(f"missing edges not good: {bad}")
+    _ok, statuses = all_missing_edges_good(wd.digraph)
     t, orientations = complete_to_tournament(wd.digraph, statuses)
     co = local_median_order(t, wd.weights, move_limit=move_limit)
-    cert, checks = _checks(wd, t, orientations, co)
+    cert, checks = _checks(wd, orientations, co)
     for name, ok in checks:
         if not ok:
             raise InternalTheoremViolation(
@@ -303,26 +312,24 @@ def find_witness_good(
 
 def _checks(
     wd: WeightedDigraph,
-    t: Digraph,
     orientations: Sequence[ConvenientOrientation],
     co: CertifiedOrder,
 ) -> tuple[WitnessCertificate, list[tuple[str, bool]]]:
-    """The certificate of the completion t of wd by orientations and its
-    order co, with the checks of the steps the theory guarantees, in proof
-    order: with the completed missing edges at the feed vertex f pointed at
-    it, the order keeps the feedback property, f keeps its out-neighbors
-    and gains no second out-neighbor outside the original N+ and N++; and
-    f has the weighted SNP in wd."""
+    """The certificate of an order co of the completion of wd by
+    orientations, with the checks of the steps the theory guarantees, in
+    proof order: on T', where the completed missing edges at the feed
+    vertex f point at it, the order keeps the feedback property, f keeps
+    its out-neighbors and gains no second out-neighbor outside the
+    original N+ and N++; and f has the weighted SNP in wd."""
     d, w = wd.digraph, wd.weights
-    cert = _certificate(d, w, orientations, co)
-    f = cert.witness
-    t2 = reorient_at_feed(t, [(o.tail, o.head) for o in orientations], f)
-    first = d.out_mask(f)
-    closure = first | d.second_out_mask(f)
+    f = feed_vertex(co)
+    first, second = d.out_mask(f), d.second_out_mask(f)
+    cert = _certificate(w, orientations, co, first, second)
+    t2 = reorient_at_feed(d, orientations, f)
     return cert, [
         ("order_feedback_on_t_prime", feedback_check(t2, w, co.order) is None),
         ("first_neighborhood_kept", t2.out_mask(f) == first),
-        ("second_neighborhood_closed", not (t2.second_out_mask(f) & ~closure)),
+        ("second_neighborhood_closed", not (t2.second_out_mask(f) & ~(first | second))),
         ("witness_inequality", cert.lhs <= cert.rhs),
     ]
 
@@ -336,13 +343,12 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     second neighborhood conjecture and is raised as NoWitnessFound with a
     counterexample report.
     """
-    d = wd.digraph
-    if d.n == 0:
+    if wd.digraph.n == 0:
         raise ValueError("empty digraph has no witness")
     try:
         return find_witness_good(wd, move_limit=move_limit)
     except NotAllGood:
-        _ok, statuses = all_missing_edges_good(d)
+        pass  # some missing edge is not good: scan every vertex
 
     from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
 
@@ -351,7 +357,7 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
         raise NoWitnessFound(
             counterexample("snp-conjecture", "no vertex has the weighted SNP", wd)
         )
-    return _fallback(wd, min(snp), snp, statuses)
+    return _fallback(wd, min(snp), snp)
 
 
 def _orientations_from(raw) -> list[ConvenientOrientation]:
@@ -393,7 +399,7 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != list(status):
         return [("orientations_cover_missing_edges", False)]
     t = _completion(d, orientations)
-    cert, checks = _checks(wd, t, orientations, CertifiedOrder(order, order_objective(t, w, order)))
+    cert, checks = _checks(wd, orientations, CertifiedOrder(order, order_objective(t, w, order)))
     return [
         ("orientations_cover_missing_edges", True),
         ("orientations_licensed", all(_licensed(status, o) for o in orientations)),
@@ -412,8 +418,7 @@ def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
         raise ParseError("witness must be an integer")
     if not 0 <= v < wd.digraph.n:
         return [("witness_in_range", False)]
-    _ok, statuses = all_missing_edges_good(wd.digraph)
-    fallback = _fallback(wd, v, brute_force_snp_vertices(wd), statuses)
+    fallback = _fallback(wd, v, brute_force_snp_vertices(wd))
     return [
         ("witness_inequality", fallback.lhs <= fallback.rhs),
         fields_match(fallback.to_dict(), doc),

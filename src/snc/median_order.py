@@ -453,7 +453,7 @@ def exact_median_order(t: Digraph, w: WeightMap) -> CertifiedOrder:
     subset_key = [0]
     for k in keys:
         subset_key += [x + k for x in subset_key]
-    vertices = [(v, 1 << v, keys[v], t.in_mask(v)) for v in range(n)]
+    vertices = [(v, 1 << v, keys[v], into) for v, into in enumerate(t.in_masks())]
 
     size = 1 << n
     full = size - 1

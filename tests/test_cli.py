@@ -707,7 +707,7 @@ class TestContracts:
             (
                 ["median-order", "--exact"],
                 "digraph 3\narc 0 1\narc 0 2\narc 1 2\nweight 1 1 2\n",
-                (snc.Digraph, "in_mask", snc.Digraph.out_mask),
+                (snc.Digraph, "in_masks", snc.Digraph.out_masks),
             ),
             # a validator that rejects every decomposition
             (

@@ -19,6 +19,7 @@ from snc import (
     random_weights,
     validate_decomposition,
 )
+from snc.digraph import bits
 from snc.generators import Rng, random_star_profile
 
 
@@ -85,7 +86,7 @@ class TestSpecials:
         assert c.primary == "sun"
         # every ray adjacent to the whole core
         for ray in sorted(dec.rays()):
-            assert g.neighbors(ray) == set(dec.core())
+            assert bits(g.neighbor_mask(ray)) == sorted(dec.core())
 
     def test_sun_with_singleton_core_is_a_star(self):
         _g, dec = gen_sun(1, 3)
@@ -97,7 +98,7 @@ class TestSpecials:
 
     def test_complete(self):
         g, dec = gen_complete(4)
-        assert g.edge_count == 6
+        assert len(g.edges()) == 6
         assert classify_special(dec).primary == "complete"
 
     def test_guards(self):

@@ -130,48 +130,70 @@ def test_all_missing_edges_good_examples():
     assert not ok and all(not s.good for s in statuses) and len(statuses) == 2
 
 
+def complete(d: Digraph):
+    return complete_to_tournament(d, all_missing_edges_good(d)[1])
+
+
 class TestCompletion:
     def test_lower_endpoint_wins_when_both_conditions_hold(self):
-        t, orientations = complete_to_tournament(single_missing())
+        t, orientations = complete(single_missing())
         assert [(o.tail, o.head, o.condition) for o in orientations] == [(0, 1, "i")]
         assert t.is_tournament() and t.has_arc(0, 1)
 
     def test_tournament_input_unchanged(self):
         t0 = Digraph.from_arcs(3, [(0, 1), (1, 2), (0, 2)])
-        t, orientations = complete_to_tournament(t0)
+        t, orientations = complete(t0)
         assert orientations == [] and t == t0
 
     def test_star_missing_takes_condition_ii_arcs(self):
-        t, orientations = complete_to_tournament(star_missing())
+        t, orientations = complete(star_missing())
         assert [(o.tail, o.head, o.condition) for o in orientations] == [
             (1, 0, "ii"),
             (2, 0, "ii"),
         ]
 
     def test_not_all_good_raises(self):
-        with pytest.raises(NotAllGood):
-            complete_to_tournament(two_k2())
+        with pytest.raises(NotAllGood, match=r"missing edges not good: \[\(0, 1\), \(2, 3\)\]"):
+            complete(two_k2())
+
+    def test_statuses_must_cover_every_missing_edge(self):
+        with pytest.raises(NotAllGood, match="did not cover"):
+            complete_to_tournament(star_missing(), all_missing_edges_good(star_missing())[1][:1])
 
 
 class TestReorient:
     def test_identity_when_feed_off_missing_edges(self):
         d = single_missing()
-        t, _ = complete_to_tournament(d)
-        t2 = reorient_at_feed(t, d.missing_pairs(), 2)
+        t, orientations = complete(d)
+        t2 = reorient_at_feed(d, orientations, 2)
         assert t2 == t
 
     def test_identity_when_already_toward_feed(self):
         d = single_missing()
-        t, _ = complete_to_tournament(d)  # adds (0,1)
-        t2 = reorient_at_feed(t, d.missing_pairs(), 1)
+        t, orientations = complete(d)  # adds (0,1)
+        t2 = reorient_at_feed(d, orientations, 1)
         assert t2 == t
 
     def test_flips_arc_away_from_feed(self):
         d = single_missing()
-        t, _ = complete_to_tournament(d)
-        t2 = reorient_at_feed(t, d.missing_pairs(), 0)
+        t, orientations = complete(d)
+        t2 = reorient_at_feed(d, orientations, 0)
         assert t2.has_arc(1, 0) and not t2.has_arc(0, 1)
         assert t2.arc_count == t.arc_count
+
+    def test_matches_t_with_the_arcs_at_the_feed_reversed(self):
+        """T' is T with each completed missing arc leaving f reversed,
+        in-masks and arc count included, for every feed vertex f."""
+        for i in range(40):
+            rng = Rng(0x7E ^ i)
+            g, _dec = gen_generalized_star(spec=random_star_profile(2 + rng.below(13), rng))
+            d = random_digraph_missing(g, rng.next_u64())
+            t, orientations = complete(d)
+            for f in range(d.n):
+                expect = _flip(t, lambda u, v: u == f and not d.has_arc(u, v))
+                t2 = reorient_at_feed(d, orientations, f)
+                assert t2 == expect and t2.in_masks() == expect.in_masks()
+                assert t2.arc_count == expect.arc_count
 
 
 class TestWitnessPipeline:
@@ -197,7 +219,7 @@ class TestWitnessPipeline:
         assert cert.witness in brute_force_snp_vertices(wd)
 
     def test_requires_all_good(self):
-        with pytest.raises(NotAllGood):
+        with pytest.raises(NotAllGood, match="missing edges not good"):
             find_witness_good(WeightedDigraph(two_k2(), WeightMap.uniform(4)))
 
 
@@ -241,8 +263,7 @@ def test_pipeline_invariants_on_random_good_instances():
         checks = verify_certificate(wd, cert.to_dict())
         assert all(ok for _name, ok in checks), checks
         # feedback survives reorienting toward any certified feed vertex
-        t = d.with_arcs((o.tail, o.head) for o in cert.orientations)
-        t2 = reorient_at_feed(t, d.missing_pairs(), cert.witness)
+        t2 = reorient_at_feed(d, cert.orientations, cert.witness)
         assert feedback_check(t2, w, cert.order.order) is None
         # closure of the second neighborhood
         np_d = set(bits(d.out_mask(cert.witness)))
@@ -264,19 +285,21 @@ def _skip(t, w, order):
 POST_CHECK_FAILURES = {
     # every arc reversed: the order loses the feedback property
     "order_feedback_on_t_prime": {
-        "reorient_at_feed": lambda t, missing, f: _flip(t, lambda u, v: True),
+        "reorient_at_feed": lambda d, orientations, f: _flip(
+            _completion(d, orientations), lambda u, v: True
+        ),
     },
     # the arcs at the feed vertex reversed, the feedback recheck skipped
     "first_neighborhood_kept": {
-        "reorient_at_feed": lambda t, missing, f: _flip(
-            reorient_at_feed(t, missing, f), lambda u, v: f in (u, v)
+        "reorient_at_feed": lambda d, orientations, f: _flip(
+            reorient_at_feed(d, orientations, f), lambda u, v: f in (u, v)
         ),
         "feedback_check": _skip,
     },
     # the arcs away from the feed vertex reversed, the feedback recheck skipped
     "second_neighborhood_closed": {
-        "reorient_at_feed": lambda t, missing, f: _flip(
-            reorient_at_feed(t, missing, f), lambda u, v: f not in (u, v)
+        "reorient_at_feed": lambda d, orientations, f: _flip(
+            reorient_at_feed(d, orientations, f), lambda u, v: f not in (u, v)
         ),
         "feedback_check": _skip,
     },
@@ -318,9 +341,31 @@ def test_post_check_failure_dump_replays(monkeypatch, stage):
         t = _completion(loaded.digraph, orientations)
         order = tuple(state["order"])
         co = CertifiedOrder(order, order_objective(t, loaded.weights, order))
-        cert, checks = _checks(loaded, t, orientations, co)
+        cert, checks = _checks(loaded, orientations, co)
         assert next(name for name, ok in checks if not ok) == stage
         verdict = dict(verify_certificate(loaded, cert.to_dict()))
         assert verdict[stage] is False and verdict["fields_match"] is True
         caught += 1
     assert caught
+
+
+def test_each_pass_classifies_once(monkeypatch):
+    """find_witness_good and verify_certificate each classify the missing
+    edges once on a good instance."""
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return all_missing_edges_good(d)
+
+    monkeypatch.setattr(good_edges, "all_missing_edges_good", counted)
+    for i in range(10):
+        rng = Rng(0xC1 ^ i)
+        g, _dec = gen_generalized_star(spec=random_star_profile(3 + rng.below(10), rng))
+        wd = WeightedDigraph(random_digraph_missing(g, rng.next_u64()), WeightMap.uniform(g.n))
+        calls.clear()
+        cert = find_witness_good(wd)
+        assert len(calls) == 1
+        calls.clear()
+        assert all(ok for _name, ok in verify_certificate(wd, cert.to_dict()))
+        assert len(calls) == 1

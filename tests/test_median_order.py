@@ -428,7 +428,7 @@ def test_exact_order_feedback_dump_replays(monkeypatch):
     puts the heaviest backward arcs first, is caught by the feedback check;
     the dump holds the instance, the order and its first violation, which
     feedback_check finds again on the loaded instance."""
-    monkeypatch.setattr(Digraph, "in_mask", Digraph.out_mask)
+    monkeypatch.setattr(Digraph, "in_masks", Digraph.out_masks)
     for seed in range(5):
         t = random_tournament(6, seed)
         w = rational_weights(6, seed + 30)

@@ -256,7 +256,7 @@ class TestValidator:
                 for cls_j in classes[i:]:
                     for a in cls_i:
                         for b in cls_j:
-                            assert g.neighbors(a) <= g.neighbors(b)
+                            assert not g.neighbor_mask(a) & ~g.neighbor_mask(b)
 
 
 class TestClassify:

@@ -17,7 +17,6 @@ from snc import (
     ParseError,
     WeightedDigraph,
     WeightMap,
-    all_missing_edges_good,
     exact_median_order,
     find_witness,
     find_witness_good,
@@ -35,7 +34,7 @@ from snc.generators import (
     random_tournament,
     random_weights,
 )
-from snc.good_edges import _certificate, _fallback, verify_certificate, verify_fallback
+from snc.good_edges import _checks, _fallback, verify_certificate, verify_fallback
 from snc.median_order import verify_order
 
 
@@ -219,7 +218,7 @@ def test_unlicensed_orientation_fails_its_check(arcs, orientation):
     wd = WeightedDigraph(d, WeightMap.uniform(3))
     t = d.with_arcs([(orientation.tail, orientation.head)])
     co = local_median_order(t, wd.weights)
-    doc = _certificate(d, wd.weights, [orientation], co).to_dict()
+    doc = _checks(wd, [orientation], co)[0].to_dict()
     checks = dict(verify_certificate(wd, doc))
     assert checks["orientations_licensed"] is False
     assert checks["fields_match"] is True
@@ -233,7 +232,7 @@ def test_order_without_feedback_fails_its_checks():
     t = d.with_arcs([(0, 1)])
     order = (1, 0, 2)
     co = CertifiedOrder(order, order_objective(t, wd.weights, order))
-    doc = _certificate(d, wd.weights, [ConvenientOrientation(0, 1, "i")], co).to_dict()
+    doc = _checks(wd, [ConvenientOrientation(0, 1, "i")], co)[0].to_dict()
     checks = dict(verify_certificate(wd, doc))
     assert checks["order_feedback_on_t"] is False and checks["order_feedback_on_t_prime"] is False
     assert checks["witness_inequality"] is False  # w(N+(2)) = 2 > w(N++(2)) = 0
@@ -248,8 +247,7 @@ def test_fallback_witness_without_the_snp_fails_its_check():
     d = Digraph.from_arcs(5, [(2, 0), (3, 1), (1, 2), (0, 3), (3, 4)])
     wd = WeightedDigraph(d, WeightMap.uniform(5))
     snp = [v for v in range(5) if has_weighted_snp(wd, v).holds]
-    _ok, statuses = all_missing_edges_good(d)
-    doc = _fallback(wd, 3, snp, statuses).to_dict()
+    doc = _fallback(wd, 3, snp).to_dict()
     checks = dict(verify_fallback(wd, doc))
     assert checks == {"witness_inequality": False, "fields_match": True}
 
