@@ -30,17 +30,20 @@ from snc import (
     oracle,
 )
 from snc.cli import main
-from snc.digraph import WeightedDigraph, WeightMap
+from snc.digraph import UndirectedGraph, WeightedDigraph, WeightMap
 from snc.generators import (
     Rng,
     gen_generalized_star,
     random_digraph_missing,
+    random_graph,
     random_star_profile,
     random_tournament,
     random_weights,
 )
 from snc.formats import (
     MAX_VERTICES,
+    digraph_instance_dict,
+    graph_instance_dict,
     load_digraph,
     load_graph,
     parse_digraph,
@@ -133,6 +136,63 @@ def _exact_runs() -> list[str]:
         else:
             w = WeightMap([Fraction(r.below(4), 1 + r.below(5)) for _ in range(n)])
         runs.append(serialize_digraph(WeightedDigraph(random_tournament(n, r.next_u64()), w)))
+    return runs
+
+
+# SHA-256 of the concatenated stdout of _structure_runs().
+STRUCTURE_SHA256 = "5038eaffc0885f3f31f3eb8c82df8734a18546fd720ec7169d15db20e531ef43"
+
+
+def _structure_graph(kind: int, n: int, r: Rng) -> UndirectedGraph:
+    """A star with kind + 1 core layers for kind < 3; for kind 3, a star
+    with one edge of its first core layer dropped; for kind 4, a random
+    graph with the four-cycle 0-1-2-3 planted in it induced."""
+    if kind <= 3:
+        while True:
+            spec = random_star_profile(n, r)
+            if kind < 3 and len(spec.x_profile) == kind + 1:
+                return gen_generalized_star(spec=spec)[0]
+            if kind == 3 and spec.x_profile[0] >= 2 and sum(spec.a_profile) >= 2:
+                break
+        g, dec = gen_generalized_star(spec=spec)
+        x1, x2 = sorted(dec.x_sets[0])[:2]
+        drop, add = {(x1, x2)}, set()
+    else:
+        g = random_graph(n, r.next_u64())
+        drop, add = {(0, 2), (1, 3)}, {(0, 1), (1, 2), (2, 3), (0, 3)}
+    return UndirectedGraph.from_edges(n, sorted((set(g.edges()) - drop) | add))
+
+
+def _structure_runs() -> list[tuple[str, str]]:
+    """24 (graph, digraph missing it) inputs for `snc recognize` and
+    `snc check-good`, n = 10..34: stars with 1..3 core layers and the two
+    non-star constructions of _structure_graph, half as text with shuffled
+    symbolic labels and integer or rational weights, half as JSON."""
+    rng = Rng(2028)
+    runs = []
+    for k in range(24):
+        n = 10 + rng.below(25)
+        r = Rng(rng.next_u64())
+        g = _structure_graph(k % 5, n, r)
+        d = random_digraph_missing(g, r.next_u64())
+        if k % 4 == 0:
+            w = WeightMap.uniform(n)
+        elif k % 4 == 1:
+            w = random_weights(n, r.next_u64(), 10)
+        else:
+            w = WeightMap([Fraction(r.below(7), 1 + r.below(6)) for _ in range(n)])
+        labels = [f"v{v}" for v in range(n)]
+        r.shuffle(labels)
+        wd = WeightedDigraph(d, w)
+        if k % 2:
+            runs.append(
+                (
+                    json.dumps(graph_instance_dict(g, labels)),
+                    json.dumps(digraph_instance_dict(wd, labels)),
+                )
+            )
+        else:
+            runs.append((serialize_graph(g, labels), serialize_digraph(wd, labels)))
     return runs
 
 
@@ -667,6 +727,19 @@ class TestContracts:
             assert code == 0
             digest.update(out.encode())
         assert digest.hexdigest() == EXACT_SHA256
+
+    def test_structure_outputs_pinned(self, tmp_path):
+        """Recognition and goodness documents, with their echoed instances,
+        are byte-stable: pin the stdout of 24 runs of each at n = 10..34."""
+        digest = hashlib.sha256()
+        for graph_text, digraph_text in _structure_runs():
+            for argv, text in (("recognize", graph_text), ("check-good", digraph_text)):
+                f = tmp_path / "in.txt"
+                f.write_text(text)
+                code, out, _ = run_cli(argv, "-i", str(f))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == STRUCTURE_SHA256
 
     def test_move_limit_dump_replays(self, tmp_path):
         # reversed transitive triangle: the ascending start needs two repairs
