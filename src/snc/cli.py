@@ -10,7 +10,12 @@ progress go to stderr only.
 Implementation: the argument parser is built once per process, on the
 first call to main, and documents are written in one pass by
 _write_json, with the bytes of json.dumps(doc, sort_keys=True, indent=2)
-plus a newline.
+plus a newline.  Two fast paths keep the writer at one Python step per
+element where documents grow with the pair count: a list of int pairs
+(an instance's arcs or edges) is formatted one pair per piece, flushed
+every _BATCH pairs, and a dict's sorted, escaped keys are kept per key
+tuple and indentation, so a list of same-shape dicts (edge statuses,
+orientations, checks) sorts and escapes them once.
 """
 from __future__ import annotations
 
@@ -20,17 +25,22 @@ import functools
 import json
 import sys
 import time
+from itertools import chain, starmap
 from pathlib import Path
 
 from . import formats, generators, good_edges, median_order, oracle, stars
 from .digraph import WeightedDigraph, WeightMap
 from .errors import BadProfile, NotAViolation, ParseError, ReportedFailure, SncError
 
-# pieces per write; a piece is mostly a key with its value, about 20
-# bytes, and a larger batch raises the peak memory of large documents
+# pieces per write, and pairs per write from a list of int pairs; a piece
+# is mostly a key with its value, about 20 bytes, a pair about 30, and a
+# larger batch raises the peak memory of large documents
 _BATCH = 2048
 _escape = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
+_SEQUENCES = {list, tuple}
+_INT = {int}
+_PAIR = {2}
 
 
 def _write_json(doc, write) -> None:
@@ -40,9 +50,16 @@ def _write_json(doc, write) -> None:
     tuples, str, int, bool and None; anything else raises TypeError.
     The pieces go to write in batches of about _BATCH pieces, between
     list elements, so a large document is never held as one string.
+    Lists of int pairs and repeated dict shapes take the fast paths that
+    the module docstring describes.
     """
     pieces: list[str] = []
     put = pieces.append
+    shapes: dict = {}  # (keys in insertion order, nl) -> (sorted keys, their prefixes)
+
+    def flush() -> None:
+        write("".join(pieces))
+        pieces.clear()
 
     def value(v, nl: str) -> None:
         # nl is a newline plus the indentation of the line v starts on
@@ -52,11 +69,17 @@ def _write_json(doc, write) -> None:
                 put("{}")
                 return
             inner = nl + "  "
-            sep, comma = "{" + inner, "," + inner
-            for k in sorted(v):
+            shape = (tuple(v), nl)
+            known = shapes.get(shape)
+            if known is None:
+                keys = sorted(v)
+                # TypeError on a key that is not a str
+                prefixes = [f",{inner}{_escape(k)}: " for k in keys]
+                prefixes[0] = "{" + prefixes[0][1:]
+                known = shapes[shape] = keys, prefixes
+            for k, key in zip(*known):
                 x = v[k]
                 t = type(x)
-                key = f"{sep}{_escape(k)}: "  # TypeError on a key that is not a str
                 if t is str:
                     put(key + _escape(x))
                 elif t is int:
@@ -66,24 +89,37 @@ def _write_json(doc, write) -> None:
                 else:
                     put(key)
                     value(x, inner)
-                sep = comma
             put(nl + "}")
         elif t is list or t is tuple:
             if not v:
                 put("[]")
                 return
             inner = nl + "  "
-            sep, comma = "[" + inner, "," + inner
-            if all(type(x) is int for x in v):
-                put(sep + comma.join(map(int.__repr__, v)) + nl + "]")
+            kinds = set(map(type, v))
+            if kinds == _INT:
+                put("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
                 return
+            if (
+                kinds <= _SEQUENCES
+                and set(map(len, v)) == _PAIR
+                and set(map(type, chain.from_iterable(v))) == _INT
+            ):
+                deep = inner + "  "
+                pair = f"{inner}[{deep}{{}},{deep}{{}}{inner}]".format
+                sep = "["
+                for i in range(0, len(v), _BATCH):
+                    put(sep + ",".join(starmap(pair, v[i : i + _BATCH])))
+                    flush()
+                    sep = ","
+                put(nl + "]")
+                return
+            sep, comma = "[" + inner, "," + inner
             for x in v:
                 put(sep)
                 value(x, inner)
                 sep = comma
                 if len(pieces) >= _BATCH:
-                    write("".join(pieces))
-                    pieces.clear()
+                    flush()
             put(nl + "]")
         elif t is str:
             put(_escape(v))
@@ -96,7 +132,7 @@ def _write_json(doc, write) -> None:
 
     value(doc, "\n")
     put("\n")
-    write("".join(pieces))
+    flush()
 
 
 def _emit(args, payload) -> None:

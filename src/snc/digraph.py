@@ -164,10 +164,6 @@ class Digraph:
         banned, never v itself)."""
         return _second_step(self._out, self.out_mask(v))
 
-    def second_in_mask(self, v: int) -> int:
-        """Vertices at directed distance exactly two to v."""
-        return _second_step(self._in, self.in_mask(v))
-
     def missing_mask(self, v: int) -> int:
         """Vertices other than v joined to v by no arc in either direction."""
         self._check_vertex(v)

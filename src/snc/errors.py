@@ -41,7 +41,12 @@ class NotMissing(SncError):
 
 
 class NotAllGood(SncError):
-    pass
+    """Some missing edge is not good; edges holds every such edge (a, b),
+    a < b, in sorted order."""
+
+    def __init__(self, message: str, edges: tuple[tuple[int, int], ...] = ()):
+        super().__init__(message)
+        self.edges = edges
 
 
 class NotAViolation(SncError):

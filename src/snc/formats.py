@@ -37,15 +37,25 @@ def _decimal(token: str) -> bool:
 
 
 class _LabelTable:
-    """Vertex token resolution: numeric ids or dense symbolic labels."""
+    """Vertex token resolution: numeric ids or dense symbolic labels.
+
+    A token's mode, range and label count are checked on its first
+    resolution only; its vertex is then read from vertex, which holds
+    every token resolved so far (in symbolic mode, exactly the labels)."""
 
     def __init__(self, n: int):
         self.n = n
         self.mode: Optional[str] = None  # "numeric" | "symbolic"
-        self.by_label: dict[str, int] = {}
+        self.vertex: dict[str, int] = {}
 
     def resolve(self, token: str, line: int) -> int:
-        numeric = token.isdigit() and token.isascii()  # _decimal, inlined: one call per token
+        v = self.vertex.get(token)
+        if v is None:
+            v = self.vertex[token] = self._first(token, line)
+        return v
+
+    def _first(self, token: str, line: int) -> int:
+        numeric = _decimal(token)
         mode = "numeric" if numeric else "symbolic"
         if self.mode is None:
             self.mode = mode
@@ -58,17 +68,13 @@ class _LabelTable:
             if v >= self.n:
                 raise ParseError(f"vertex {v} out of range [0,{self.n})", line)
             return v
-        if token in self.by_label:
-            return self.by_label[token]
-        if len(self.by_label) >= self.n:
+        if len(self.vertex) >= self.n:
             raise ParseError(f"more than {self.n} distinct labels", line)
-        v = len(self.by_label)
-        self.by_label[token] = v
-        return v
+        return len(self.vertex)
 
     def labels(self) -> list[str]:
         """Each vertex's symbolic label, or its index where it has none."""
-        names = {v: label for label, v in self.by_label.items()}
+        names = {v: label for label, v in self.vertex.items()} if self.mode == "symbolic" else {}
         return [names.get(v, str(v)) for v in range(self.n)]
 
 

@@ -29,16 +29,17 @@ A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _checks (through _certificate) and _fallback
 derive every other field, the fallback's not-good edges included, except
 that the order comes with its objective: local search returns it, and
-verify_certificate recomputes it with order_objective.  The producers
-and verify_certificate / verify_fallback share them, so verification
-re-runs the theorem checks and compares the rebuilt document with the
-given one as a whole.
+verify_certificate recomputes it with order_objective.  find_witness
+hands _fallback the not-good edges of the NotAllGood it caught, so that
+it classifies once.  The producers and verify_certificate /
+verify_fallback share them, so verification re-runs the theorem checks
+and compares the rebuilt document with the given one as a whole.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, bits, has_weighted_snp, rational_dict
 from .errors import (
@@ -58,12 +59,12 @@ from .median_order import (
 )
 
 
-@dataclass(frozen=True)
-class MissingEdgeStatus:
+class MissingEdgeStatus(NamedTuple):
     """Goodness verdict for one missing edge {a,b} with a < b.
 
     A failure witness for (i) is a vertex v with v -> a and b not within
-    two steps of v; symmetrically for (ii).
+    two steps of v; symmetrically for (ii).  A named tuple: one is built
+    per missing edge, and a tuple builds fastest.
     """
 
     a: int
@@ -159,7 +160,7 @@ def complete_to_tournament(
     """
     bad = [(s.a, s.b) for s in statuses if not s.good]
     if bad:
-        raise NotAllGood(f"missing edges not good: {bad}")
+        raise NotAllGood(f"missing edges not good: {bad}", tuple(bad))
     orientations = [
         ConvenientOrientation(*((s.a, s.b, "i") if s.satisfies_i else (s.b, s.a, "ii")))
         for s in statuses
@@ -273,17 +274,25 @@ def _certificate(
     )
 
 
-def _fallback(wd: WeightedDigraph, v: int, snp: Iterable[int]) -> FallbackWitness:
+def _fallback(
+    wd: WeightedDigraph,
+    v: int,
+    snp: Iterable[int],
+    not_good: Optional[tuple[tuple[int, int], ...]] = None,
+) -> FallbackWitness:
     """The fallback document for witness v among the vertices snp with the
-    weighted SNP, every other field derived here."""
+    weighted SNP, every other field derived here; not_good, the missing
+    edges that are not good, is classified here unless given."""
     check = has_weighted_snp(wd, v)
-    _ok, statuses = all_missing_edges_good(wd.digraph)
+    if not_good is None:
+        _ok, statuses = all_missing_edges_good(wd.digraph)
+        not_good = tuple((s.a, s.b) for s in statuses if not s.good)
     return FallbackWitness(
         witness=v,
         lhs=check.first_weight,
         rhs=check.second_weight,
         snp_vertices=tuple(sorted(snp)),
-        not_good_edges=tuple((s.a, s.b) for s in statuses if not s.good),
+        not_good_edges=not_good,
     )
 
 
@@ -347,8 +356,8 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
         raise ValueError("empty digraph has no witness")
     try:
         return find_witness_good(wd, move_limit=move_limit)
-    except NotAllGood:
-        pass  # some missing edge is not good: scan every vertex
+    except NotAllGood as exc:  # some missing edge is not good: scan every vertex
+        not_good = exc.edges
 
     from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
 
@@ -357,7 +366,7 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
         raise NoWitnessFound(
             counterexample("snp-conjecture", "no vertex has the weighted SNP", wd)
         )
-    return _fallback(wd, min(snp), snp)
+    return _fallback(wd, min(snp), snp, not_good)
 
 
 def _orientations_from(raw) -> list[ConvenientOrientation]:

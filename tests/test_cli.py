@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -82,8 +83,9 @@ def _set(path, value):
 # str keys and values with non-ASCII, quotes, backslashes and control characters
 _TEXT = st.text(st.sampled_from('ab "\\/\x00\x1f\n\t\x7f\xe9\u20ac\u2028\U0001f600'))
 _SCALARS = st.none() | st.booleans() | st.integers(min_value=-(2**70), max_value=2**70) | _TEXT
+_PAIRS = st.lists(st.tuples(st.integers(), st.integers()))
 _DOCUMENTS = st.recursive(
-    _SCALARS | st.lists(st.integers()),
+    _SCALARS | st.lists(st.integers()) | _PAIRS | _PAIRS.map(lambda ps: [list(p) for p in ps]),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
     max_leaves=20,
 )
@@ -166,8 +168,9 @@ def _structure_graph(kind: int, n: int, r: Rng) -> UndirectedGraph:
 def _structure_runs() -> list[tuple[str, str]]:
     """24 (graph, digraph missing it) inputs for `snc recognize` and
     `snc check-good`, n = 10..34: stars with 1..3 core layers and the two
-    non-star constructions of _structure_graph, half as text with shuffled
-    symbolic labels and integer or rational weights, half as JSON."""
+    non-star constructions of _structure_graph, half as text and half as
+    JSON, with shuffled symbolic labels and unit, integer or rational
+    weights."""
     rng = Rng(2028)
     runs = []
     for k in range(24):
@@ -288,6 +291,57 @@ class TestParsing:
         f.write_text(text, encoding="utf-8")
         code, _, err = run_cli("witness", "-i", str(f))
         assert code == 1 and json.loads(err)["error"] == "ParseError"
+
+    def test_a_numeric_token_resolves_by_value(self):
+        wd, labels = parse_digraph("digraph 8\narc 7 0\narc 1 07\narc 07 2\narc 3 7\n")
+        assert wd.digraph.arcs() == [(1, 7), (3, 7), (7, 0), (7, 2)]
+        assert labels == [str(v) for v in range(8)]
+        g, _ = parse_graph("graph 8\nedge 07 1\nedge 2 7\n")
+        assert g.edges() == [(1, 7), (2, 7)]
+
+    def test_a_repeated_label_keeps_its_index(self):
+        wd, labels = parse_digraph("digraph 3\narc b a\narc a c\narc c b\nweight a 1 2\n")
+        assert labels == ["b", "a", "c"]
+        assert wd.digraph.arcs() == [(0, 1), (1, 2), (2, 0)]
+        assert wd.weights[1] == Fraction(1, 2)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (
+                parse_digraph,
+                "digraph 3\narc 0 1\narc 1 2\narc 2 a\n",
+                "vertex token 'a' mixes numeric and symbolic labels",
+            ),
+            (
+                parse_graph,
+                "graph 3\nedge a b\nedge b c\nedge c 1\n",
+                "vertex token '1' mixes numeric and symbolic labels",
+            ),
+            (parse_digraph, "digraph 3\narc 0 1\narc 1 2\narc 0 3\n", "vertex 3 out of range [0,3)"),
+            (parse_graph, "graph 3\nedge 0 1\nedge 01 2\nedge 2 03\n", "vertex 3 out of range [0,3)"),
+            (parse_graph, "graph 3\nedge a b\nedge b c\nedge a d\n", "more than 3 distinct labels"),
+            (
+                parse_digraph,
+                "digraph 2\narc a b\nweight a 1 1\nweight c 1 1\n",
+                "more than 2 distinct labels",
+            ),
+        ],
+        ids=[
+            "numeric-then-label",
+            "labels-then-numeric",
+            "out-of-range",
+            "out-of-range-padded",
+            "labels-over-n",
+            "weight-label-over-n",
+        ],
+    )
+    def test_token_errors_after_resolved_tokens(self, parse, text, message):
+        """Tokens resolved before line 4 leave its token's error, and its
+        line number, as they were."""
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.line == 4 and str(exc.value) == f"line 4: {message}"
 
     def test_non_ascii_digits_are_labels(self):
         _, labels = parse_digraph("digraph 2\narc \u0661 x\n")
@@ -657,10 +711,82 @@ class TestContracts:
 
     @pytest.mark.parametrize(
         "doc",
+        [
+            [[0, 1], [2, -3], [4, 2**70]],
+            [(0, 1), (2, -3)],
+            [(0, 1), [2, 3]],
+            [[True, 1]],
+            [[1, False], [2, 3]],
+            [[1], [2]],
+            [[1, 2, 3], [4, 5, 6]],
+            [[1, 2], [3]],
+            [[]],
+            [[1, 2], []],
+            [[[1, 2], [3, 4]]],
+            {"k": [[0, 1]], "m": {"x": 1, "y": [[2, 3], [4, 5]]}},
+            {
+                "a": {"x": 1, "y": [{"x": 2, "y": "s"}, {"y": None, "x": 3}]},
+                "b": [{"y": True, "x": [4, 5]}, {"x": 6, "y": {"x": 7, "y": 8}}],
+            },
+            [[v, -v] for v in range(3 * cli._BATCH + 5)],
+        ],
+        ids=[
+            "int-pairs",
+            "tuple-pairs",
+            "mixed-pairs",
+            "bool-pair",
+            "bool-in-second-pair",
+            "length-1",
+            "length-3",
+            "mixed-lengths",
+            "empty-inner",
+            "pair-then-empty",
+            "nested-pairs",
+            "pairs-in-dicts",
+            "same-key-dicts",
+            "long-pair-list",
+        ],
+    )
+    def test_writer_fast_paths_match_dumps(self, doc):
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        for batch in (cli._BATCH, 1):
+            chunks = []
+            with mock.patch.object(cli, "_BATCH", batch):
+                cli._write_json(doc, chunks.append)
+            assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
+    def test_writer_writes_at_most_a_batch_of_pairs(self, batch):
+        pairs = [[v, v + 1] for v in range(3 * cli._BATCH + 5)]
+        doc = {"arcs": pairs, "edges": [tuple(p) for p in pairs[:7]], "n": 5}
+        chunks = []
+        with mock.patch.object(cli, "_BATCH", batch):
+            cli._write_json(doc, chunks.append)
+        assert "".join(chunks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        per_write = [len(re.findall(r"\[\s*\d+,\s*\d+\s*\]", chunk)) for chunk in chunks]
+        assert sum(per_write) == len(pairs) + 7
+        assert max(per_write) <= batch
+
+    @pytest.mark.parametrize(
+        "doc",
         [{"a": 1.5}, [Fraction(1, 2)], {"a": {1}}, {"a": {1: "b"}}],
         ids=["float", "fraction", "set", "int-key"],
     )
     def test_writer_rejects_what_documents_never_hold(self, doc):
+        with pytest.raises(TypeError):
+            cli._write_json(doc, io.StringIO().write)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"a": 1}, {"a": 2}, {1: "b"}],
+            [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
+            [{"a": 1}, {"a": 1.5}],
+            {"a": [[0, 1], [2, 1.5]]},
+        ],
+        ids=["int-key", "mixed-keys", "float-value", "float-in-pair"],
+    )
+    def test_writer_rejects_the_odd_one_among_same_shapes(self, doc):
         with pytest.raises(TypeError):
             cli._write_json(doc, io.StringIO().write)
 

@@ -30,7 +30,7 @@ from snc import good_edges
 from snc.digraph import bits
 from snc.errors import InternalTheoremViolation
 from snc.formats import load_digraph
-from snc.good_edges import _certificate, _checks, _completion, _orientations_from
+from snc.good_edges import _certificate, _checks, _completion, _orientations_from, verify_fallback
 from snc.median_order import CertifiedOrder, order_objective
 from snc.generators import (
     Rng,
@@ -351,7 +351,8 @@ def test_post_check_failure_dump_replays(monkeypatch, stage):
 
 def test_each_pass_classifies_once(monkeypatch):
     """find_witness_good and verify_certificate each classify the missing
-    edges once on a good instance."""
+    edges once on a good instance; find_witness and verify_fallback each
+    classify once on the two-K2 digraph, where the fallback is taken."""
     calls = []
 
     def counted(d):
@@ -369,3 +370,10 @@ def test_each_pass_classifies_once(monkeypatch):
         calls.clear()
         assert all(ok for _name, ok in verify_certificate(wd, cert.to_dict()))
         assert len(calls) == 1
+    wd = WeightedDigraph(two_k2(), WeightMap.uniform(4))
+    calls.clear()
+    fallback = find_witness(wd)
+    assert isinstance(fallback, FallbackWitness) and len(calls) == 1
+    calls.clear()
+    assert all(ok for _name, ok in verify_fallback(wd, fallback.to_dict()))
+    assert len(calls) == 1
