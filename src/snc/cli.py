@@ -12,10 +12,10 @@ first call to main, and documents are written in one pass by
 _write_json, with the bytes of json.dumps(doc, sort_keys=True, indent=2)
 plus a newline.  Two fast paths keep the writer at one Python step per
 element where documents grow with the pair count: a list of int pairs
-(an instance's arcs or edges) is formatted one pair per piece, flushed
-every _BATCH pairs, and a dict's sorted, escaped keys are kept per key
-tuple and indentation, so a list of same-shape dicts (edge statuses,
-orientations, checks) sorts and escapes them once.
+(an instance's arcs or edges) is formatted one pair per piece and
+written _BATCH pairs at a time, and a dict's sorted, escaped keys are
+kept per key tuple and indentation, so a list of same-shape dicts (edge
+statuses, orientations, checks) sorts and escapes them once.
 """
 from __future__ import annotations
 
@@ -33,9 +33,9 @@ from .digraph import WeightedDigraph, WeightMap
 from .errors import BadProfile, NotAViolation, ParseError, ReportedFailure, SncError
 
 # pieces per write, and pairs per write from a list of int pairs; a piece
-# is mostly a key with its value, about 20 bytes, a pair about 30, and a
+# is mostly a key with its value, about 20 bytes, a pair about 40, and a
 # larger batch raises the peak memory of large documents
-_BATCH = 2048
+_BATCH = 1024
 _escape = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 _SEQUENCES = {list, tuple}
@@ -108,8 +108,11 @@ def _write_json(doc, write) -> None:
                 pair = f"{inner}[{deep}{{}},{deep}{{}}{inner}]".format
                 sep = "["
                 for i in range(0, len(v), _BATCH):
-                    put(sep + ",".join(starmap(pair, v[i : i + _BATCH])))
+                    put(sep)
                     flush()
+                    # written as joined, not copied into pieces: a large
+                    # document's peak memory stays at the general path's
+                    write(",".join(starmap(pair, v[i : i + _BATCH])))
                     sep = ","
                 put(nl + "]")
                 return
@@ -130,7 +133,12 @@ def _write_json(doc, write) -> None:
         else:
             raise TypeError(f"documents hold no {t.__name__} values")
 
-    value(doc, "\n")
+    try:
+        value(doc, "\n")
+    finally:
+        # value's cell refers to value: empty it, so that reference counting
+        # frees this call's pieces and shapes without the cyclic collector
+        value = None
     put("\n")
     flush()
 

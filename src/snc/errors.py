@@ -42,7 +42,9 @@ class NotMissing(SncError):
 
 class NotAllGood(SncError):
     """Some missing edge is not good; edges holds every such edge (a, b),
-    a < b, in sorted order."""
+    a < b, in sorted order.  good_edges.complete_to_tournament, the one
+    place that raises it, always fills edges; the default lets a caller
+    raise it with a message alone."""
 
     def __init__(self, message: str, edges: tuple[tuple[int, int], ...] = ()):
         super().__init__(message)

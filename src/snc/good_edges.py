@@ -27,13 +27,14 @@ the same list between its input checks and fields_match.
 
 A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _checks (through _certificate) and _fallback
-derive every other field, the fallback's not-good edges included, except
-that the order comes with its objective: local search returns it, and
-verify_certificate recomputes it with order_objective.  find_witness
-hands _fallback the not-good edges of the NotAllGood it caught, so that
-it classifies once.  The producers and verify_certificate /
-verify_fallback share them, so verification re-runs the theorem checks
-and compares the rebuilt document with the given one as a whole.
+derive every other field, except that the order comes with its
+objective and the fallback with its not-good edges: local search returns
+the objective, and verify_certificate recomputes it with order_objective;
+find_witness takes the not-good edges from the NotAllGood it caught, and
+verify_fallback classifies, so each classifies once.  The producers and
+verify_certificate / verify_fallback share them, so verification re-runs
+the theorem checks and compares the rebuilt document with the given one
+as a whole.
 """
 from __future__ import annotations
 
@@ -153,7 +154,8 @@ def complete_to_tournament(
 ) -> tuple[Digraph, list[ConvenientOrientation]]:
     """Add one convenient orientation per missing edge, statuses being the
     verdicts of all_missing_edges_good(d); a missing edge that is not good
-    raises NotAllGood, which names every such edge.
+    raises NotAllGood, which names every such edge, and statuses that miss
+    a missing edge raise ValueError.
 
     Deterministic rule: when both conditions hold the (i)-orientation
     (lower index -> higher index) wins.
@@ -167,7 +169,7 @@ def complete_to_tournament(
     ]
     t = _completion(d, orientations)
     if not t.is_tournament():
-        raise NotAllGood("statuses did not cover every missing edge")
+        raise ValueError("statuses did not cover every missing edge")
     return t, orientations
 
 
@@ -275,18 +277,12 @@ def _certificate(
 
 
 def _fallback(
-    wd: WeightedDigraph,
-    v: int,
-    snp: Iterable[int],
-    not_good: Optional[tuple[tuple[int, int], ...]] = None,
+    wd: WeightedDigraph, v: int, snp: Iterable[int], not_good: tuple[tuple[int, int], ...]
 ) -> FallbackWitness:
     """The fallback document for witness v among the vertices snp with the
-    weighted SNP, every other field derived here; not_good, the missing
-    edges that are not good, is classified here unless given."""
+    weighted SNP and the missing edges not_good that are not good, every
+    other field derived here."""
     check = has_weighted_snp(wd, v)
-    if not_good is None:
-        _ok, statuses = all_missing_edges_good(wd.digraph)
-        not_good = tuple((s.a, s.b) for s in statuses if not s.good)
     return FallbackWitness(
         witness=v,
         lhs=check.first_weight,
@@ -427,7 +423,9 @@ def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
         raise ParseError("witness must be an integer")
     if not 0 <= v < wd.digraph.n:
         return [("witness_in_range", False)]
-    fallback = _fallback(wd, v, brute_force_snp_vertices(wd))
+    _ok, statuses = all_missing_edges_good(wd.digraph)
+    not_good = tuple((s.a, s.b) for s in statuses if not s.good)
+    fallback = _fallback(wd, v, brute_force_snp_vertices(wd), not_good)
     return [
         ("witness_inequality", fallback.lhs <= fallback.rhs),
         fields_match(fallback.to_dict(), doc),

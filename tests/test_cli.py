@@ -1,6 +1,7 @@
 """Command-line surface: formats, commands, exit codes, determinism."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -789,6 +790,19 @@ class TestContracts:
     def test_writer_rejects_the_odd_one_among_same_shapes(self, doc):
         with pytest.raises(TypeError):
             cli._write_json(doc, io.StringIO().write)
+
+    def test_writer_leaves_no_cyclic_garbage(self):
+        """Reference counting frees all that a call made: cyclic garbage
+        would bring collector passes, and their pauses, into every
+        command's latency."""
+        doc = {"arcs": [[0, 1], [1, 2]], "checks": [{"name": "a", "ok": True}], "n": 3}
+        gc.collect()
+        gc.disable()
+        try:
+            cli._write_json(doc, io.StringIO().write)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_parser_is_built_once(self, monkeypatch, tmp_path):
         f = tmp_path / "t.dg"

@@ -157,7 +157,7 @@ class TestCompletion:
             complete(two_k2())
 
     def test_statuses_must_cover_every_missing_edge(self):
-        with pytest.raises(NotAllGood, match="did not cover"):
+        with pytest.raises(ValueError, match="did not cover"):
             complete_to_tournament(star_missing(), all_missing_edges_good(star_missing())[1][:1])
 
 

@@ -34,7 +34,13 @@ from snc.generators import (
     random_tournament,
     random_weights,
 )
-from snc.good_edges import _checks, _fallback, verify_certificate, verify_fallback
+from snc.good_edges import (
+    _checks,
+    _fallback,
+    all_missing_edges_good,
+    verify_certificate,
+    verify_fallback,
+)
 from snc.median_order import verify_order
 
 
@@ -247,7 +253,8 @@ def test_fallback_witness_without_the_snp_fails_its_check():
     d = Digraph.from_arcs(5, [(2, 0), (3, 1), (1, 2), (0, 3), (3, 4)])
     wd = WeightedDigraph(d, WeightMap.uniform(5))
     snp = [v for v in range(5) if has_weighted_snp(wd, v).holds]
-    doc = _fallback(wd, 3, snp).to_dict()
+    not_good = tuple((s.a, s.b) for s in all_missing_edges_good(d)[1] if not s.good)
+    doc = _fallback(wd, 3, snp, not_good).to_dict()
     checks = dict(verify_fallback(wd, doc))
     assert checks == {"witness_inequality": False, "fields_match": True}
 
