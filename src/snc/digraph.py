@@ -10,7 +10,7 @@ floating point.
 
 Adjacency is stored once, as one int bitmask per vertex: a digraph keeps
 out-masks (bit u of v's is set when v -> u) and in-masks, an undirected
-graph neighbor masks.  Other modules read them through out_mask, in_mask
+graph neighbor masks.  Other modules read them through out_mask, in_masks
 and neighbor_mask; the set-returning accessors are derived from them.
 
 Graphs are built whole, from their arcs, edges or masks, and never
@@ -149,11 +149,6 @@ class Digraph:
     def out_masks(self) -> tuple[int, ...]:
         """Every out-mask, indexed by vertex, for scans over the whole digraph."""
         return self._out
-
-    def in_mask(self, v: int) -> int:
-        """Bit u is set when u -> v."""
-        self._check_vertex(v)
-        return self._in[v]
 
     def in_masks(self) -> tuple[int, ...]:
         """Every in-mask, indexed by vertex, for scans over the whole digraph."""
@@ -362,8 +357,8 @@ class WeightMap:
         self.scale: int = scale
 
     @classmethod
-    def uniform(cls, n: int, value=1) -> "WeightMap":
-        return cls([value] * n)
+    def uniform(cls, n: int) -> "WeightMap":
+        return cls([1] * n)
 
     @classmethod
     def from_dict(cls, n: int, mapping: dict) -> "WeightMap":

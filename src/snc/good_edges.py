@@ -277,17 +277,17 @@ def _certificate(
 
 
 def _fallback(
-    wd: WeightedDigraph, v: int, snp: Iterable[int], not_good: tuple[tuple[int, int], ...]
+    wd: WeightedDigraph, v: int, snp: Sequence[int], not_good: tuple[tuple[int, int], ...]
 ) -> FallbackWitness:
     """The fallback document for witness v among the vertices snp with the
-    weighted SNP and the missing edges not_good that are not good, every
-    other field derived here."""
+    weighted SNP, in increasing order, and the missing edges not_good that
+    are not good, every other field derived here."""
     check = has_weighted_snp(wd, v)
     return FallbackWitness(
         witness=v,
         lhs=check.first_weight,
         rhs=check.second_weight,
-        snp_vertices=tuple(sorted(snp)),
+        snp_vertices=tuple(snp),
         not_good_edges=not_good,
     )
 
@@ -339,6 +339,11 @@ def _checks(
     ]
 
 
+def _snp_vertices(wd: WeightedDigraph) -> list[int]:
+    """The vertices with the weighted SNP, in increasing order."""
+    return [v for v in range(wd.digraph.n) if has_weighted_snp(wd, v).holds]
+
+
 def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     """Dispatch front door.
 
@@ -354,15 +359,12 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
         return find_witness_good(wd, move_limit=move_limit)
     except NotAllGood as exc:  # some missing edge is not good: scan every vertex
         not_good = exc.edges
-
-    from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
-
-    snp = brute_force_snp_vertices(wd)
+    snp = _snp_vertices(wd)
     if not snp:
         raise NoWitnessFound(
             counterexample("snp-conjecture", "no vertex has the weighted SNP", wd)
         )
-    return _fallback(wd, min(snp), snp, not_good)
+    return _fallback(wd, snp[0], snp, not_good)
 
 
 def _orientations_from(raw) -> list[ConvenientOrientation]:
@@ -416,8 +418,6 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
 
 def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
     """Re-derive a witness_fallback document from its witness alone."""
-    from .oracle import brute_force_snp_vertices  # lazy: oracle imports this module
-
     v = doc.get("witness")
     if type(v) is not int:
         raise ParseError("witness must be an integer")
@@ -425,7 +425,7 @@ def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
         return [("witness_in_range", False)]
     _ok, statuses = all_missing_edges_good(wd.digraph)
     not_good = tuple((s.a, s.b) for s in statuses if not s.good)
-    fallback = _fallback(wd, v, brute_force_snp_vertices(wd), not_good)
+    fallback = _fallback(wd, v, _snp_vertices(wd), not_good)
     return [
         ("witness_inequality", fallback.lhs <= fallback.rhs),
         fields_match(fallback.to_dict(), doc),

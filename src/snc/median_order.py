@@ -23,15 +23,15 @@ Two order constructions are provided:
   violation in a fixed scan order; every move strictly increases the
   perturbed forward-arc objective, so no order repeats and the search
   terminates (a move limit turns pathological slowness into an error).
-  The search keeps what a scan reads across its moves (_ScanState: per
-  position the out-mask, the vertex bit, the perturbed key and the
-  out-minus-in key over the positions before it) and splices it per move
-  in O(span) instead of rebuilding it in O(n^2).  When that maintained
-  state shows no violation, the same feedback_check call builds the
-  state afresh from the order and requires the two to be equal, so the
-  clean scan is a scan of a fresh state and the certificate never rests
-  on the incremental update; a difference is an internal violation
-  (stage local-search-state).
+  The search keeps one record of its order, a _ScanState: per position
+  the vertex, its out-mask, bit and perturbed key, and its out-minus-in
+  key over the positions before it.  _move splices the record in
+  O(span) instead of rebuilding it in O(n^2), and returns the move's
+  gain.  When a scan of the record shows no violation, the search
+  builds the state afresh from the order and requires the two to be
+  equal, so the clean scan is a scan of a fresh state and the
+  certificate never rests on the incremental update; a difference is an
+  internal violation (stage local-search-state).
 * exact_median_order: subset dynamic program maximizing the perturbed
   objective globally.  It extends a prefix set only by a vertex that
   passes the two interval tests an optimal order must pass there, so it
@@ -190,14 +190,15 @@ def _objective_key(t: Digraph, keys: list[int], order: Sequence[int]) -> int:
 
 @dataclass(slots=True)
 class _ScanState:
-    """What a feedback scan reads of an order, by position p: the out-mask
-    out[p], the bit bit[p] and the perturbed key key[p] of v_p, and trail[p],
-    v_p's out-minus-in key over positions [0, p).
+    """An order and what a feedback scan reads of it, by position p: the
+    vertex v_p = vertex[p], its out-mask out[p], bit bit[p] and perturbed
+    key key[p], and trail[p], v_p's out-minus-in key over positions [0, p).
 
     _scan_state builds it from scratch in O(n^2); local search keeps one
-    across its moves and _move splices it in O(span).
+    as its only record of the order and _move splices it in O(span).
     """
 
+    vertex: list[int]
     out: list[int]
     bit: list[int]
     key: list[int]
@@ -206,16 +207,17 @@ class _ScanState:
 
 def _scan_state(t: Digraph, keys: list[int], order: Sequence[int]) -> _ScanState:
     masks = t.out_masks()
-    out = [masks[v] for v in order]
-    bit = [1 << v for v in order]
-    k = [keys[v] for v in order]
-    n = len(order)
+    vertex = list(order)
+    out = [masks[v] for v in vertex]
+    bit = [1 << v for v in vertex]
+    k = [keys[v] for v in vertex]
+    n = len(vertex)
     trail = [0] * n
     for p in range(n - 1):
         out_p, kp = out[p], k[p]
         for b in range(p + 1, n):
             trail[b] += -kp if out_p & bit[b] else kp
-    return _ScanState(out, bit, k, trail)
+    return _ScanState(vertex, out, bit, k, trail)
 
 
 def _move(state: _ScanState, kind: str, i: int, j: int) -> int:
@@ -225,7 +227,8 @@ def _move(state: _ScanState, kind: str, i: int, j: int) -> int:
     A passed vertex's trail gains or loses the moved vertex's key as the
     moved vertex enters or leaves the positions before it.  The moved
     vertex's trail changes by its out-minus-in key over the passed
-    vertices, which is returned for the gain check.
+    vertices, and its arcs to them flip: the objective gains -beaten times
+    that key, which is returned for the gain check.
     """
     out, bit, k, trail = state.out, state.bit, state.key, state.trail
     if kind == PREFIX:
@@ -242,9 +245,9 @@ def _move(state: _ScanState, kind: str, i: int, j: int) -> int:
             out_minus_in -= k[p]
             trail[p] -= beaten
     trail.insert(dest, trail.pop(m) + sign * out_minus_in)
-    for col in (out, bit, k):
+    for col in (state.vertex, out, bit, k):
         col.insert(dest, col.pop(m))
-    return out_minus_in
+    return -beaten * out_minus_in
 
 
 def _scan(state: _ScanState) -> Iterator[tuple[str, int, int, int, int]]:
@@ -292,32 +295,13 @@ def feedback_check(
     PerturbedRational values, or None when the order has the feedback
     property.
 
-    _state is local search's maintained _ScanState of order: the check then
-    returns the first failure undecoded, as _scan yields it, and skips the
-    input checks.  When the maintained state shows no failure, it must
-    equal a state built afresh from order, so the clean scan is one of a
-    fresh state and a certified order never rests on the incremental
-    update; a state that differs is an internal violation, whose dump
-    carries the first failure the fresh state shows, if any.
+    _state is local search's _ScanState of order: the check then scans it
+    as it stands and returns the first failure undecoded, as _scan yields
+    it, skipping the input checks.  A clean scan of it certifies nothing
+    until the search compares it with a fresh state.
     """
     if _state is not None:
-        found = next(_scan(_state), None)
-        if found is not None:
-            return found
-        keys, scale, base = _perturbed_keys(w)
-        fresh = _scan_state(t, keys, order)
-        if fresh != _state:
-            missed = next(_scan(fresh), None)
-            raise InternalTheoremViolation(
-                counterexample(
-                    "local-search-state",
-                    "the maintained scan state differs from one built afresh",
-                    WeightedDigraph(t, w),
-                    order=list(order),
-                    violation=missed and _violation(missed, scale, base).to_dict(),
-                )
-            )
-        return None
+        return next(_scan(_state), None)
     _require_tournament(t)
     _check_order(t, order)
     keys, scale, base = _perturbed_keys(w)
@@ -344,8 +328,8 @@ def local_median_order(
     given), repeatedly repairs the first violation in scan order, and
     stops when a scan finds none, which certifies the result.  Each repair
     strictly increases the perturbed objective, which is asserted per move.
-    The scan state is kept across moves (see _ScanState) and checked
-    against a fresh one when the scan comes out clean.
+    The order lives in one _ScanState kept across moves, and a clean scan
+    of it must match a state built afresh from the order (see above).
     """
     _require_tournament(t)
     if move_limit is None:
@@ -353,23 +337,34 @@ def local_median_order(
     if move_limit <= 0:
         raise ValueError("move_limit must be positive")
     keys, scale, base = _perturbed_keys(w)
-    order: Order = tuple(range(t.n))
+    start = list(range(t.n))
     if seed is not None:
         # a local import: generators imports stars, which imports
         # good_edges, which imports this module
         from .generators import Rng
 
-        lst = list(order)
-        Rng(seed).shuffle(lst)
-        order = tuple(lst)
-    state = _scan_state(t, keys, order)
+        Rng(seed).shuffle(start)
+    state = _scan_state(t, keys, start)
 
     moves = 0
     while True:
+        order: Order = tuple(state.vertex)
         # one feedback_check call per scan: the benchmark counts moves by them
         first = feedback_check(t, w, order, _state=state)
         if first is None:
-            break
+            fresh = _scan_state(t, keys, order)
+            if fresh == state:
+                break
+            missed = next(_scan(fresh), None)
+            raise InternalTheoremViolation(
+                counterexample(
+                    "local-search-state",
+                    "the maintained scan state differs from one built afresh",
+                    WeightedDigraph(t, w),
+                    order=list(order),
+                    violation=missed and _violation(missed, scale, base).to_dict(),
+                )
+            )
         if moves >= move_limit:
             remaining = sum(1 for _ in _scan(_scan_state(t, keys, order)))
             raise MoveLimitExceeded(
@@ -383,18 +378,7 @@ def local_median_order(
                     seed=seed,
                 )
             )
-        kind, i, j = first[0], first[1] - 1, first[2] - 1
-        if kind == PREFIX:  # v_i moves to just after v_j
-            moved = order[i]
-            repaired = order[:i] + order[i + 1 : j + 1] + (moved,) + order[j + 1 :]
-        else:  # v_j moves to just before v_i
-            moved = order[j]
-            repaired = order[:i] + (moved,) + order[i:j] + order[j + 1 :]
-        # the moved vertex flips its arcs to the vertices it passes, so the
-        # objective gains w~(v) * (in - out) for a prefix move, (out - in) for a suffix move
-        out_minus_in = _move(state, kind, i, j)
-        gain = keys[moved] * (out_minus_in if kind == SUFFIX else -out_minus_in)
-        if gain <= 0:
+        if _move(state, first[0], first[1] - 1, first[2] - 1) <= 0:
             raise InternalTheoremViolation(
                 counterexample(
                     "local-search-gain",
@@ -404,11 +388,10 @@ def local_median_order(
                     violation=_violation(first, scale, base).to_dict(),
                 )
             )
-        order = repaired
         moves += 1
         if trace is not None:
-            violation = _violation(first, scale, base)
-            trace.append({"move": moves, "order": list(order), "repaired": violation.to_dict()})
+            violation = _violation(first, scale, base).to_dict()
+            trace.append({"move": moves, "order": state.vertex[:], "repaired": violation})
 
     return CertifiedOrder(order, _product_value(_objective_key(t, keys, order), scale, base))
 

@@ -9,9 +9,9 @@ and Yuster included) and must report zero failures; any failure is
 preserved as a replayable counterexample.
 
 One driver runs every sweep: a module-level check(i, *args) returns
-(instances, failures) for instance i (seed XOR i, or code i), and index
-blocks over `jobs` workers merge in index order, so reports are identical
-for any worker count.
+(instances, failures) for instance i (seed XOR i, or code i), and
+Pool.starmap runs contiguous index chunks on `jobs` workers, returning
+the results in index order, so reports are identical for any worker count.
 """
 from __future__ import annotations
 
@@ -130,34 +130,26 @@ def _merge(results) -> tuple[int, list[CounterexampleReport]]:
     return sum(c for c, _ in results), [f for _, fs in results for f in fs]
 
 
-def _run_block(block) -> list[tuple[int, list[CounterexampleReport]]]:
-    check, lo, hi, args = block
-    return [check(i, *args) for i in range(lo, hi)]
-
-
 def _drive(check, total: int, args: tuple, jobs: int) -> tuple[int, list[CounterexampleReport]]:
     """Run the module-level check(i, *args) -> (instances, failures) for
     every i in range(total) and merge the results in index order.
 
-    The range is cut into min(jobs, total) contiguous index blocks; more
-    than one block runs on a worker pool, so results do not depend on jobs.
+    With more than one of min(jobs, total) parts, a worker pool's starmap
+    runs contiguous chunks of ceil(total / parts) indices and returns the
+    results in index order, so they do not depend on jobs.
     """
     if total < 0:
         raise ValueError(f"instance count must be non-negative, got {total}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    parts = max(1, min(jobs, total))
-    step, rem = divmod(total, parts)
-    starts = [p * step + min(p, rem) for p in range(parts + 1)]  # first rem blocks get one more
-    blocks = [(check, starts[p], starts[p + 1], args) for p in range(parts)]
-    if parts == 1:
-        results = [_run_block(blocks[0])]
-    else:
-        from multiprocessing import Pool  # lazy: only parallel sweeps pay its import
+    tasks = [(i, *args) for i in range(total)]
+    parts = min(jobs, total)
+    if parts <= 1:
+        return _merge(check(*task) for task in tasks)
+    from multiprocessing import Pool  # lazy: only parallel sweeps pay its import
 
-        with Pool(processes=parts) as pool:
-            results = pool.map(_run_block, blocks)
-    return _merge(r for block_results in results for r in block_results)
+    with Pool(processes=parts) as pool:
+        return _merge(pool.starmap(check, tasks, chunksize=-(-total // parts)))
 
 
 def _drive_codes(check, sizes, jobs: int) -> tuple[int, list[CounterexampleReport]]:

@@ -135,7 +135,7 @@ def _exact_runs() -> list[str]:
         if k % 3 == 0:
             w = random_weights(n, r.next_u64(), 10)
         elif k % 3 == 1:
-            w = WeightMap.uniform(n, 0)
+            w = WeightMap([0] * n)
         else:
             w = WeightMap([Fraction(r.below(4), 1 + r.below(5)) for _ in range(n)])
         runs.append(serialize_digraph(WeightedDigraph(random_tournament(n, r.next_u64()), w)))
@@ -944,6 +944,25 @@ class TestContracts:
         dump.write_text(json.dumps(report["state"]["instance"]))
         code, out, err = run_cli(*argv, "-i", str(dump))
         assert code == 2 and json.loads(err)["counterexample"] == report
+
+    def test_no_witness_found_dumps_a_loadable_instance(self, monkeypatch, tmp_path):
+        # a scan that finds no vertex with the weighted SNP would refute the
+        # conjecture; on the two-K2 digraph every missing edge is not good
+        import snc.good_edges as ge
+
+        monkeypatch.setattr(ge, "_snp_vertices", lambda wd: [])
+        text = "digraph 4\narc 2 0\narc 3 1\narc 1 2\narc 0 3\nweight 0 1 2\n"
+        f = tmp_path / "two_k2.dg"
+        f.write_text(text)
+        code, out, err = run_cli("witness", "-i", str(f))
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "NoWitnessFound"
+        report = doc["counterexample"]
+        assert report["stage"] == "snp-conjecture" and set(report["state"]) == {"instance"}
+        wd = load_digraph(json.dumps(report["state"]["instance"]))[0]
+        expected = parse_digraph(text)[0]
+        assert (wd.digraph, wd.weights) == (expected.digraph, expected.weights)
 
     def test_internal_violation_maps_to_exit_2(self, monkeypatch, tmp_path):
         # force the science-alarm path; honest inputs cannot reach it

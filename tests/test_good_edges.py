@@ -97,8 +97,8 @@ def reference_status(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
     def reaches(v: int, x: int) -> bool:
         return x in set(bits(d.out_mask(v))) | d.second_out_neighbors(v)
 
-    against_i = next((v for v in bits(d.in_mask(a)) if not reaches(v, b)), None)
-    against_ii = next((v for v in bits(d.in_mask(b)) if not reaches(v, a)), None)
+    against_i = next((v for v in bits(d.in_masks()[a]) if not reaches(v, b)), None)
+    against_ii = next((v for v in bits(d.in_masks()[b]) if not reaches(v, a)), None)
     return MissingEdgeStatus(a, b, against_i is None, against_ii is None, against_i, against_ii)
 
 
