@@ -296,6 +296,8 @@ def cmd_gen(args) -> int:
             formats.check_cap(args.n)
             d = generators.random_tournament(args.n, args.seed)
         else:
+            if args.input is None:
+                raise ValueError("gen digraph-missing needs a graph input: -i FILE or -i -")
             g, _labels = formats.load_graph(_read_input(args))
             d = generators.random_digraph_missing(g, args.seed)
         wd = WeightedDigraph(d, _weights(args, d.n))

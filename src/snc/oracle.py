@@ -9,9 +9,10 @@ and Yuster included) and must report zero failures; any failure is
 preserved as a replayable counterexample.
 
 One driver runs every sweep: a module-level check(i, *args) returns
-(instances, failures) for instance i (seed XOR i, or code i), and
-Pool.starmap runs contiguous index chunks on `jobs` workers, returning
-the results in index order, so reports are identical for any worker count.
+(instances, failures) for instance i (seed XOR i, or code i).  Contiguous
+index blocks, one serially or up to `jobs` on a worker pool, each fold
+their checks into one pair as they run and merge in index order: reports
+do not depend on the worker count, and memory grows with the failures only.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .digraph import (
     pair_list,
 )
 from .errors import CounterexampleReport, ReportedFailure, SncError, TooLarge
-from .formats import counterexample
+from .formats import check_cap, counterexample
 from .generators import (
     Rng,
     gen_generalized_star,
@@ -124,32 +125,38 @@ class SweepReport:
 
 
 def _merge(results) -> tuple[int, list[CounterexampleReport]]:
-    """Sum the instance counts of (instances, failures) pairs and
-    concatenate their failures in order."""
-    results = list(results)
-    return sum(c for c, _ in results), [f for _, fs in results for f in fs]
+    """Fold (instances, failures) pairs as they arrive: one count, one failure list."""
+    count, failures = 0, []
+    for c, fs in results:
+        count += c
+        failures.extend(fs)
+    return count, failures
+
+
+def _block(check, lo: int, hi: int, args: tuple) -> tuple[int, list[CounterexampleReport]]:
+    """check(i, *args) for every i in range(lo, hi), merged in index order."""
+    return _merge(check(i, *args) for i in range(lo, hi))
 
 
 def _drive(check, total: int, args: tuple, jobs: int) -> tuple[int, list[CounterexampleReport]]:
-    """Run the module-level check(i, *args) -> (instances, failures) for
-    every i in range(total) and merge the results in index order.
-
-    With more than one of min(jobs, total) parts, a worker pool's starmap
-    runs contiguous chunks of ceil(total / parts) indices and returns the
-    results in index order, so they do not depend on jobs.
+    """The module-level check(i, *args) -> (instances, failures) merged over
+    range(total): one _block when parts = min(jobs, total) <= 1, else a
+    pool's starmap over blocks of ceil(total / parts) indices, each merged
+    in its worker and returned in index order, whatever jobs is.
     """
     if total < 0:
         raise ValueError(f"instance count must be non-negative, got {total}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(i, *args) for i in range(total)]
     parts = min(jobs, total)
     if parts <= 1:
-        return _merge(check(*task) for task in tasks)
+        return _block(check, 0, total, args)
     from multiprocessing import Pool  # lazy: only parallel sweeps pay its import
 
-    with Pool(processes=parts) as pool:
-        return _merge(pool.starmap(check, tasks, chunksize=-(-total // parts)))
+    size = -(-total // parts)
+    blocks = [(check, lo, min(lo + size, total), args) for lo in range(0, total, size)]
+    with Pool(processes=len(blocks)) as pool:  # ceil may leave fewer blocks than parts
+        return _merge(pool.starmap(_block, blocks))
 
 
 def _drive_codes(check, sizes, jobs: int) -> tuple[int, list[CounterexampleReport]]:
@@ -191,12 +198,8 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
     if n < 1:
         raise ValueError("need at least one vertex")
     sizes = range(1, n + 1) if cumulative else [n]
-    count, failures = _drive_codes(_theorem1_check, sizes, jobs)
     return SweepReport(
-        sweep="theorem1",
-        parameters={"n": n, "cumulative": cumulative},
-        instances=count,
-        failures=failures,
+        "theorem1", {"n": n, "cumulative": cumulative}, *_drive_codes(_theorem1_check, sizes, jobs)
     )
 
 
@@ -223,17 +226,13 @@ def sweep_proposition1(
     weighted SNP under the original (unperturbed) weights."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    count, failures = _drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs)
+    check_cap(max_n)
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be non-negative, got {max_weight}")
     return SweepReport(
-        sweep="prop1",
-        parameters={
-            "samples": samples,
-            "max_n": max_n,
-            "seed": seed,
-            "max_weight": max_weight,
-        },
-        instances=count,
-        failures=failures,
+        "prop1",
+        {"samples": samples, "max_n": max_n, "seed": seed, "max_weight": max_weight},
+        *_drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs),
     )
 
 
@@ -275,12 +274,10 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
         raise TooLarge(f"sweep limited to max_n <= {MAX_THEOREM2_N}")
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    count, failures = _drive(_theorem2_check, samples, (max_n, seed), jobs)
     return SweepReport(
-        sweep="theorem2",
-        parameters={"samples": samples, "max_n": max_n, "seed": seed},
-        instances=count,
-        failures=failures,
+        "theorem2",
+        {"samples": samples, "max_n": max_n, "seed": seed},
+        *_drive(_theorem2_check, samples, (max_n, seed), jobs),
     )
 
 
@@ -354,6 +351,7 @@ def sweep_theorem3(
         raise ValueError("need at least one vertex")
     if not 1 <= random_min_n <= random_max_n:
         raise ValueError("need 1 <= random_min_n <= random_max_n")
+    check_cap(random_max_n)
     routes = _drive_codes(_exhaustive_routes_check, range(1, n + 1), jobs)
     random_routes = _drive(
         _random_routes_check, random_samples, (random_min_n, random_max_n, seed), jobs
@@ -361,19 +359,17 @@ def sweep_theorem3(
     orientations = _drive_codes(
         _orientation_check, range(1, min(n, MAX_ORIENTATIONS_N) + 1), jobs
     )
-    instances, failures = _merge([routes, random_routes, orientations])
     return SweepReport(
-        sweep="theorem3",
-        parameters={
+        "theorem3",
+        {
             "n": n,
             "random_samples": random_samples,
             "random_min_n": random_min_n,
             "random_max_n": random_max_n,
             "seed": seed,
         },
-        instances=instances,
-        failures=failures,
-        data={
+        *_merge([routes, random_routes, orientations]),
+        {
             "route_agreement_graphs": routes[0],
             "random_route_agreement_graphs": random_routes[0],
             "orientation_instances": orientations[0],
@@ -453,10 +449,9 @@ def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepRepo
     d++(v) >= gamma * d+(v) (Chen, Shen and Yuster)."""
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
-    count, failures = _drive(_gamma_check, samples, (max_n, seed), jobs)
+    check_cap(max_n)
     return SweepReport(
-        sweep="gamma",
-        parameters={"samples": samples, "max_n": max_n, "seed": seed},
-        instances=count,
-        failures=failures,
+        "gamma",
+        {"samples": samples, "max_n": max_n, "seed": seed},
+        *_drive(_gamma_check, samples, (max_n, seed), jobs),
     )

@@ -1055,6 +1055,28 @@ class TestContracts:
         assert doc["error"] == "ValueError" and name in doc["message"]
 
     @pytest.mark.parametrize(
+        "argv, error, name",
+        [
+            (["prop1", "--samples", "1", "--max-n", "513"], "TooLarge", "512"),
+            (["gamma", "--samples", "1", "--max-n", "513"], "TooLarge", "512"),
+            (["theorem3", "--n", "2", "--min-n", "6", "--max-n", "513"], "TooLarge", "512"),
+            (["prop1", "--samples", "0", "--max-weight", "-1"], "ValueError", "max_weight"),
+        ],
+    )
+    def test_sweep_rejects_arguments_before_any_instance_runs(self, argv, error, name, monkeypatch):
+        monkeypatch.setattr(oracle, "_drive", mock.Mock(side_effect=AssertionError("ran")))
+        code, out, err = run_cli("sweep", *argv)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == error and name in doc["message"]
+
+    def test_gen_digraph_missing_without_input_is_an_error(self):
+        code, out, err = run_cli("gen", "digraph-missing")
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "ValueError" and "-i" in doc["message"]
+
+    @pytest.mark.parametrize(
         "command, instance",
         [
             ("check-good", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "weights": 5}),

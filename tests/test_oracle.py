@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -160,6 +161,15 @@ class TestSweeps:
             sweep_gamma(-1, 5, seed=0)
         with pytest.raises(ValueError, match="jobs"):
             sweep_theorem1(3, jobs=0)
+
+    def test_serial_driver_memory_does_not_grow_with_instances(self):
+        tracemalloc.start()
+        try:
+            assert oracle._drive(lambda i: (1, []), 100000, (), 1) == (100000, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSweepFailures:
