@@ -10,12 +10,13 @@ progress go to stderr only.
 Implementation: the argument parser is built once per process, on the
 first call to main, and documents are written in one pass by
 _write_json, with the bytes of json.dumps(doc, sort_keys=True, indent=2)
-plus a newline.  Two fast paths keep the writer at one Python step per
+plus a newline.  Fast paths keep the writer at one Python step per
 element where documents grow with the pair count: a list of int pairs
-(an instance's arcs or edges) is formatted one pair per piece and
-written _BATCH pairs at a time, and a dict's sorted, escaped keys are
-kept per key tuple and indentation, so a list of same-shape dicts (edge
-statuses, orientations, checks) sorts and escapes them once.
+(an instance's arcs or edges) is one piece per pair, written _BATCH
+pairs at a time; a dict value that is a list of two ints (a status's
+edge, an orientation's arc) is one piece with its key; and a list of
+same-shape dicts (statuses, orientations, checks) sorts and escapes
+their keys once, kept per key tuple and indentation.
 """
 from __future__ import annotations
 
@@ -50,8 +51,7 @@ def _write_json(doc, write) -> None:
     tuples, str, int, bool and None; anything else raises TypeError.
     The pieces go to write in batches of about _BATCH pieces, between
     list elements, so a large document is never held as one string.
-    Lists of int pairs and repeated dict shapes take the fast paths that
-    the module docstring describes.
+    It takes the fast paths that the module docstring describes.
     """
     pieces: list[str] = []
     put = pieces.append
@@ -86,6 +86,8 @@ def _write_json(doc, write) -> None:
                     put(key + int.__repr__(x))
                 elif t is bool or x is None:
                     put(key + _LITERALS[x])
+                elif t is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+                    put(f"{key}[{inner}  {x[0]},{inner}  {x[1]}{inner}]")
                 else:
                     put(key)
                     value(x, inner)

@@ -324,7 +324,7 @@ def load_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
 def load_json(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deeply
         raise ParseError(f"bad JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object")

@@ -27,29 +27,24 @@ the same list between its input checks and fields_match.
 
 A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _checks (through _certificate) and _fallback
-derive every other field, except that the order comes with its
-objective and the fallback with its not-good edges: local search returns
-the objective, and verify_certificate recomputes it with order_objective;
-find_witness takes the not-good edges from the NotAllGood it caught, and
-verify_fallback classifies, so each classifies once.  The producers and
-verify_certificate / verify_fallback share them, so verification re-runs
-the theorem checks and compares the rebuilt document with the given one
-as a whole.
+derive every other field, except that the order comes with its objective
+and the fallback with its not-good edges: local search reads the
+objective off its final scan state, and verify_certificate sums it arc
+by arc with order_objective; find_witness takes the not-good edges from
+the NotAllGood it caught, and verify_fallback classifies, so each
+classifies once.  The producers and verify_certificate / verify_fallback
+share them, so verification re-runs the theorem checks and compares the
+rebuilt document with the given one as a whole.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, bits, has_weighted_snp, rational_dict
-from .errors import (
-    InternalTheoremViolation,
-    NoWitnessFound,
-    NotAllGood,
-    NotMissing,
-    ParseError,
-)
+from .errors import InternalTheoremViolation, NoWitnessFound, NotAllGood, NotMissing, ParseError
 from .formats import counterexample, fields_match, int_list
 from .median_order import (
     CertifiedOrder,
@@ -90,16 +85,15 @@ class MissingEdgeStatus(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class ConvenientOrientation:
+class ConvenientOrientation(NamedTuple):
     """Arc chosen for a missing edge, tagged with the licensing condition."""
 
     tail: int
     head: int
     condition: str  # "i" or "ii"
 
-    def to_dict(self) -> dict:
-        return {"arc": [self.tail, self.head], "condition": self.condition}
+
+_ARC = itemgetter(0, 1)  # an orientation's arc, (tail, head)
 
 
 def _reaching(into: Sequence[int], x: int) -> int:
@@ -160,38 +154,23 @@ def complete_to_tournament(
     Deterministic rule: when both conditions hold the (i)-orientation
     (lower index -> higher index) wins.
     """
-    bad = [(s.a, s.b) for s in statuses if not s.good]
-    if bad:
-        raise NotAllGood(f"missing edges not good: {bad}", tuple(bad))
     orientations = [
-        ConvenientOrientation(*((s.a, s.b, "i") if s.satisfies_i else (s.b, s.a, "ii")))
-        for s in statuses
+        ConvenientOrientation(a, b, "i") if i else ConvenientOrientation(b, a, "ii") if ii else None
+        for a, b, i, ii, _wi, _wii in statuses
     ]
-    t = _completion(d, orientations)
+    if None in orientations:
+        bad = [(s.a, s.b) for s in statuses if not s.good]
+        raise NotAllGood(f"missing edges not good: {bad}", tuple(bad))
+    t = d.with_arcs(map(_ARC, orientations))
     if not t.is_tournament():
         raise ValueError("statuses did not cover every missing edge")
     return t, orientations
 
 
-def _completion(d: Digraph, orientations: Iterable[ConvenientOrientation]) -> Digraph:
-    """d with the arc of each orientation added."""
-    return d.with_arcs((o.tail, o.head) for o in orientations)
-
-
-def _pointed_at(f: int, orientations: Iterable[ConvenientOrientation]) -> list[tuple[int, int]]:
-    """The arc of each orientation, the ones at f pointed at f."""
-    return [
-        (o.tail + o.head - f, f) if f in (o.tail, o.head) else (o.tail, o.head)
-        for o in orientations
-    ]
-
-
-def reorient_at_feed(
-    d: Digraph, orientations: Sequence[ConvenientOrientation], f: int
-) -> Digraph:
+def reorient_at_feed(d: Digraph, orientations: Sequence[ConvenientOrientation], f: int) -> Digraph:
     """T': the completion of d by orientations, with every completed
     missing edge at f pointed at f."""
-    return d.with_arcs(_pointed_at(f, orientations))
+    return d.with_arcs([(u + v - f, f) if f in (u, v) else (u, v) for u, v, _ in orientations])
 
 
 @dataclass(frozen=True)
@@ -218,7 +197,7 @@ class WitnessCertificate:
             "kind": "witness_certificate",
             "certified": True,
             "witness": self.witness,
-            "orientations": [o.to_dict() for o in self.orientations],
+            "orientations": [{"arc": [u, v], "condition": c} for u, v, c in self.orientations],
             "order": list(self.order.order),
             "objective": self.order.objective.to_dict(),
             "reoriented_arcs": [list(a) for a in self.reoriented_arcs],
@@ -268,7 +247,7 @@ def _certificate(
         orientations=tuple(orientations),
         order=co,
         # every completed missing edge at f, as it points in T'
-        reoriented_arcs=tuple(sorted(a for a in _pointed_at(f, orientations) if a[1] == f)),
+        reoriented_arcs=tuple(sorted((u + v - f, f) for u, v, _ in orientations if f in (u, v))),
         lhs=Fraction(w.mask_sum(first), w.scale),
         rhs=Fraction(w.mask_sum(second), w.scale),
         first_neighborhood=tuple(bits(first)),
@@ -308,7 +287,7 @@ def find_witness_good(
                     name,
                     "a step that the witness proof guarantees failed",
                     wd,
-                    orientations=[o.to_dict() for o in orientations],
+                    orientations=cert.to_dict()["orientations"],
                     order=list(co.order),
                 )
             )
@@ -367,24 +346,13 @@ def find_witness(wd: WeightedDigraph, move_limit: Optional[int] = None):
     return _fallback(wd, snp[0], snp, not_good)
 
 
-def _orientations_from(raw) -> list[ConvenientOrientation]:
+def _orientation_error(raw, arc) -> ParseError:
+    """The error of orientations raw whose first malformed item has arc arc."""
     if not isinstance(raw, list) or not all(isinstance(o, dict) for o in raw):
-        raise ParseError("orientations must be a list of objects")
-    out = []
-    for o in raw:
-        arc = int_list(o.get("arc"), "orientation arc")
-        if len(arc) != 2 or o.get("condition") not in ("i", "ii"):
-            raise ParseError('an orientation is {"arc": [tail, head], "condition": "i" or "ii"}')
-        out.append(ConvenientOrientation(arc[0], arc[1], o["condition"]))
-    return out
-
-
-def _licensed(status: dict[tuple[int, int], MissingEdgeStatus], o: ConvenientOrientation) -> bool:
-    s = status[min(o.tail, o.head), max(o.tail, o.head)]
-    # condition (i) belongs to the lower endpoint as tail, (ii) to the higher
-    if o.condition == "i":
-        return s.satisfies_i and o.tail < o.head
-    return s.satisfies_ii and o.tail > o.head
+        return ParseError("orientations must be a list of objects")
+    if not isinstance(arc, list) or any(type(x) is not int for x in arc):
+        return ParseError("orientation arc must be a list of integers")
+    return ParseError('an orientation is {"arc": [tail, head], "condition": "i" or "ii"}')
 
 
 def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
@@ -394,22 +362,40 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     runs the theorem checks of _checks on them, and compares the rebuilt
     certificate with doc (minus its instance) as a whole.  Returns (check
     name, ok) pairs; all must be true for a sound certificate.  Ill-typed
-    choices raise ParseError.
+    choices raise ParseError, the orientations' before the order's.
     """
     d, w = wd.digraph, wd.weights
-    orientations = _orientations_from(doc.get("orientations"))
+    raw = doc.get("orientations")
+    if not isinstance(raw, list):
+        raise _orientation_error(raw, None)
+    # the status of each missing edge that no orientation has covered yet
+    status = {(s.a, s.b): s for s in all_missing_edges_good(d)[1]}
+    orientations = []
+    covered = licensed = True
+    for o in raw:
+        arc = o.get("arc") if isinstance(o, dict) else None
+        if not isinstance(arc, list) or len(arc) != 2 or o.get("condition") not in ("i", "ii"):
+            raise _orientation_error(raw, arc)
+        (u, v), c = arc, o["condition"]
+        if type(u) is not int or type(v) is not int:
+            raise _orientation_error(raw, arc)
+        orientations.append(ConvenientOrientation(u, v, c))
+        s = status.pop((u, v) if u < v else (v, u), None)
+        if s is None:  # not a missing edge, or one already covered
+            covered = False
+        elif not (s.satisfies_i and u < v if c == "i" else s.satisfies_ii and u > v):
+            # condition (i) licenses the lower endpoint as tail, (ii) the higher
+            licensed = False
     order = int_list(doc.get("order"), "order")
     if not order or sorted(order) != list(range(d.n)):
         return [("order_is_permutation", False)]
-    _ok, statuses = all_missing_edges_good(d)
-    status = {(s.a, s.b): s for s in statuses}
-    if sorted(tuple(sorted((o.tail, o.head))) for o in orientations) != list(status):
+    if not covered or status:
         return [("orientations_cover_missing_edges", False)]
-    t = _completion(d, orientations)
+    t = d.with_arcs(map(_ARC, orientations))
     cert, checks = _checks(wd, orientations, CertifiedOrder(order, order_objective(t, w, order)))
     return [
         ("orientations_cover_missing_edges", True),
-        ("orientations_licensed", all(_licensed(status, o) for o in orientations)),
+        ("orientations_licensed", licensed),
         ("order_feedback_on_t", feedback_check(t, w, order) is None),
         *checks,
         fields_match(cert.to_dict(), doc),

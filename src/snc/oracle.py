@@ -261,7 +261,7 @@ def _theorem2_check(i: int, max_n: int, seed: int) -> tuple[int, list[Counterexa
             wd,
             index=i,
             profile=spec.to_dict(),
-            orientations=[o.to_dict() for o in cert.orientations],
+            orientations=cert.to_dict()["orientations"],
             order=list(cert.order.order),
         )
     ]

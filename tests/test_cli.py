@@ -200,6 +200,91 @@ def _structure_runs() -> list[tuple[str, str]]:
     return runs
 
 
+# SHA-256 of the concatenated exit codes, stdout and stderr of `snc verify`
+# on _verify_runs().
+VERIFY_SHA256 = "c31c1df55d820c8b4d02ca6397ceb75210ea35ead59559a5a545f3bf76debe3f"
+
+
+def _orientation_variants(doc: dict, r: Rng) -> list:
+    """doc, a witness certificate, as written and tampered in its
+    orientations: one orientation's arc flipped, its condition swapped,
+    both, an extra key in it, and the list rotated, truncated, with its
+    last entry a copy of the first, with a boolean or three-int arc, and
+    with a non-object item."""
+    k = r.below(len(doc["orientations"]))
+
+    def at_k(change):
+        def tamper(d):
+            change(d["orientations"][k])
+            return d
+
+        return tamper
+
+    def rotated(d):
+        d["orientations"].append(d["orientations"].pop(0))
+        return d
+
+    def copied(d):
+        d["orientations"][-1] = dict(d["orientations"][0])
+        return d
+
+    flip = lambda o: o.update(arc=o["arc"][::-1])
+    swap = lambda o: o.update(condition={"i": "ii", "ii": "i"}[o["condition"]])
+    tampers = [
+        lambda d: d,
+        at_k(flip),
+        at_k(swap),
+        at_k(lambda o: (flip(o), swap(o))),
+        at_k(lambda o: o.update(note=0)),
+        rotated,
+        _set(("orientations", -1), _DROP),
+        copied,
+        at_k(lambda o: o.update(arc=[True, o["arc"][1]])),
+        at_k(lambda o: o.update(arc=o["arc"] + [0])),
+        _set(("orientations", k), list(doc["orientations"][k]["arc"])),
+    ]
+    return [tamper(json.loads(json.dumps(doc))) for tamper in tampers]
+
+
+def _verify_runs(tmp_path) -> list[str]:
+    """Inputs for `snc verify`: 8 seeded witness certificates on digraphs
+    missing a generalized star, n = 6..24, each with the variants of
+    _orientation_variants, and 6 certified_order documents of local
+    search and the exact DP on tournaments, n = 3..12, as written and with
+    two order entries swapped."""
+    rng = Rng(2029)
+    f = tmp_path / "in.dg"
+    runs = []
+    for k in range(14):
+        r = Rng(rng.next_u64())
+        if k < 8:
+            n = 6 + r.below(19)
+            g, _ = gen_generalized_star(spec=random_star_profile(n, r))
+            d = random_digraph_missing(g, r.next_u64())
+            argv = ["witness"]
+        else:
+            n = 3 + r.below(10)
+            d = random_tournament(n, r.next_u64())
+            argv = ["median-order"] + (["--exact"] if k % 2 else [])
+        if k % 2:
+            w = random_weights(n, r.next_u64(), 10)
+        else:
+            w = WeightMap([Fraction(r.below(5), 1 + r.below(4)) for _ in range(n)])
+        f.write_text(serialize_digraph(WeightedDigraph(d, w)))
+        code, out, _ = run_cli(*argv, "-i", str(f))
+        assert code == 0
+        doc = json.loads(out)
+        if k < 8:
+            assert doc["kind"] == "witness_certificate"
+            docs = _orientation_variants(doc, r)
+        else:
+            swapped = json.loads(out)
+            swapped["order"][0], swapped["order"][-1] = doc["order"][-1], doc["order"][0]
+            docs = [doc, swapped]
+        runs += [json.dumps(x) for x in docs]
+    return runs
+
+
 BAD_ARCS = "instance arcs must be a list of integer pairs"
 
 
@@ -730,6 +815,10 @@ class TestContracts:
                 "b": [{"y": True, "x": [4, 5]}, {"x": 6, "y": {"x": 7, "y": 8}}],
             },
             [[v, -v] for v in range(3 * cli._BATCH + 5)],
+            {"a": [True, 1]},
+            {"a": [1, 2**70]},
+            {"a": (1, 2)},
+            {"a": [1, 2, 3]},
         ],
         ids=[
             "int-pairs",
@@ -746,6 +835,10 @@ class TestContracts:
             "pairs-in-dicts",
             "same-key-dicts",
             "long-pair-list",
+            "bool-pair-value",
+            "big-int-pair-value",
+            "tuple-pair-value",
+            "three-int-value",
         ],
     )
     def test_writer_fast_paths_match_dumps(self, doc):
@@ -770,8 +863,8 @@ class TestContracts:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"a": 1.5}, [Fraction(1, 2)], {"a": {1}}, {"a": {1: "b"}}],
-        ids=["float", "fraction", "set", "int-key"],
+        [{"a": 1.5}, [Fraction(1, 2)], {"a": {1}}, {"a": {1: "b"}}, {"a": [1, 2.0]}],
+        ids=["float", "fraction", "set", "int-key", "float-in-pair-value"],
     )
     def test_writer_rejects_what_documents_never_hold(self, doc):
         with pytest.raises(TypeError):
@@ -880,6 +973,22 @@ class TestContracts:
                 assert code == 0
                 digest.update(out.encode())
         assert digest.hexdigest() == STRUCTURE_SHA256
+
+    def test_verify_outputs_pinned(self, tmp_path):
+        """Which checks `snc verify` runs on a certificate, in which order,
+        with which outcome, and which ParseError it raises on a malformed
+        one, are part of the output: pin its exit code, stdout and stderr
+        on seeded certificates, their tampered variants and orders."""
+        digest = hashlib.sha256()
+        outcomes = set()
+        for text in _verify_runs(tmp_path):
+            f = tmp_path / "doc.json"
+            f.write_text(text)
+            code, out, err = run_cli("verify", "-i", str(f))
+            outcomes.add((code, bool(out), bool(err)))
+            digest.update(f"{code}\n{out}{err}".encode())
+        assert outcomes == {(0, True, False), (1, True, False), (1, False, True)}
+        assert digest.hexdigest() == VERIFY_SHA256
 
     def test_move_limit_dump_replays(self, tmp_path):
         # reversed transitive triangle: the ascending start needs two repairs
@@ -1213,6 +1322,23 @@ class TestContracts:
         doc = json.loads(err)
         assert doc["error"] == "TooLarge" and str(MAX_VERTICES) in doc["message"]
 
+    @pytest.mark.parametrize("command", ["verify", "witness", "dot"])
+    def test_deeply_nested_json_is_a_parse_error(self, command, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text('{"kind": ' + "[" * 200000 + "]" * 200000 + "}")
+        src = str(Path(snc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "snc.cli", command, "-i", str(f)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        error = json.loads(done.stderr)
+        assert error["error"] == "ParseError" and error["message"].startswith("bad JSON: ")
+
     def test_importing_the_cli_leaves_multiprocessing_out(self):
         probe = "import sys, snc, snc.cli; sys.exit('multiprocessing' in sys.modules)"
         src = str(Path(snc.__file__).resolve().parent.parent)
@@ -1234,6 +1360,8 @@ class TestContracts:
             _set(("instance", "weights", 0), {"num": 1, "den": 0}),
             _set(("orientations", 0, "arc"), [0]),
             _set(("orientations", 0, "condition"), "iii"),
+            _set(("orientations", 0, "arc"), [True, 1]),
+            _set(("orientations", 0), [0, 1]),
             _set(("kind",), "witness_certificates"),
         ],
         ids=[
@@ -1243,6 +1371,8 @@ class TestContracts:
             "zero-den",
             "one-element-orientation-arc",
             "bad-condition",
+            "bool-orientation-arc",
+            "non-object-orientation",
             "unknown-kind",
         ],
     )
@@ -1265,6 +1395,7 @@ class TestContracts:
             (TRIANGLE_DG, ["witness"], _set(("objective",), _DROP)),
             (TRIANGLE_DG, ["witness"], _set(("reoriented_arcs",), [])),
             (TRIANGLE_DG, ["witness"], _set(("first_neighborhood",), [0])),
+            (TRIANGLE_DG, ["witness"], _set(("orientations", 0, "note"), 0)),
             (K22_DG, ["witness"], _set(("snp_vertices",), [0])),
             (K22_DG, ["witness"], _set(("not_good_edges",), [])),
             (K22_DG, ["witness"], _set(("lhs", "num"), 0)),
@@ -1280,6 +1411,7 @@ class TestContracts:
             "certificate-no-objective",
             "certificate-reoriented-arcs",
             "certificate-first-neighborhood",
+            "certificate-orientation-extra-key",
             "fallback-snp-vertices",
             "fallback-not-good-edges",
             "fallback-lhs",

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from snc import (
+    ConvenientOrientation,
     Digraph,
     FallbackWitness,
     MissingEdgeStatus,
@@ -30,7 +31,7 @@ from snc import good_edges
 from snc.digraph import bits
 from snc.errors import InternalTheoremViolation
 from snc.formats import load_digraph
-from snc.good_edges import _certificate, _checks, _completion, _orientations_from, verify_fallback
+from snc.good_edges import _certificate, _checks, verify_fallback
 from snc.median_order import CertifiedOrder, order_objective
 from snc.generators import (
     Rng,
@@ -276,6 +277,11 @@ def _flip(t: Digraph, which) -> Digraph:
     return Digraph.from_arcs(t.n, [(v, u) if which(u, v) else (u, v) for u, v in t.arcs()])
 
 
+def _completion(d: Digraph, orientations) -> Digraph:
+    """d with the arc of each orientation added."""
+    return d.with_arcs((o.tail, o.head) for o in orientations)
+
+
 def _skip(t, w, order):
     return None
 
@@ -337,7 +343,9 @@ def test_post_check_failure_dump_replays(monkeypatch, stage):
         assert set(state) == {"instance", "orientations", "order"}
         loaded = load_digraph(json.dumps(state["instance"]))[0]
         assert (loaded.digraph, loaded.weights) == (d, wd.weights)
-        orientations = _orientations_from(state["orientations"])
+        orientations = [
+            ConvenientOrientation(*o["arc"], o["condition"]) for o in state["orientations"]
+        ]
         t = _completion(loaded.digraph, orientations)
         order = tuple(state["order"])
         co = CertifiedOrder(order, order_objective(t, loaded.weights, order))

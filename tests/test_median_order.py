@@ -322,6 +322,32 @@ def test_local_search_reaches_unique_certified_order():
         assert co.order == (0, 1, 2)
 
 
+def test_local_objective_is_order_objective():
+    """The objective local search reads off its scan state is the one
+    order_objective sums arc by arc: on seeded tournaments, n = 1..12, with
+    integer, all-zero and rational weights, and on every tournament with
+    n <= 4 under unit weights and under weights 0, 1/2, 1, 3/2."""
+    rng = Rng(2030)
+    for k in range(36):
+        n = 1 + k % 12
+        r = Rng(rng.next_u64())
+        if k % 3 == 0:
+            w = random_weights(n, r.next_u64(), 10)
+        elif k % 3 == 1:
+            w = WeightMap([0] * n)
+        else:
+            w = WeightMap([Fraction(r.below(4), 1 + r.below(5)) for _ in range(n)])
+        t = random_tournament(n, r.next_u64())
+        co = local_median_order(t, w, seed=r.below(1000) if k % 2 else None)
+        assert co.objective == order_objective(t, w, co.order)
+    for n in range(5):
+        for w in (WeightMap.uniform(n), WeightMap([Fraction(v, 2) for v in range(n)])):
+            for code in range(1 << n * (n - 1) // 2):
+                t = tournament_from_code(n, code)
+                co = local_median_order(t, w)
+                assert co.objective == order_objective(t, w, co.order)
+
+
 def test_local_search_trace_is_strictly_improving():
     for seed in range(10):
         n = 4 + seed % 4
