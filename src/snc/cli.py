@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import formats, generators, good_edges, median_order, oracle, stars
 from .digraph import WeightedDigraph, WeightMap
-from .errors import BadProfile, NotAViolation, ParseError, ReportedFailure, SncError
+from .errors import BadProfile, ParseError, ReportedFailure, SncError
 
 # pieces per write, and pairs per write from a list of int pairs; a piece
 # is mostly a key with its value, about 20 bytes, a pair about 40, and a
@@ -233,29 +233,6 @@ def cmd_recognize(args) -> int:
     return 0
 
 
-def cmd_adversary(args) -> int:
-    g, labels = formats.load_graph(_read_input(args))
-    viol = stars.check_condition_B(g)
-    if viol is None:
-        raise NotAViolation(
-            "every pair of disjoint edges is covered; the graph is a generalized star"
-        )
-    witness = stars.adversarial_digraph(g, viol)
-    x, y = witness.designated_edge
-    status = good_edges.classify_missing_edge(witness.digraph, x, y)
-    doc = witness.to_dict()
-    doc.update(
-        {
-            "kind": "adversarial_witness",
-            "square_violation": viol.to_dict(),
-            "designated_edge_status": status.to_dict(),
-            "instance": formats.graph_instance_dict(g, labels),
-        }
-    )
-    _emit(args, doc)
-    return 0
-
-
 def cmd_sweep(args) -> int:
     start = time.perf_counter()
     if args.target == "theorem1":
@@ -430,10 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="recognize and decompose a generalized star")
     _add_io(p)
     p.set_defaults(func=cmd_recognize)
-
-    p = sub.add_parser("adversary", help="orient the complement so a chosen missing edge is not good")
-    _add_io(p)
-    p.set_defaults(func=cmd_adversary)
 
     p = sub.add_parser("sweep", help="run a verification sweep")
     p.add_argument("target", choices=["theorem1", "prop1", "theorem2", "theorem3", "gamma"])

@@ -1,6 +1,7 @@
 """Command-line surface: formats, commands, exit codes, determinism."""
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import io
@@ -32,7 +33,8 @@ from snc import (
     oracle,
 )
 from snc.cli import main
-from snc.digraph import UndirectedGraph, WeightedDigraph, WeightMap
+from snc.digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap
+from snc.good_edges import classify_missing_edge
 from snc.generators import (
     Rng,
     gen_generalized_star,
@@ -541,21 +543,25 @@ class TestCommands:
         assert code == 0 and doc["is_generalized_star"] is True
         assert (doc["classification"]["layers"], doc["classification"]["ray_classes"]) == (4, 4)
 
-    def test_adversary(self, tmp_path):
+    def test_recognize_two_k2_designates_an_edge_that_is_not_good(self, tmp_path):
         f = tmp_path / "k.g"
         f.write_text(TWOK2_G)
-        code, out, _ = run_cli("adversary", "-i", str(f))
-        doc = json.loads(out)
+        code, out, _ = run_cli("recognize", "-i", str(f))
+        adversarial = json.loads(out)["adversarial"]
         assert code == 0
-        assert doc["designated_edge"] == [0, 1]
-        assert doc["designated_edge_status"]["good"] is False
+        assert adversarial["designated_edge"] == [0, 1]
+        d = Digraph.from_arcs(adversarial["digraph"]["n"], adversarial["digraph"]["arcs"])
+        assert classify_missing_edge(d, 0, 1).good is False
 
-    def test_adversary_rejects_generalized_star(self, tmp_path):
-        f = tmp_path / "n.g"
-        f.write_text(NESTED_G)
-        code, _, err = run_cli("adversary", "-i", str(f))
-        assert code == 1
-        assert json.loads(err)["error"] == "NotAViolation"
+    def test_adversary_is_not_a_command(self, tmp_path):
+        # recognize writes the non-star answer; there is no second producer
+        f = tmp_path / "k.g"
+        f.write_text(TWOK2_G)
+        code, out, err = run_cli("adversary", "-i", str(f))
+        assert code == 1 and out == ""
+        doc = json.loads(err[err.index("\n{") :])
+        assert doc["error"] == "UsageError"
+        assert "invalid choice: 'adversary'" in doc["message"]
 
     def test_sweep_theorem1(self):
         code, out, err = run_cli("sweep", "theorem1", "--n", "5")
@@ -596,6 +602,32 @@ class TestCommands:
         assert code == 0
         assert doc["classification"]["primary"] == "sun"
         assert doc["decomposition"]["x_sets"] == [[2, 3]]
+
+    @pytest.mark.parametrize(
+        "argv, primary, decomposition",
+        [
+            (["star", "--rays-count", "3"], "star", {"a_sets": [[], [0, 1, 2]], "x_sets": [[3]]}),
+            (["complete", "--k", "4"], "complete", {"a_sets": [[]], "x_sets": [[0, 1, 2, 3]]}),
+            # no --rays: an empty size list, so a plain clique
+            (["gstar", "--cores", "2"], "complete", {"a_sets": [[]], "x_sets": [[0, 1]]}),
+        ],
+        ids=["star", "complete", "gstar-without-rays"],
+    )
+    def test_gen_star_and_complete(self, argv, primary, decomposition):
+        code, out, _ = run_cli("gen", *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert (doc["classification"]["primary"], doc["decomposition"]) == (primary, decomposition)
+        code, text, _ = run_cli("gen", *argv)
+        assert code == 0 and serialize_graph(load_graph(json.dumps(doc))[0]) == text
+
+    def test_gen_gstar_rejects_a_bad_size_list(self):
+        code, out, err = run_cli("gen", "gstar", "--rays", "1,x")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "BadProfile",
+            "message": "bad size list '1,x'; expected comma-separated integers",
+        }
 
     @pytest.mark.parametrize(
         "argv",
@@ -715,6 +747,21 @@ class TestCommands:
         code, out, _ = run_cli("dot", "-i", str(g))
         assert code == 0 and out.startswith("graph G {")
 
+    @pytest.mark.parametrize(
+        "text", ["digraph 3\narc c a\narc c b\nweight a 3 2\n", NESTED_G], ids=["digraph", "graph"]
+    )
+    def test_dot_reads_json_as_it_reads_text(self, text, tmp_path):
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        code, from_text, _ = run_cli("dot", "-i", str(f))
+        assert code == 0
+        if text.startswith("digraph"):
+            f.write_text(json.dumps(digraph_instance_dict(*load_digraph(text))))
+        else:
+            f.write_text(json.dumps(graph_instance_dict(*load_graph(text))))
+        code, from_json, _ = run_cli("dot", "-i", str(f))
+        assert code == 0 and from_json == from_text
+
     @pytest.mark.parametrize("text, head", [(TRIANGLE_DG, "digraph G {"), (NESTED_G, "graph G {")])
     def test_dot_skips_leading_comments(self, text, head, tmp_path):
         f = tmp_path / "in.txt"
@@ -754,10 +801,50 @@ class TestContracts:
         doc = json.loads(err)
         assert doc["error"] == "LoopRejected" and "line 2" in doc["message"]
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("witness", "", "line 1: empty input"),
+            ("witness", "graph 3\nedge 0 1\n", "line 1: expected header 'digraph <n>'"),
+            ("recognize", "# no header\nedge 0 1\n", "line 2: expected header 'graph <n>'"),
+            ("witness", "digraph 3\narc 0 1 2\n", "line 2: expected 'arc <u> <v>'"),
+            ("check-good", "digraph 3\narc 0 1\nweight 0 1\n", "line 3: expected 'weight <v> <num> <den>'"),
+            ("witness", "digraph 3\nweight 0 1 0\n", "line 2: weight denominator must be positive"),
+            (
+                "witness",
+                "digraph 3\nweight 0 1 1\nweight 0 2 1\n",
+                "line 3: duplicate weight for vertex token '0'",
+            ),
+            ("witness", json.dumps({"kind": "graph", "n": 2, "edges": []}), "expected a digraph instance"),
+        ],
+        ids=[
+            "empty",
+            "wrong-header",
+            "missing-header",
+            "arc-arity",
+            "weight-arity",
+            "zero-denominator",
+            "duplicate-weight",
+            "graph-given-to-witness",
+        ],
+    )
+    def test_loader_errors_name_their_line(self, command, text, message, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        code, out, err = run_cli(command, "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": message}
+
     def test_usage_error_exit_code(self):
         code, _, err = run_cli("witness")  # missing -i
         assert code == 1
         assert "UsageError" in err
+
+    def test_readme_names_every_subcommand(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        named = {line.split()[1] for line in readme.read_text().splitlines() if line.startswith("snc ")}
+        (sub,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert named == set(sub.choices)
 
     def test_output_flag_writes_file(self, tmp_path):
         f = tmp_path / "t.dg"
@@ -1138,8 +1225,11 @@ class TestContracts:
     def test_every_snc_error_is_a_json_error_with_exit_1(self, exc, monkeypatch, tmp_path):
         import snc.good_edges as ge
 
+        # NotAllGood also names its edges, which the message leaves out
+        args = ("forced", ((0, 1),)) if exc is snc.NotAllGood else ("forced",)
+
         def boom(wd, move_limit=None):
-            raise exc("forced")
+            raise exc(*args)
 
         monkeypatch.setattr(ge, "find_witness", boom)
         f = tmp_path / "t.dg"

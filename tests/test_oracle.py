@@ -11,6 +11,8 @@ import pytest
 from snc import (
     Digraph,
     InternalTheoremViolation,
+    MissingEdgeStatus,
+    NotMissing,
     TooLarge,
     WeightMap,
     WeightedDigraph,
@@ -28,11 +30,13 @@ from snc import (
     sweep_theorem3,
 )
 from snc import oracle, stars
-from snc.formats import load_digraph, load_graph
+from snc.formats import counterexample, load_digraph, load_graph
 from snc.generators import (
     Rng,
+    gen_generalized_star,
     random_digraph_missing,
     random_graph,
+    random_star_profile,
     random_tournament,
     random_weights,
 )
@@ -46,6 +50,15 @@ def cycle3() -> Digraph:
 
 def transitive3() -> Digraph:
     return Digraph.from_arcs(3, [(0, 1), (0, 2), (1, 2)])
+
+
+def theorem2_instance(seed: int, i: int, max_n: int) -> tuple[WeightedDigraph, dict]:
+    """The instance and the profile dict of sample i of a theorem2 sweep."""
+    rng = Rng(seed ^ i)
+    spec = random_star_profile(2 + rng.below(max_n - 1), rng)
+    g, _ = gen_generalized_star(spec=spec)
+    d = random_digraph_missing(g, rng.next_u64())
+    return WeightedDigraph(d, random_weights(g.n, rng.next_u64(), 10)), spec.to_dict()
 
 
 class TestBruteForce:
@@ -226,6 +239,51 @@ class TestSweepFailures:
             assert cert.to_dict()["orientations"] == f.state["orientations"]
             assert list(cert.order.order) == f.state["order"]
             assert cert.witness not in oracle.brute_force_snp_vertices(wd)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_theorem2_passes_reported_failures_through(self, monkeypatch, jobs):
+        def fail(wd):
+            raise InternalTheoremViolation(counterexample("forced", "forced failure", wd, order=[0]))
+
+        monkeypatch.setattr(oracle, "find_witness_good", fail)
+        r = sweep_theorem2(4, 8, seed=5, jobs=jobs)
+        assert r.instances == 4 and len(r.failures) == 4
+        for i, f in enumerate(r.failures):
+            # the pipeline's own report, with nothing added
+            assert (f.stage, f.description) == ("forced", "forced failure")
+            assert set(f.state) == {"instance", "order"}
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            expected, _profile = theorem2_instance(5, i, 8)
+            assert (wd.digraph, wd.weights) == (expected.digraph, expected.weights)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_theorem2_pipeline_errors_dump_the_instance(self, monkeypatch, jobs):
+        def fail(wd):
+            raise NotMissing("forced")
+
+        monkeypatch.setattr(oracle, "find_witness_good", fail)
+        r = sweep_theorem2(4, 8, seed=5, jobs=jobs)
+        assert [f.state["index"] for f in r.failures] == [0, 1, 2, 3]
+        for f in r.failures:
+            assert (f.stage, f.description) == ("witness-pipeline-error", "forced")
+            assert set(f.state) == {"instance", "index", "profile"}
+            wd = load_digraph(json.dumps(f.state["instance"]))[0]
+            expected, profile = theorem2_instance(5, f.state["index"], 8)
+            assert (wd.digraph, wd.weights) == (expected.digraph, expected.weights)
+            assert f.state["profile"] == profile
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_adversarial_failures_dump_the_graph(self, monkeypatch, jobs):
+        # every designated edge reads as good, so each non-star fails its build
+        monkeypatch.setattr(
+            stars, "classify_missing_edge", lambda d, x, y: MissingEdgeStatus(x, y, True, True)
+        )
+        r = sweep_theorem3(4, jobs=jobs)
+        graphs = [graph_from_code(4, code) for code in range(64)]
+        non_stars = [g for g in graphs if stars.check_condition_B(g) is not None]
+        assert non_stars
+        assert [f.stage for f in r.failures] == ["adversarial-edge-good"] * len(non_stars)
+        assert [load_graph(json.dumps(f.state["instance"]))[0] for f in r.failures] == non_stars
 
     def test_orientation_counterexamples_replay(self, monkeypatch):
         # a goodness check that rejects every completion on three vertices

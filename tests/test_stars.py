@@ -244,6 +244,36 @@ class TestValidator:
         ok, clause = validate_decomposition(k13(), dec)
         assert not ok and clause == "partition"
 
+    # on the path 0-1-2, whose decompositions are A1 = {0, 2} over X1 = {1};
+    # each reading passes every clause before the one it breaks
+    @pytest.mark.parametrize(
+        "a_sets, x_sets, clause",
+        [
+            ((), ({0, 1, 2},), "partition"),
+            (((), (0, 2)), ((1,), ()), "clique"),
+            (((), (1,)), ((0, 2),), "clique"),
+            (((), (0, 2), ()), ((1,),), "stable"),
+            (((), (0, 1)), ((2,),), "stable"),
+            (((), (0,), (2,)), ((1,),), "neighborhoods"),
+            (((0,), (2,)), ((1,),), "neighborhoods"),
+        ],
+        ids=[
+            "no-a0",
+            "empty-core-layer",
+            "core-not-clique",
+            "empty-ray-class",
+            "rays-not-stable",
+            "more-ray-classes-than-layers",
+            "a0-not-isolated",
+        ],
+    )
+    def test_each_reject_names_its_clause(self, a_sets, x_sets, clause):
+        p3 = UndirectedGraph.from_edges(3, [(0, 1), (1, 2)])
+        dec = GeneralizedStarDecomposition(
+            tuple(map(frozenset, a_sets)), tuple(map(frozenset, x_sets))
+        )
+        assert validate_decomposition(p3, dec) == (False, clause)
+
     def test_nested_neighborhoods_in_accepted_decompositions(self):
         for seed in range(40):
             n = 2 + seed % 7
