@@ -371,8 +371,8 @@ def cmd_dot(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        _emit_error("UsageError", message)
+        # one JSON document on stderr, as for every other error
+        _emit_error("UsageError", message, usage=self.format_usage().rstrip("\n"))
         raise SystemExit(1)
 
 

@@ -295,10 +295,15 @@ def int_list(value, where: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def fields_match(rebuilt: dict, doc: dict) -> tuple[str, bool]:
+def fields_match(rebuilt: dict, doc: dict, free: tuple[str, ...]) -> tuple[str, bool]:
     """The check that doc, minus its instance, is exactly the rebuilt
-    document, compared as canonical JSON so that 1, 1.0 and true differ."""
-    given = {k: v for k, v in doc.items() if k != "instance"}
+    document, compared as canonical JSON so that 1, 1.0 and true differ.
+    The free choices named in free are left out on both sides: a verifier
+    names one only when its read checked doc's value to be exactly the
+    JSON value that rebuilt holds for it, so no verdict changes."""
+    skip = ("instance", *free)
+    rebuilt = {k: v for k, v in rebuilt.items() if k not in skip}
+    given = {k: v for k, v in doc.items() if k not in skip}
     return "fields_match", json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
 
 

@@ -34,7 +34,9 @@ by arc with order_objective; find_witness takes the not-good edges from
 the NotAllGood it caught, and verify_fallback classifies, so each
 classifies once.  The producers and verify_certificate / verify_fallback
 share them, so verification re-runs the theorem checks and compares the
-rebuilt document with the given one as a whole.
+rebuilt document with the given one.  Each free choice is checked where
+it is read to be exactly the JSON value that the rebuilt document holds
+for it, so fields_match compares the derived fields only.
 """
 from __future__ import annotations
 
@@ -360,9 +362,14 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
 
     Reads only orientations and order from doc, checks them as inputs,
     runs the theorem checks of _checks on them, and compares the rebuilt
-    certificate with doc (minus its instance) as a whole.  Returns (check
-    name, ok) pairs; all must be true for a sound certificate.  Ill-typed
-    choices raise ParseError, the orientations' before the order's.
+    certificate with doc in fields_match.  The read checks each
+    orientation to be {"arc": [two JSON integers], "condition": "i" or
+    "ii"} and the order to be a list of JSON integers, exactly what the
+    rebuilt certificate holds, so fields_match leaves both out; an
+    orientation with another key keeps the orientations in, and fails
+    there.  Returns (check name, ok) pairs; all must be true for a sound
+    certificate.  Ill-typed choices raise ParseError, the orientations'
+    before the order's.
     """
     d, w = wd.digraph, wd.weights
     raw = doc.get("orientations")
@@ -372,6 +379,7 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
     status = {(s.a, s.b): s for s in all_missing_edges_good(d)[1]}
     orientations = []
     covered = licensed = True
+    exact = True  # every object has the keys arc and condition only
     for o in raw:
         arc = o.get("arc") if isinstance(o, dict) else None
         if not isinstance(arc, list) or len(arc) != 2 or o.get("condition") not in ("i", "ii"):
@@ -380,6 +388,7 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
         if type(u) is not int or type(v) is not int:
             raise _orientation_error(raw, arc)
         orientations.append(ConvenientOrientation(u, v, c))
+        exact = exact and len(o) == 2
         s = status.pop((u, v) if u < v else (v, u), None)
         if s is None:  # not a missing edge, or one already covered
             covered = False
@@ -398,12 +407,15 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
         ("orientations_licensed", licensed),
         ("order_feedback_on_t", feedback_check(t, w, order) is None),
         *checks,
-        fields_match(cert.to_dict(), doc),
+        fields_match(cert.to_dict(), doc, ("orientations", "order") if exact else ("order",)),
     ]
 
 
 def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
-    """Re-derive a witness_fallback document from its witness alone."""
+    """Re-derive a witness_fallback document from its witness alone.
+
+    The witness is read as a JSON integer, exactly the one the rebuilt
+    document holds, so fields_match compares the derived fields only."""
     v = doc.get("witness")
     if type(v) is not int:
         raise ParseError("witness must be an integer")
@@ -414,5 +426,5 @@ def verify_fallback(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
     fallback = _fallback(wd, v, _snp_vertices(wd), not_good)
     return [
         ("witness_inequality", fallback.lhs <= fallback.rhs),
-        fields_match(fallback.to_dict(), doc),
+        fields_match(fallback.to_dict(), doc, ("witness",)),
     ]

@@ -30,6 +30,8 @@ from snc import (
     ReportedFailure,
     SncError,
     cli,
+    good_edges,
+    median_order,
     oracle,
 )
 from snc.cli import main
@@ -47,6 +49,7 @@ from snc.generators import (
 from snc.formats import (
     MAX_VERTICES,
     digraph_instance_dict,
+    fields_match,
     graph_instance_dict,
     load_digraph,
     load_graph,
@@ -559,7 +562,7 @@ class TestCommands:
         f.write_text(TWOK2_G)
         code, out, err = run_cli("adversary", "-i", str(f))
         assert code == 1 and out == ""
-        doc = json.loads(err[err.index("\n{") :])
+        doc = json.loads(err)
         assert doc["error"] == "UsageError"
         assert "invalid choice: 'adversary'" in doc["message"]
 
@@ -836,9 +839,12 @@ class TestContracts:
         assert json.loads(err) == {"error": "ParseError", "message": message}
 
     def test_usage_error_exit_code(self):
-        code, _, err = run_cli("witness")  # missing -i
-        assert code == 1
-        assert "UsageError" in err
+        code, out, err = run_cli("witness")  # missing -i
+        assert code == 1 and out == ""
+        doc = json.loads(err)  # one document, the usage line inside it
+        assert doc["error"] == "UsageError"
+        assert "-i/--input" in doc["message"]
+        assert doc["usage"].startswith("usage: snc witness")
 
     def test_readme_names_every_subcommand(self):
         readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -1011,7 +1017,7 @@ class TestContracts:
         codes = [code for code, _out, _err in reused]
         assert codes == [0, 0, 1, 0]
         usage = reused[2][2]
-        assert json.loads(usage[usage.index("{") :])["error"] == "UsageError"
+        assert json.loads(usage)["error"] == "UsageError"
         assert reused[3][1].startswith("usage: snc")
 
     def test_reruns_byte_identical(self, tmp_path):
@@ -1076,6 +1082,29 @@ class TestContracts:
             digest.update(f"{code}\n{out}{err}".encode())
         assert outcomes == {(0, True, False), (1, True, False), (1, False, True)}
         assert digest.hexdigest() == VERIFY_SHA256
+
+    def test_verify_field_comparison_matches_the_whole_document(self, tmp_path):
+        """fields_match leaves out the free choices that the verifiers
+        checked on read; on every document of _verify_runs its verdict
+        equals that of comparing the whole document as canonical JSON."""
+        verdicts = []
+
+        def compared(rebuilt, doc, free):
+            check = fields_match(rebuilt, doc, free)
+            given = {k: v for k, v in doc.items() if k != "instance"}
+            whole = json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
+            verdicts.append((check[1], whole))
+            return check
+
+        f = tmp_path / "doc.json"
+        with mock.patch.object(good_edges, "fields_match", compared), mock.patch.object(
+            median_order, "fields_match", compared
+        ):
+            for text in _verify_runs(tmp_path):
+                f.write_text(text)
+                run_cli("verify", "-i", str(f))
+        assert {ok for ok, _whole in verdicts} == {True, False}
+        assert all(ok == whole for ok, whole in verdicts)
 
     def test_move_limit_dump_replays(self, tmp_path):
         # reversed transitive triangle: the ascending start needs two repairs

@@ -461,3 +461,21 @@ def test_only_the_cli_and_the_package_import_the_oracle():
             if any(name.split(".")[-1] == "oracle" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_only_formats_and_the_cli_import_json():
+    # every comparison a verifier makes goes through formats.fields_match
+    offenders = []
+    for path in sorted(Path(snc.__file__).parent.glob("*.py")):
+        if path.name in ("formats.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "json" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -1,9 +1,13 @@
 """Verification by rebuilding: every emitted document is re-derived from
-its free choices and compared as a whole, so a round trip through JSON
-verifies and any single-field tamper does not."""
+its free choices, each free choice checked where the verifier reads it
+and every derived field compared with the rebuilt one, so a round trip
+through JSON verifies and any single-field tamper does not.  Every
+verdict of fields_match here is also checked against the whole-document
+comparison it narrows, reference_match."""
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,11 +24,13 @@ from snc import (
     exact_median_order,
     find_witness,
     find_witness_good,
+    good_edges,
     has_weighted_snp,
     local_median_order,
+    median_order,
     order_objective,
 )
-from snc.formats import digraph_from_instance_dict, digraph_instance_dict
+from snc.formats import digraph_from_instance_dict, digraph_instance_dict, fields_match
 from snc.generators import (
     Rng,
     gen_generalized_star,
@@ -93,9 +99,31 @@ def _make(kind: str, seed: int) -> dict:
     return doc
 
 
-def verified(kind: str, doc: dict) -> bool:
+def reference_match(rebuilt: dict, doc: dict) -> bool:
+    """The whole-document comparison: doc minus its instance is rebuilt,
+    as canonical JSON, free choices included."""
+    given = {k: v for k, v in doc.items() if k != "instance"}
+    return json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
+
+
+def checks_against_reference(kind: str, doc: dict) -> list[tuple[str, bool]]:
+    """The checks of kind's verifier on doc, each fields_match verdict
+    asserted equal to reference_match's on the same rebuilt document."""
+
+    def compared(rebuilt, given, free):
+        check = fields_match(rebuilt, given, free)
+        assert check[1] == reference_match(rebuilt, given), (free, given)
+        return check
+
     wd, _labels = digraph_from_instance_dict(doc["instance"])
-    return all(ok for _name, ok in KINDS[kind][1](wd, doc))
+    with mock.patch.object(good_edges, "fields_match", compared), mock.patch.object(
+        median_order, "fields_match", compared
+    ):
+        return KINDS[kind][1](wd, doc)
+
+
+def verified(kind: str, doc: dict) -> bool:
+    return all(ok for _name, ok in checks_against_reference(kind, doc))
 
 
 def mutate(value, draw):
@@ -173,6 +201,21 @@ def test_tampered_free_choice_fails(kind, seed):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds, data=st.data())
+def test_mutated_free_choice_keeps_the_reference_verdict(kind, seed, data):
+    # fields_match leaves out only what the read checked; verified asserts
+    # the verdict against reference_match, whatever the mutation did
+    doc = _make(kind, seed)
+    key = data.draw(st.sampled_from(KINDS[kind][2]))
+    tampered = dict(doc, **{key: mutate(doc[key], data.draw)})
+    try:
+        verified(kind, tampered)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None)
 @given(seed=seeds, data=st.data())
 def test_dropped_or_added_key_fails(kind, seed, data):
@@ -188,12 +231,45 @@ def test_dropped_or_added_key_fails(kind, seed, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("bad", [None, "0", [True], [0.0], {"0": 0}])
+@pytest.mark.parametrize("bad", [None, "0", [True], [0.0], {"0": 0}, True, 1.0])
 def test_ill_typed_free_choice_is_a_parse_error(kind, bad):
     doc = next(d for d in map(KINDS[kind][0], range(100)) if d is not None)
     for key in KINDS[kind][2]:
         with pytest.raises(ParseError):
             verified(kind, dict(doc, **{key: bad}))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["true", "float"])
+def test_true_or_a_float_inside_a_free_choice_is_a_parse_error(bad):
+    # fields_match does not compare free choices, so their read must refuse
+    # a JSON value that Python finds equal to an int
+    order = order_doc(0)
+    cert = next(d for d in map(certificate_doc, range(100)) if d["orientations"])
+    first, rest = cert["orientations"][0], cert["orientations"][1:]
+    tampered = [
+        ("certified_order", dict(order, order=[bad] + order["order"][1:])),
+        ("witness_certificate", dict(cert, order=[bad] + cert["order"][1:])),
+        ("witness_certificate", dict(cert, orientations=[dict(first, arc=[bad, first["arc"][1]]), *rest])),
+        ("witness_certificate", dict(cert, orientations=[dict(first, arc=[first["arc"][0], bad]), *rest])),
+        ("witness_certificate", dict(cert, orientations=[dict(first, condition=bad), *rest])),
+    ]
+    for kind, doc in tampered:
+        with pytest.raises(ParseError):
+            verified(kind, doc)
+
+
+def test_orientation_keys_and_list_order_keep_their_verdicts():
+    # the verdicts of the whole-document comparison, case by case: an
+    # orientation object with an extra key and an extra top-level key fail
+    # fields_match alone, and a reordered orientation list still verifies,
+    # since the rebuilt certificate lists the orientations as given
+    doc = next(d for d in map(certificate_doc, range(100)) if len(d["orientations"]) >= 2)
+    kind = "witness_certificate"
+    noted = [dict(doc["orientations"][0], note=0), *doc["orientations"][1:]]
+    for tampered in (dict(doc, orientations=noted), dict(doc, extra=0)):
+        checks = checks_against_reference(kind, tampered)
+        assert [name for name, ok in checks if not ok] == ["fields_match"]
+    assert verified(kind, dict(doc, orientations=doc["orientations"][::-1]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
