@@ -382,6 +382,21 @@ def _add_io(p, needs_input=True):
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
 
+def _int_from(low: int):
+    """An argparse type: an integer of at least low, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # the help shows the docstring up to its implementation notes
@@ -413,12 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p, needs_input=False)
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--cumulative", action="store_true", help="theorem1: all sizes 1..n")
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--samples", type=_int_from(0), default=0)
     p.add_argument("--min-n", type=int, default=6)
     p.add_argument("--max-n", type=int, default=9)
     p.add_argument("--max-weight", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_from(1), default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="generate instances")

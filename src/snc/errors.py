@@ -5,7 +5,7 @@ CounterexampleReport; the other SncErrors carry a message only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class SncError(Exception):
@@ -66,8 +66,7 @@ class ParseError(SncError):
         self.line = line
 
 
-@dataclass
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """State dump produced when a guaranteed step fails.
 
     These reports are the science-alarm channel: they are only created
@@ -79,10 +78,10 @@ class CounterexampleReport:
 
     stage: str
     description: str
-    state: dict = field(default_factory=dict)
+    state: dict
 
     def to_dict(self) -> dict:
-        return {"stage": self.stage, "description": self.description, "state": self.state}
+        return self._asdict()
 
 
 class ReportedFailure(SncError):

@@ -8,8 +8,7 @@ seed XOR index, keeping results independent of worker scheduling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import Digraph, UndirectedGraph, WeightMap, graph_from_pairs, orient_pairs, pair_list
 from .errors import BadProfile, ParseError
@@ -61,8 +60,7 @@ class Rng:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Size parameters for one generalized-star instance.
 
     a_profile lists |A1|..|Ak| (each >= 1), x_profile lists |X1|..|Xn|

@@ -40,7 +40,6 @@ for it, so fields_match compares the derived fields only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -61,8 +60,7 @@ class MissingEdgeStatus(NamedTuple):
     """Goodness verdict for one missing edge {a,b} with a < b.
 
     A failure witness for (i) is a vertex v with v -> a and b not within
-    two steps of v; symmetrically for (ii).  A named tuple: one is built
-    per missing edge, and a tuple builds fastest.
+    two steps of v; symmetrically for (ii).
     """
 
     a: int
@@ -175,8 +173,7 @@ def reorient_at_feed(d: Digraph, orientations: Sequence[ConvenientOrientation], 
     return d.with_arcs([(u + v - f, f) if f in (u, v) else (u, v) for u, v, _ in orientations])
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """A vertex with the weighted SNP plus the full audit trail.
 
     orientations and the order are the free choices; _certificate derives
@@ -210,8 +207,7 @@ class WitnessCertificate:
         }
 
 
-@dataclass(frozen=True)
-class FallbackWitness:
+class FallbackWitness(NamedTuple):
     """Uncertified witness from the exhaustive scan (non-good instances)."""
 
     witness: int

@@ -55,18 +55,16 @@ stops at the same point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .digraph import Digraph, WeightedDigraph, WeightMap, rational_dict, rational_from_dict
 from .errors import InternalTheoremViolation, MoveLimitExceeded, NotATournament, TooLarge
 from .formats import counterexample, fields_match, int_list
 
 
-@dataclass(frozen=True, order=True)
-class PerturbedRational:
+class PerturbedRational(NamedTuple):
     """Reported value c0 + c1*eps + c2*eps^2 with exact rational coefficients.
 
     eps is an unnamed positive infinitesimal, so comparison is
@@ -118,8 +116,7 @@ PREFIX = "prefix"
 SUFFIX = "suffix"
 
 
-@dataclass(frozen=True)
-class FeedbackViolation:
+class FeedbackViolation(NamedTuple):
     """A strict failure of one interval inequality.
 
     kind "prefix": at interval [i,j], w(N+ of v_i inside) < w(N- of v_i inside).
@@ -143,8 +140,7 @@ class FeedbackViolation:
         }
 
 
-@dataclass(frozen=True)
-class CertifiedOrder:
+class CertifiedOrder(NamedTuple):
     """An order that passed the full feedback check, with its objective."""
 
     order: Order
@@ -191,8 +187,7 @@ def _objective_key(t: Digraph, keys: list[int], order: Sequence[int]) -> int:
     return total
 
 
-@dataclass(slots=True)
-class _ScanState:
+class _ScanState(NamedTuple):
     """An order and what a feedback scan reads of it, by position p: the
     vertex v_p = vertex[p], its out-mask out[p], bit bit[p] and perturbed
     key key[p], and trail[p], v_p's out-minus-in key over positions [0, p).

@@ -16,9 +16,8 @@ do not depend on the worker count, and memory grows with the failures only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import (
     Digraph,
@@ -100,16 +99,15 @@ def graph_from_code(n: int, code: int) -> UndirectedGraph:
     return graph_from_pairs(n, pair_list(n), code)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of one verification sweep.  It holds no timing, so that
     identical runs serialize byte-identically."""
 
     sweep: str
     parameters: dict
     instances: int
-    failures: list[CounterexampleReport] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    failures: list[CounterexampleReport]
+    data: dict
 
     def to_dict(self) -> dict:
         return {
@@ -199,7 +197,10 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
         raise ValueError("need at least one vertex")
     sizes = range(1, n + 1) if cumulative else [n]
     return SweepReport(
-        "theorem1", {"n": n, "cumulative": cumulative}, *_drive_codes(_theorem1_check, sizes, jobs)
+        "theorem1",
+        {"n": n, "cumulative": cumulative},
+        *_drive_codes(_theorem1_check, sizes, jobs),
+        {},
     )
 
 
@@ -233,6 +234,7 @@ def sweep_proposition1(
         "prop1",
         {"samples": samples, "max_n": max_n, "seed": seed, "max_weight": max_weight},
         *_drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs),
+        {},
     )
 
 
@@ -278,6 +280,7 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
         "theorem2",
         {"samples": samples, "max_n": max_n, "seed": seed},
         *_drive(_theorem2_check, samples, (max_n, seed), jobs),
+        {},
     )
 
 
@@ -454,4 +457,5 @@ def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepRepo
         "gamma",
         {"samples": samples, "max_n": max_n, "seed": seed},
         *_drive(_gamma_check, samples, (max_n, seed), jobs),
+        {},
     )

@@ -22,8 +22,7 @@ tested structurally; validate_decomposition is the arbiter everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .digraph import Digraph, UndirectedGraph, _above, bits, missing_graph
 from .errors import InternalTheoremViolation, NotAViolation
@@ -31,8 +30,7 @@ from .formats import counterexample
 from .good_edges import classify_missing_edge
 
 
-@dataclass(frozen=True)
-class GeneralizedStarDecomposition:
+class GeneralizedStarDecomposition(NamedTuple):
     """Partition (A0..Ak; X1..Xn) of a vertex set.
 
     a_sets[0] is A0 (isolated vertices, possibly empty); a_sets[i] for
@@ -188,8 +186,7 @@ def decompose(g: UndirectedGraph) -> Optional[GeneralizedStarDecomposition]:
     return candidate
 
 
-@dataclass(frozen=True)
-class SquareViolation:
+class SquareViolation(NamedTuple):
     """Two vertex-disjoint edges inducing a subgraph of a four-cycle.
 
     With e1 = (a,x) and e2 = (b,y), the cross edges present in the graph
@@ -273,8 +270,7 @@ def _first_square(g: UndirectedGraph, nbr: list[int], a: int, x: int) -> SquareV
     )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Special-case labels for a valid decomposition (A0 is ignored).
 
     primary picks the most specific true class; the flags report each
@@ -291,15 +287,7 @@ class Classification:
     isolated: int
 
     def to_dict(self) -> dict:
-        return {
-            "primary": self.primary,
-            "complete": self.complete,
-            "star": self.star,
-            "sun": self.sun,
-            "layers": self.layers,
-            "ray_classes": self.ray_classes,
-            "isolated": self.isolated,
-        }
+        return self._asdict()
 
 
 def classify_special(dec: GeneralizedStarDecomposition) -> Classification:
@@ -329,8 +317,7 @@ def classify_special(dec: GeneralizedStarDecomposition) -> Classification:
     )
 
 
-@dataclass(frozen=True)
-class AdversarialWitness:
+class AdversarialWitness(NamedTuple):
     """A digraph whose missing graph is G and whose designated missing
     edge is not good."""
 
@@ -390,8 +377,7 @@ def adversarial_digraph(g: UndirectedGraph, viol: SquareViolation) -> Adversaria
     return AdversarialWitness(d, (min(x, y), max(x, y)))
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
+class RecognitionReport(NamedTuple):
     is_generalized_star: bool
     decomposition: Optional[GeneralizedStarDecomposition]
     classification: Optional[Classification]

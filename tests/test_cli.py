@@ -715,12 +715,12 @@ class TestCommands:
     def test_sweep_rejects_negative_samples(self, target):
         code, out, err = run_cli("sweep", target, "--n", "3", "--samples", "-5", "--max-n", "5")
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err)["error"] == "UsageError"
 
     def test_sweep_rejects_zero_jobs(self):
         code, out, err = run_cli("sweep", "theorem1", "--n", "3", "--jobs", "0")
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "ValueError"
+        assert json.loads(err)["error"] == "UsageError"
 
     def test_sweep_failure_exits_2(self, monkeypatch):
         monkeypatch.setattr(oracle, "has_weighted_snp", lambda wd, v: SimpleNamespace(holds=False))
@@ -956,8 +956,16 @@ class TestContracts:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"a": 1.5}, [Fraction(1, 2)], {"a": {1}}, {"a": {1: "b"}}, {"a": [1, 2.0]}],
-        ids=["float", "fraction", "set", "int-key", "float-in-pair-value"],
+        [
+            {"a": 1.5},
+            [Fraction(1, 2)],
+            {"a": {1}},
+            {"a": {1: "b"}},
+            {"a": [1, 2.0]},
+            # records are tuples, yet the writer's exact-type tests refuse them
+            {"a": median_order.CertifiedOrder((0,), median_order.PerturbedRational(0, 0, 0))},
+        ],
+        ids=["float", "fraction", "set", "int-key", "float-in-pair-value", "record"],
     )
     def test_writer_rejects_what_documents_never_hold(self, doc):
         with pytest.raises(TypeError):
@@ -1298,6 +1306,17 @@ class TestContracts:
         doc = json.loads(err)
         assert doc["error"] == error and name in doc["message"]
 
+    @pytest.mark.parametrize("target", ["theorem1", "prop1", "theorem2", "theorem3", "gamma"])
+    @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--jobs", "0"]], ids=["samples", "jobs"])
+    def test_sweep_rejects_counts_below_range_as_usage_errors(self, target, argv, monkeypatch):
+        """Every target, theorem1 too although it draws no samples."""
+        monkeypatch.setattr(oracle, "_drive", mock.Mock(side_effect=AssertionError("ran")))
+        code, out, err = run_cli("sweep", target, "--n", "2", *argv)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "UsageError" and doc["message"].startswith(f"argument {argv[0]}: ")
+        assert doc["usage"].startswith("usage: snc sweep ")
+
     def test_gen_digraph_missing_without_input_is_an_error(self):
         code, out, err = run_cli("gen", "digraph-missing")
         assert code == 1 and out == ""
@@ -1458,11 +1477,16 @@ class TestContracts:
         error = json.loads(done.stderr)
         assert error["error"] == "ParseError" and error["message"].startswith("bad JSON: ")
 
-    def test_importing_the_cli_leaves_multiprocessing_out(self):
-        probe = "import sys, snc, snc.cli; sys.exit('multiprocessing' in sys.modules)"
+    def test_importing_the_cli_loads_neither_dataclasses_nor_multiprocessing(self):
+        """Every command starts a fresh interpreter and pays this import.
+        Modules that site loaded before it do not count."""
+        probe = "import sys; old = set(sys.modules); import snc.cli; print(*set(sys.modules) - old)"
         src = str(Path(snc.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        added = set(done.stdout.split())
+        assert done.returncode == 0 and "snc.cli" in added
+        assert not added & {"dataclasses", "multiprocessing"}
 
     def test_importing_the_cli_leaves_the_parser_unbuilt(self):
         probe = "import sys, snc.cli; sys.exit(snc.cli.build_parser.cache_info().currsize)"

@@ -1,7 +1,6 @@
 """Goodness classification, convenient orientations, witness pipeline."""
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -311,9 +310,7 @@ POST_CHECK_FAILURES = {
     },
     # the certificate's inequality turned around
     "witness_inequality": {
-        "_certificate": lambda *args: dataclasses.replace(
-            _certificate(*args), lhs=Fraction(1), rhs=Fraction(0)
-        ),
+        "_certificate": lambda *a: _certificate(*a)._replace(lhs=Fraction(1), rhs=Fraction(0)),
     },
 }
 
