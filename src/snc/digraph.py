@@ -10,8 +10,9 @@ floating point.
 
 Adjacency is stored once, as one int bitmask per vertex: a digraph keeps
 out-masks (bit u of v's is set when v -> u) and in-masks, an undirected
-graph neighbor masks.  Other modules read them through out_mask, in_masks
-and neighbor_mask; the set-returning accessors are derived from them.
+graph neighbor masks.  Other modules read them through out_mask,
+out_masks, in_masks, neighbor_mask and neighbor_masks; the set-returning
+accessors are derived from them.
 
 Graphs are built whole, from their arcs, edges or masks, and never
 change: the masks are tuples, a digraph with more arcs is a new digraph
@@ -239,6 +240,10 @@ class UndirectedGraph:
             raise ValueError(f"vertex {v} out of range [0,{self.n})")
         return self._adj[v]
 
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Every neighbor mask, indexed by vertex, for scans over the whole graph."""
+        return self._adj
+
     def degree(self, v: int) -> int:
         return self.neighbor_mask(v).bit_count()
 
@@ -285,12 +290,14 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def orient_pairs(n: int, pairs: Iterable[tuple[int, int]], code: int) -> Digraph:
+def orient_pairs(n: int, pairs: list[tuple[int, int]], code: int) -> Digraph:
     """The digraph on n vertices with one arc per pair (u, v): u -> v, or
     v -> u when bit k of code is set for pair k."""
+    # the bits of code read once, bit k as character k
+    flips = f"{code:0{len(pairs)}b}"[::-1]
     out, into = [0] * n, [0] * n
-    for k, (u, v) in enumerate(pairs):
-        if code >> k & 1:
+    for (u, v), flip in zip(pairs, flips):
+        if flip == "1":
             u, v = v, u
         out[u] |= 1 << v
         into[v] |= 1 << u

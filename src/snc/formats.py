@@ -21,10 +21,19 @@ Parsing then serializing then parsing is the identity on content.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import Digraph, UndirectedGraph, WeightedDigraph, WeightMap, rational_terms
+from .digraph import (
+    Digraph,
+    UndirectedGraph,
+    WeightedDigraph,
+    WeightMap,
+    _above,
+    bits,
+    rational_terms,
+)
 from .errors import CounterexampleReport, ParseError, SncError, TooLarge
 
 # Largest vertex count accepted from a header or a JSON n, checked before
@@ -179,20 +188,29 @@ def _names(labels: Optional[list[str]], n: int) -> list[str]:
 
 def serialize_digraph(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> str:
     """Canonical text form: sorted arcs, weight lines only where not 1."""
-    d, w = wd.digraph, wd.weights
+    d, scale = wd.digraph, wd.weights.scale
     name = _names(labels, d.n)
     lines = [f"digraph {d.n}"]
-    lines += [f"arc {name[u]} {name[v]}" for u, v in d.arcs()]
-    lines += [
-        f"weight {name[v]} {x.numerator} {x.denominator}" for v, x in enumerate(w) if x != 1
-    ]
+    for u, heads in enumerate(d.out_masks()):
+        if heads:
+            arc = f"arc {name[u]} "
+            lines += [arc + name[v] for v in bits(heads)]
+    for v, s in enumerate(wd.weights.scaled):
+        if s != scale:
+            g = math.gcd(s, scale)
+            lines.append(f"weight {name[v]} {s // g} {scale // g}")
     return "\n".join(lines) + "\n"
 
 
 def serialize_graph(g: UndirectedGraph, labels: Optional[list[str]] = None) -> str:
+    """Canonical text form: sorted edges, the smaller endpoint first."""
     name = _names(labels, g.n)
     lines = [f"graph {g.n}"]
-    lines += [f"edge {name[u]} {name[v]}" for u, v in g.edges()]
+    for u, nbrs in enumerate(g.neighbor_masks()):
+        later = _above(nbrs, u)
+        if later:
+            edge = f"edge {name[u]} "
+            lines += [edge + name[v] for v in bits(later)]
     return "\n".join(lines) + "\n"
 
 

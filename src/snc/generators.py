@@ -5,6 +5,17 @@ so that identical (spec, seed) inputs produce byte-identical instances on
 every platform and Python version.  Seed 0 is reserved for documentation
 examples.  Concurrent batch generation derives per-instance seeds as
 seed XOR index, keeping results independent of worker scheduling.
+
+Rng.code(k) computes up to _CHUNK draws at once, each in a 128-bit lane
+of one int: lane i starts as the state of draw i, s0 + (i+1)*gamma mod
+2^64, s0 the state before the first.  Every step of the mix then acts on
+the whole int.  A right shift lets the low bits of lane i+1 into the top
+half of lane i, so a lane mask clears that half after each shift and
+before each multiply.  A product of a lane value below 2^64 and a 64-bit
+constant is below 2^128, so it never carries into the next lane.  Only
+bit 0 of each draw is read back: bit 0 xor bit 31 of its lane after the
+second multiply, which no other lane reaches, so the last steps need no
+mask.
 """
 from __future__ import annotations
 
@@ -16,10 +27,32 @@ from .formats import int_list
 from .stars import GeneralizedStarDecomposition, validate_decomposition
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_LANE = 128
+# lanes per pass of Rng.code: a pass holds ints of 16 bytes a lane, so a
+# long code needs little more memory than its own bits
+_CHUNK = 4096
+# the digit of bit 0 of a byte, for reading a lane's draw back
+_BIT0_DIGIT = bytes(b"01"[b & 1] for b in range(256))
+
+
+def _lane_counts(k: int) -> tuple[int, int]:
+    """Two ints of k lanes each: lane i holds 1 in the first and i + 1 in
+    the second, built by doubling the lane count."""
+    ones = counts = 1
+    m = 1
+    while m < k:
+        counts |= (counts + m * ones) << (_LANE * m)
+        ones |= ones << (_LANE * m)
+        m *= 2
+    keep = (1 << (_LANE * k)) - 1
+    return ones & keep, counts & keep
 
 
 class Rng:
-    """SplitMix64 stream: next_u64, unbiased bounded draws, bits, shuffles."""
+    """SplitMix64 stream: next_u64, unbiased bounded draws, bit codes, shuffles."""
 
     __slots__ = ("state",)
 
@@ -27,26 +60,41 @@ class Rng:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
+        self.state = (self.state + _GAMMA) & _MASK
         z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
-    def bit(self) -> int:
-        return self.next_u64() & 1
-
     def code(self, k: int) -> int:
-        """k stream bits as one int, the first drawn as bit 0."""
-        code = 0
-        for i in range(k):
-            code |= self.bit() << i
-        return code
+        """Bit 0 of each of the next k draws as one int, the first drawn as
+        bit 0, computed _CHUNK lanes at a time (see the module doc)."""
+        parts = [self._bit_digits(min(_CHUNK, k - i)) for i in range(0, k, _CHUNK)]
+        # each part lists its last draw first, so the parts go last first too
+        return int(b"".join(reversed(parts)) or b"0", 2)
+
+    def _bit_digits(self, m: int) -> bytes:
+        """Bit 0 of each of the next m draws as binary digits, the last
+        drawn first."""
+        ones, counts = _lane_counts(m)
+        low = ones * _MASK
+        z = (self.state * ones + _GAMMA * counts) & low
+        self.state = (self.state + m * _GAMMA) & _MASK
+        z ^= (z >> 30) & low
+        z = (z * _MIX1) & low
+        z ^= (z >> 27) & low
+        z *= _MIX2
+        z ^= z >> 31
+        # the last byte of each big-endian lane holds its bit 0
+        return z.to_bytes(16 * m, "big")[15::16].translate(_BIT0_DIGIT)
 
     def below(self, n: int) -> int:
-        """Uniform draw in [0, n) by rejection sampling."""
+        """Uniform draw in [0, n) by rejection sampling; n is at most 2^64,
+        the count of values a draw takes."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
+        if n > _MASK + 1:
+            raise ValueError(f"below() needs a bound of at most 2^64, got {n}")
         limit = _MASK + 1 - ((_MASK + 1) % n)
         while True:
             x = self.next_u64()
@@ -114,8 +162,8 @@ def random_weights(n: int, seed: int, max_w: int) -> WeightMap:
     infinitesimal perturbation downstream."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_w < 0:
-        raise ValueError("max_w must be nonnegative")
+    if not 0 <= max_w < 2**64:
+        raise ValueError(f"max_w must be in [0, 2^64), got {max_w}")
     rng = Rng(seed)
     return WeightMap([rng.below(max_w + 1) for _ in range(n)])
 

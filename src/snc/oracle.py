@@ -48,7 +48,7 @@ from .stars import adversarial_digraph, check_condition_B, route_agreement
 MAX_ENUM_TOURNAMENT_N = 6
 MAX_ENUM_GRAPH_N = 5
 MAX_ORIENTATIONS_N = 4
-MAX_THEOREM2_N = 14
+MAX_THEOREM2_N = 128
 MAX_GAMMA_DIGITS = 50
 
 def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
@@ -228,8 +228,8 @@ def sweep_proposition1(
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     check_cap(max_n)
-    if max_weight < 0:
-        raise ValueError(f"max_weight must be non-negative, got {max_weight}")
+    if not 0 <= max_weight < 2**64:
+        raise ValueError(f"max_weight must be in [0, 2^64), got {max_weight}")
     return SweepReport(
         "prop1",
         {"samples": samples, "max_n": max_n, "seed": seed, "max_weight": max_weight},

@@ -290,6 +290,31 @@ def _verify_runs(tmp_path) -> list[str]:
     return runs
 
 
+# SHA-256 of the concatenated stdout of `snc gen` on _gen_runs().
+GEN_SHA256 = "e642ba99d831b42853d3e57a66f495d82eca534369810dcacccf54cd724e75e0"
+
+
+def _gen_runs(graph_file) -> list[list[str]]:
+    """`snc gen` argument lists: tournaments at n = 1, 7, 33 and 512, with
+    and without seeded weights, and one of each other kind, the digraph
+    missing a generalized star read from graph_file; each in text and JSON
+    form."""
+    runs = [
+        ["tournament", "--n", str(n), "--seed", str(seed)] + weights
+        for n, seed in ((1, 0), (7, 3), (33, 2**64 - 1), (512, 5))
+        for weights in ([], ["--weights-max", "10"])
+    ]
+    runs += [
+        ["digraph-missing", "-i", str(graph_file), "--seed", "9", "--weights-max", "4"],
+        ["weights", "--n", "12", "--seed", "2", "--weights-max", "1000"],
+        ["star", "--rays-count", "4"],
+        ["sun", "--core", "3", "--rays-count", "2"],
+        ["complete", "--k", "5"],
+        ["gstar", "--a0", "1", "--rays", "2,1", "--cores", "1,3"],
+    ]
+    return [argv + form for argv in runs for form in ([], ["--json"])]
+
+
 BAD_ARCS = "instance arcs must be a list of integer pairs"
 
 
@@ -1091,6 +1116,20 @@ class TestContracts:
         assert outcomes == {(0, True, False), (1, True, False), (1, False, True)}
         assert digest.hexdigest() == VERIFY_SHA256
 
+    def test_gen_outputs_pinned(self, tmp_path):
+        """Every seeded instance `snc gen` writes, up to n = 512, is part of
+        the output: pin its stdout in text and JSON form."""
+        graph_file = tmp_path / "in.g"
+        code, out, _ = run_cli("gen", "gstar", "--a0", "2", "--rays", "3,2", "--cores", "2,4")
+        assert code == 0
+        graph_file.write_text(out)
+        digest = hashlib.sha256()
+        for argv in _gen_runs(graph_file):
+            code, out, _ = run_cli("gen", *argv)
+            assert code == 0
+            digest.update(out.encode())
+        assert digest.hexdigest() == GEN_SHA256
+
     def test_verify_field_comparison_matches_the_whole_document(self, tmp_path):
         """fields_match leaves out the free choices that the verifiers
         checked on read; on every document of _verify_runs its verdict
@@ -1297,6 +1336,8 @@ class TestContracts:
             (["gamma", "--samples", "1", "--max-n", "513"], "TooLarge", "512"),
             (["theorem3", "--n", "2", "--min-n", "6", "--max-n", "513"], "TooLarge", "512"),
             (["prop1", "--samples", "0", "--max-weight", "-1"], "ValueError", "max_weight"),
+            (["theorem2", "--samples", "1", "--max-n", "129"], "TooLarge", "128"),
+            (["prop1", "--samples", "1", "--max-weight", str(2**64)], "ValueError", "max_weight"),
         ],
     )
     def test_sweep_rejects_arguments_before_any_instance_runs(self, argv, error, name, monkeypatch):
@@ -1305,6 +1346,30 @@ class TestContracts:
         assert code == 1 and out == ""
         doc = json.loads(err)
         assert doc["error"] == error and name in doc["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "weights", "--n", "2", "--weights-max", str(2**64)],
+            ["sweep", "prop1", "--samples", "1", "--max-n", "2", "--max-weight", str(2**64)],
+        ],
+        ids=["gen", "sweep"],
+    )
+    def test_weight_caps_past_the_stream_range_are_errors(self, argv):
+        """A bound above 2^64 once left rejection sampling without an
+        acceptable draw; run in a child so that a hang fails the test."""
+        src = str(Path(snc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "snc.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        doc = json.loads(done.stderr)
+        assert doc["error"] == "ValueError" and "2^64" in doc["message"]
 
     @pytest.mark.parametrize("target", ["theorem1", "prop1", "theorem2", "theorem3", "gamma"])
     @pytest.mark.parametrize("argv", [["--samples", "-1"], ["--jobs", "0"]], ids=["samples", "jobs"])

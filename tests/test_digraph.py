@@ -355,6 +355,23 @@ def test_direct_mask_builds_match_checked_builds():
                 )
 
 
+def test_orient_pairs_reads_codes_longer_than_a_limb():
+    """Codes of 65 to a few thousand pairs, in seeded order, against the
+    arcs that the bit k of code rule chooses."""
+    rng = Rng(2030)
+    for k in (65, 127, 128, 129, 500, 2000, 4000):
+        n = 3 + rng.below(4)
+        while n * (n - 1) // 2 < k:
+            n += 1
+        pairs = pair_list(n)
+        rng.shuffle(pairs)
+        pairs = pairs[:k]
+        code = rng.code(k)
+        for c in (code, code ^ ((1 << k) - 1), 0, (1 << k) - 1):
+            arcs = [(v, u) if c >> i & 1 else (u, v) for i, (u, v) in enumerate(pairs)]
+            assert _same_digraph(orient_pairs(n, pairs, c), Digraph.from_arcs(n, arcs))
+
+
 def test_masks_agree_with_arcs_and_edges():
     for seed in range(24):
         n = 1 + seed % 12

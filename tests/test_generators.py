@@ -23,6 +23,46 @@ from snc.digraph import bits
 from snc.generators import Rng, random_star_profile
 
 
+def _per_draw_code(rng: Rng, k: int) -> int:
+    """The reference for Rng.code: bit 0 of each of the next k draws, one
+    next_u64 call per draw, the first as bit 0."""
+    code = 0
+    for i in range(k):
+        code |= (rng.next_u64() & 1) << i
+    return code
+
+
+# every k up to 200 (the 64-bit limb edges 64, 128 and 192 among them),
+# the edges at 256 and at one pass of lanes (4096), and the pair count of
+# a 512-vertex tournament, which takes 32 passes
+_CODE_LENGTHS = [*range(201), 255, 256, 257, 4095, 4096, 4097, 512 * 511 // 2]
+
+
+class TestRngStream:
+    def test_published_splitmix64_values(self):
+        rng = Rng(0)
+        assert rng.next_u64() == 0xE220A8397B1DCDAF
+        assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_code_matches_the_per_draw_loop(self, seed):
+        for k in _CODE_LENGTHS:
+            rng, ref = Rng(seed), Rng(seed)
+            assert rng.code(k) == _per_draw_code(ref, k), k
+            # the call leaves the state the k draws leave
+            assert rng.state == ref.state, k
+            assert rng.next_u64() == ref.next_u64()
+
+    def test_below_takes_bounds_up_to_two_to_the_64(self):
+        assert Rng(0).below(2**64) == 0xE220A8397B1DCDAF
+        for n in (2**64 + 1, 2**70):
+            with pytest.raises(ValueError, match="2\\^64"):
+                Rng(0).below(n)
+        with pytest.raises(ValueError):
+            random_weights(2, 0, 2**64)
+        assert len(random_weights(2, 0, 2**64 - 1)) == 2
+
+
 class TestRandomTournament:
     def test_deterministic(self):
         assert random_tournament(7, 3) == random_tournament(7, 3)

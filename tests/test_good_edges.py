@@ -111,7 +111,7 @@ def test_classification_matches_set_reference():
         for u in range(n):
             for v in range(u + 1, n):
                 if rng.below(1 << 16) >= missing * (1 << 16):
-                    arcs.append((u, v) if rng.bit() else (v, u))
+                    arcs.append((u, v) if rng.next_u64() & 1 else (v, u))
         d = Digraph.from_arcs(n, arcs)
         expect = [reference_status(d, a, b) for a, b in d.missing_pairs()]
         ok, statuses = all_missing_edges_good(d)

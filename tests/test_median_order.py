@@ -659,8 +659,8 @@ def test_perturbation_soundness_on_random_sets():
         n = 1 + rng.below(9)
         w = random_weights(n, rng.next_u64(), 6)
         keys, _, _ = _perturbed_keys(w)
-        a = [v for v in range(n) if rng.bit()]
-        b = [v for v in range(n) if rng.bit()]
+        a = [v for v in range(n) if rng.next_u64() & 1]
+        b = [v for v in range(n) if rng.next_u64() & 1]
         if sum(keys[v] for v in a) <= sum(keys[v] for v in b):
             assert sum(w[v] for v in a) <= sum(w[v] for v in b)
 

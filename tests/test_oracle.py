@@ -122,6 +122,18 @@ class TestSweeps:
         assert (r.instances, len(r.failures)) == (60, 0)
         assert sweep_proposition1(0, 8, seed=5).instances == 0
 
+    def test_proposition1_rejects_weight_caps_outside_the_stream(self, monkeypatch):
+        """Before any instance runs: a cap of 2^64 or more once hung the
+        weight draw of the first sample."""
+        monkeypatch.setattr(oracle, "_drive", lambda *args: pytest.fail("ran"))
+        for max_weight in (-1, 2**64, 2**70):
+            with pytest.raises(ValueError, match="max_weight"):
+                sweep_proposition1(1, 2, seed=0, max_weight=max_weight)
+
+    def test_theorem2_at_its_cap(self):
+        r = sweep_theorem2(2, 128, seed=1)
+        assert (r.instances, len(r.failures)) == (2, 0)
+
     def test_theorem2_small(self):
         r = sweep_theorem2(40, 10, seed=9)
         assert (r.instances, len(r.failures)) == (40, 0)
@@ -135,7 +147,7 @@ class TestSweeps:
 
     def test_theorem2_guard(self):
         with pytest.raises(TooLarge):
-            sweep_theorem2(1, 15, seed=0)
+            sweep_theorem2(1, 129, seed=0)
 
     def test_theorem3_small(self):
         r = sweep_theorem3(3)

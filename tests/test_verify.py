@@ -79,7 +79,7 @@ def order_doc(seed: int):
     n = 1 + rng.below(8)
     t = random_tournament(n, rng.next_u64())
     w = random_weights(n, rng.next_u64(), 5)
-    co = exact_median_order(t, w) if rng.bit() else local_median_order(t, w)
+    co = exact_median_order(t, w) if rng.next_u64() & 1 else local_median_order(t, w)
     return _document(co, WeightedDigraph(t, w))
 
 
