@@ -166,23 +166,6 @@ def _read_input(args) -> str:
     return Path(args.input).read_text(encoding="utf-8")
 
 
-def _load_any(text: str):
-    """(kind, instance, labels) of a digraph or graph input, JSON parsed once."""
-    if text.lstrip().startswith("{"):
-        source = formats.load_json(text)
-        kind = source.get("kind")
-        read_digraph, read_graph = formats.digraph_from_instance_dict, formats.graph_from_instance_dict
-    else:  # the first directive, past comments, as the text parsers read it
-        source = text
-        kind = next((tokens[0] for _lineno, tokens in formats._lines(text)), "")
-        read_digraph, read_graph = formats.parse_digraph, formats.parse_graph
-    if kind == "digraph":
-        return ("digraph", *read_digraph(source))
-    if kind == "graph":
-        return ("graph", *read_graph(source))
-    raise ParseError(f"unknown instance kind {kind!r}")
-
-
 # ---- commands ---------------------------------------------------------
 
 
@@ -280,14 +263,12 @@ def cmd_gen(args) -> int:
             g, _labels = formats.load_graph(_read_input(args))
             d = generators.random_digraph_missing(g, args.seed)
         wd = WeightedDigraph(d, _weights(args, d.n))
-        doc = formats.digraph_instance_dict(wd)
-        text = formats.serialize_digraph(wd)
+        out = formats.digraph_instance_dict(wd) if args.json else formats.serialize_digraph(wd)
     elif args.what == "weights":
         formats.check_cap(args.n)
         max_w = 10 if args.weights_max is None else args.weights_max
         w = generators.random_weights(args.n, args.seed, max_w)
-        doc = {"kind": "weights", "n": args.n, "weights": w.to_dicts()}
-        text = None
+        out = {"kind": "weights", "n": args.n, "weights": w.to_dicts()}
     else:
         if args.what == "star":
             formats.check_cap(1 + args.rays_count)
@@ -311,14 +292,13 @@ def cmd_gen(args) -> int:
                 )
             formats.check_cap(spec.a0 + sum(spec.a_profile) + sum(spec.x_profile))
             g, dec = generators.gen_generalized_star(spec=spec)
-        doc = formats.graph_instance_dict(g)
-        doc["decomposition"] = dec.to_dict()
-        doc["classification"] = stars.classify_special(dec).to_dict()
-        text = formats.serialize_graph(g)
-    if args.json or text is None:
-        _emit(args, doc)
-    else:
-        _emit(args, text)
+        if args.json:
+            out = formats.graph_instance_dict(g)
+            out["decomposition"] = dec.to_dict()
+            out["classification"] = stars.classify_special(dec).to_dict()
+        else:
+            out = formats.serialize_graph(g)
+    _emit(args, out)
     return 0
 
 
@@ -358,7 +338,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dot(args) -> int:
-    kind, obj, labels = _load_any(_read_input(args))
+    kind, obj, labels = formats.load_instance(_read_input(args))
     if kind == "digraph":
         _emit(args, formats.digraph_to_dot(obj, labels))
     else:
@@ -405,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="find a vertex with the weighted SNP, certified when possible")
     _add_io(p)
-    p.add_argument("--move-limit", type=int, default=None)
+    p.add_argument("--move-limit", type=_int_from(1), default=None)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("check-good", help="classify every missing edge")
@@ -416,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(p)
     p.add_argument("--exact", action="store_true", help="subset DP instead of local search")
     p.add_argument("--seed", type=int, default=None, help="shuffle the start order")
-    p.add_argument("--move-limit", type=int, default=None)
+    p.add_argument("--move-limit", type=_int_from(1), default=None)
     p.set_defaults(func=cmd_median_order)
 
     p = sub.add_parser("recognize", help="recognize and decompose a generalized star")

@@ -325,23 +325,38 @@ def fields_match(rebuilt: dict, doc: dict, free: tuple[str, ...]) -> tuple[str, 
     return "fields_match", json.dumps(rebuilt, sort_keys=True) == json.dumps(given, sort_keys=True)
 
 
-def _load(text: str, kind: str, from_dict, parse):
+def load_instance(text: str, kind: Optional[str] = None) -> tuple:
+    """(kind, instance, labels) of a text or JSON input, told apart by the
+    leading character.  kind "digraph" or "graph" is the kind the input
+    must have; None takes the one it names, its JSON kind or its first
+    directive past comments.  A JSON input of another kind than the one
+    asked for is a ParseError here, a text input's is the parser's header
+    error."""
     if text.lstrip().startswith("{"):
-        doc = load_json(text)
-        if doc.get("kind") != kind:
+        source = load_json(text)
+        named = source.get("kind")
+        if kind is not None and named != kind:
             raise ParseError(f"expected a {kind} instance")
-        return from_dict(doc)
-    return parse(text)
+        read_digraph, read_graph = digraph_from_instance_dict, graph_from_instance_dict
+    else:
+        source = text
+        named = kind or next((tokens[0] for _lineno, tokens in _lines(text)), "")
+        read_digraph, read_graph = parse_digraph, parse_graph
+    if named == "digraph":
+        return ("digraph", *read_digraph(source))
+    if named == "graph":
+        return ("graph", *read_graph(source))
+    raise ParseError(f"unknown instance kind {named!r}")
 
 
 def load_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
-    """Text or JSON digraph input, detected by the leading character."""
-    return _load(text, "digraph", digraph_from_instance_dict, parse_digraph)
+    """Text or JSON digraph input (see load_instance)."""
+    return load_instance(text, "digraph")[1:]
 
 
 def load_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
-    """Text or JSON graph input, detected by the leading character."""
-    return _load(text, "graph", graph_from_instance_dict, parse_graph)
+    """Text or JSON graph input (see load_instance)."""
+    return load_instance(text, "graph")[1:]
 
 
 def load_json(text: str) -> dict:

@@ -29,12 +29,13 @@ A certificate's free choices are its orientations and order, a
 fallback's is its witness.  _checks (through _certificate) and _fallback
 derive every other field, except that the order comes with its objective
 and the fallback with its not-good edges: local search reads the
-objective off its final scan state, and verify_certificate sums it arc
-by arc with order_objective; find_witness takes the not-good edges from
-the NotAllGood it caught, and verify_fallback classifies, so each
-classifies once.  The producers and verify_certificate / verify_fallback
-share them, so verification re-runs the theorem checks and compares the
-rebuilt document with the given one.  Each free choice is checked where
+objective off its final scan state, and verify_certificate off the one
+scan state of the order on T that also gives the order's feedback
+verdict on T; find_witness takes the not-good edges from the NotAllGood
+it caught, and verify_fallback classifies, so each classifies once.  The
+producers and verify_certificate / verify_fallback share them, so
+verification re-runs the theorem checks and compares the rebuilt
+document with the given one.  Each free choice is checked where
 it is read to be exactly the JSON value that the rebuilt document holds
 for it, so fields_match compares the derived fields only.
 """
@@ -47,13 +48,7 @@ from typing import NamedTuple, Optional, Sequence
 from .digraph import Digraph, WeightedDigraph, WeightMap, bits, has_weighted_snp, rational_dict
 from .errors import InternalTheoremViolation, NoWitnessFound, NotAllGood, NotMissing, ParseError
 from .formats import counterexample, fields_match, int_list
-from .median_order import (
-    CertifiedOrder,
-    feed_vertex,
-    feedback_check,
-    local_median_order,
-    order_objective,
-)
+from .median_order import CertifiedOrder, _verdict, feed_vertex, feedback_check, local_median_order
 
 
 class MissingEdgeStatus(NamedTuple):
@@ -396,12 +391,13 @@ def verify_certificate(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]
         return [("order_is_permutation", False)]
     if not covered or status:
         return [("orientations_cover_missing_edges", False)]
-    t = d.with_arcs(map(_ARC, orientations))
-    cert, checks = _checks(wd, orientations, CertifiedOrder(order, order_objective(t, w, order)))
+    # every missing edge covered once: the completion T is a tournament
+    violation, objective = _verdict(d.with_arcs(map(_ARC, orientations)), w, order)
+    cert, checks = _checks(wd, orientations, CertifiedOrder(order, objective))
     return [
         ("orientations_cover_missing_edges", True),
         ("orientations_licensed", licensed),
-        ("order_feedback_on_t", feedback_check(t, w, order) is None),
+        ("order_feedback_on_t", violation is None),
         *checks,
         fields_match(cert.to_dict(), doc, ("orientations", "order") if exact else ("order",)),
     ]

@@ -32,8 +32,7 @@ Two order constructions are provided:
   equal, so the clean scan is a scan of a fresh state and the
   certificate never rests on the incremental update; a difference is an
   internal violation (stage local-search-state).  The objective is read
-  off that fresh state in O(n), not summed arc by arc as order_objective
-  does.
+  off that fresh state in O(n) (_state_objective).
 * exact_median_order: subset dynamic program maximizing the perturbed
   objective globally.  It extends a prefix set only by a vertex that
   passes the two interval tests an optimal order must pass there, so it
@@ -44,9 +43,12 @@ Two order constructions are provided:
 Either way the result is a CertifiedOrder.  Its document's one free
 choice is the order: the objective and the feed vertex are derived from
 it, and verify_order re-derives the whole document from the order and
-the instance, so a tampered field fails verification.  A guarantee that
-fails (stages local-search-state, local-search-gain, exact-order-feedback)
-dumps the instance, the order and that order's first violation, which
+the instance, so a tampered field fails verification.  It builds one
+scan state of the order and reads both the first violation and the
+objective off it (_verdict), as local search does; order_objective is
+the same reading with input checks.  A guarantee that fails (stages
+local-search-state, local-search-gain, exact-order-feedback) dumps the
+instance, the order and that order's first violation, which
 feedback_check names again on the loaded instance.  Running out of moves
 (MoveLimitExceeded, stage move-limit) dumps the instance, the last order,
 the moves made, the violations that remain and the start order's seed;
@@ -167,26 +169,6 @@ def _check_order(t: Digraph, order: Sequence[int]) -> None:
         raise ValueError("order is not a permutation of the vertex set")
 
 
-def order_objective(t: Digraph, w: WeightMap, order: Sequence[int]) -> PerturbedRational:
-    """Sum of w~(tail) * w~(head) over arcs pointing forward in the order."""
-    _require_tournament(t)
-    _check_order(t, order)
-    keys, scale, base = _perturbed_keys(w)
-    return _product_value(_objective_key(t, keys, order), scale, base)
-
-
-def _objective_key(t: Digraph, keys: list[int], order: Sequence[int]) -> int:
-    """order_objective as an int key, for keys from _perturbed_keys."""
-    out = t.out_masks()
-    total = 0
-    for i, u in enumerate(order):
-        out_u, ku = out[u], keys[u]
-        for v in order[i + 1 :]:
-            if out_u >> v & 1:
-                total += ku * keys[v]
-    return total
-
-
 class _ScanState(NamedTuple):
     """An order and what a feedback scan reads of it, by position p: the
     vertex v_p = vertex[p], its out-mask out[p], bit bit[p] and perturbed
@@ -204,8 +186,9 @@ class _ScanState(NamedTuple):
 
 
 def _state_objective(state: _ScanState) -> int:
-    """_objective_key of state's order in O(n): with P the sum of k_p k_q
-    over the pairs p < q, sum_q k_q trail_q = P - 2F for the objective F."""
+    """The objective of state's order as an int key, the sum of k_u k_v
+    over its forward arcs uv, in O(n): with P the sum of k_p k_q over the
+    pairs p < q, sum_q k_q trail_q = P - 2F for the objective F."""
     k, total = state.key, sum(state.key)
     return ((total * total - sum(map(mul, k, k))) // 2 - sum(map(mul, k, state.trail))) // 2
 
@@ -312,6 +295,26 @@ def feedback_check(
     keys, scale, base = _perturbed_keys(w)
     found = next(_scan(_scan_state(t, keys, order)), None)
     return found and _violation(found, scale, base)
+
+
+def _verdict(
+    t: Digraph, w: WeightMap, order: Sequence[int]
+) -> tuple[Optional[FeedbackViolation], PerturbedRational]:
+    """feedback_check of order and its objective, both read off one
+    _scan_state; t must be a tournament and order a permutation of its
+    vertices."""
+    keys, scale, base = _perturbed_keys(w)
+    state = _scan_state(t, keys, order)
+    found = next(_scan(state), None)
+    objective = _product_value(_state_objective(state), scale, base)
+    return found and _violation(found, scale, base), objective
+
+
+def order_objective(t: Digraph, w: WeightMap, order: Sequence[int]) -> PerturbedRational:
+    """Sum of w~(tail) * w~(head) over arcs pointing forward in the order."""
+    _require_tournament(t)
+    _check_order(t, order)
+    return _verdict(t, w, order)[1]
 
 
 def default_move_limit(n: int) -> int:
@@ -513,8 +516,8 @@ def verify_order(wd: WeightedDigraph, doc: dict) -> list[tuple[str, bool]]:
         return [("order_is_permutation", False)]
     if not t.is_tournament():
         return [("instance_is_tournament", False)]
-    rebuilt = CertifiedOrder(order, order_objective(t, w, order))
+    violation, objective = _verdict(t, w, order)
     return [
-        ("order_feedback", feedback_check(t, w, order) is None),
-        fields_match(rebuilt.to_dict(), doc, ("order",)),
+        ("order_feedback", violation is None),
+        fields_match(CertifiedOrder(order, objective).to_dict(), doc, ("order",)),
     ]

@@ -844,6 +844,10 @@ class TestContracts:
                 "line 3: duplicate weight for vertex token '0'",
             ),
             ("witness", json.dumps({"kind": "graph", "n": 2, "edges": []}), "expected a digraph instance"),
+            ("recognize", json.dumps({"kind": "digraph", "n": 2, "arcs": []}), "expected a graph instance"),
+            ("dot", "# only a comment\n", "unknown instance kind ''"),
+            ("dot", "# a comment\ndigraf 3\narc 0 1\n", "unknown instance kind 'digraf'"),
+            ("dot", json.dumps({"kind": "weights", "n": 1, "weights": []}), "unknown instance kind 'weights'"),
         ],
         ids=[
             "empty",
@@ -854,6 +858,10 @@ class TestContracts:
             "zero-denominator",
             "duplicate-weight",
             "graph-given-to-witness",
+            "digraph-given-to-recognize",
+            "dot-comment-only",
+            "dot-unknown-directive",
+            "dot-weights-json",
         ],
     )
     def test_loader_errors_name_their_line(self, command, text, message, tmp_path):
@@ -1381,6 +1389,28 @@ class TestContracts:
         doc = json.loads(err)
         assert doc["error"] == "UsageError" and doc["message"].startswith(f"argument {argv[0]}: ")
         assert doc["usage"].startswith("usage: snc sweep ")
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("witness", "digraph 4\narc 2 0\narc 3 1\narc 1 2\narc 0 3\n"),
+            ("witness", TRIANGLE_DG),
+            ("median-order", CYCLE_DG),
+            ("median-order --exact", CYCLE_DG),
+        ],
+        ids=["witness-not-good", "witness-all-good", "median-order", "median-order-exact"],
+    )
+    def test_move_limit_below_one_is_a_usage_error(self, command, text, limit, tmp_path):
+        """Whatever path the instance takes, the exact search and the
+        fallback included, which never read the limit."""
+        f = tmp_path / "in.dg"
+        f.write_text(text)
+        code, out, err = run_cli(*command.split(), "-i", str(f), "--move-limit", limit)
+        assert code == 1 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "UsageError"
+        assert doc["message"] == f"argument --move-limit: expected an integer >= 1, got '{limit}'"
 
     def test_gen_digraph_missing_without_input_is_an_error(self):
         code, out, err = run_cli("gen", "digraph-missing")

@@ -39,7 +39,6 @@ from snc.median_order import (
     SUFFIX,
     FeedbackViolation,
     _move,
-    _objective_key,
     _perturbed_keys,
     _product_value,
     _scan,
@@ -93,6 +92,23 @@ def ref_objective(t: Digraph, w: WeightMap, order) -> tuple:
             if t.has_arc(u, v):
                 total = ref_add(total, ref_mul(ref_weight(w[u]), ref_weight(w[v])))
     return total
+
+
+def ref_objective_key(t: Digraph, keys: list[int], order) -> int:
+    """The objective of order as an int key, for keys from _perturbed_keys,
+    summed arc by arc: k_u * k_v over every arc uv pointing forward."""
+    out = t.out_masks()
+    total = 0
+    for i, u in enumerate(order):
+        for v in order[i + 1 :]:
+            if out[u] >> v & 1:
+                total += keys[u] * keys[v]
+    return total
+
+
+def ref_order_objective(t: Digraph, w: WeightMap, order) -> PerturbedRational:
+    keys, scale, base = _perturbed_keys(w)
+    return _product_value(ref_objective_key(t, keys, order), scale, base)
 
 
 def brute_force_best(t: Digraph, w: WeightMap) -> PerturbedRational:
@@ -181,6 +197,36 @@ def test_order_objective_examples():
     assert order_objective(transitive3(), w1, (0, 1, 2)) == pr(3, 6, 3)
     assert order_objective(cycle3(), w1, (0, 1, 2)) == pr(2, 4, 2)
     assert order_objective(Digraph(1), WeightMap.uniform(1), (0,)) == pr(0)
+
+
+def test_order_objective_matches_arc_by_arc_reference():
+    """order_objective reads the objective off a scan state, as local
+    search does; the reference sums it arc by arc.  Every permutation of
+    every labelled tournament on up to 4 vertices, under unit, all-zero and
+    1/(v+1) weights, orders without the feedback property included, then
+    shuffled orders of seeded tournaments on up to 12 vertices."""
+    failing = 0
+    for n in range(5):
+        weightings = [
+            WeightMap.uniform(n),
+            WeightMap([0] * n),
+            WeightMap([Fraction(1, v + 1) for v in range(n)]),
+        ]
+        for code in range(1 << n * (n - 1) // 2):
+            t = tournament_from_code(n, code)
+            for order in itertools.permutations(range(n)):
+                for w in weightings:
+                    assert order_objective(t, w, order) == ref_order_objective(t, w, order)
+                failing += feedback_check(t, weightings[0], order) is not None
+    assert failing
+    rng = Rng(4242)
+    for k in range(48):
+        n = 1 + k % 12
+        t = random_tournament(n, rng.next_u64())
+        w = random_weights(n, rng.next_u64(), 10) if k % 2 else rational_weights(n, rng.next_u64())
+        order = list(range(n))
+        rng.shuffle(order)
+        assert order_objective(t, w, order) == ref_order_objective(t, w, order)
 
 
 def test_order_objective_rejects_non_tournament():
@@ -324,7 +370,7 @@ def test_local_search_reaches_unique_certified_order():
 
 def test_local_objective_is_order_objective():
     """The objective local search reads off its scan state is the one
-    order_objective sums arc by arc: on seeded tournaments, n = 1..12, with
+    ref_order_objective sums arc by arc: on seeded tournaments, n = 1..12, with
     integer, all-zero and rational weights, and on every tournament with
     n <= 4 under unit weights and under weights 0, 1/2, 1, 3/2."""
     rng = Rng(2030)
@@ -339,13 +385,13 @@ def test_local_objective_is_order_objective():
             w = WeightMap([Fraction(r.below(4), 1 + r.below(5)) for _ in range(n)])
         t = random_tournament(n, r.next_u64())
         co = local_median_order(t, w, seed=r.below(1000) if k % 2 else None)
-        assert co.objective == order_objective(t, w, co.order)
+        assert co.objective == ref_order_objective(t, w, co.order)
     for n in range(5):
         for w in (WeightMap.uniform(n), WeightMap([Fraction(v, 2) for v in range(n)])):
             for code in range(1 << n * (n - 1) // 2):
                 t = tournament_from_code(n, code)
                 co = local_median_order(t, w)
-                assert co.objective == order_objective(t, w, co.order)
+                assert co.objective == ref_order_objective(t, w, co.order)
 
 
 def test_local_search_trace_is_strictly_improving():
@@ -408,10 +454,10 @@ def test_move_returns_its_positive_objective_gain():
         rng.shuffle(order)
         state = _scan_state(t, keys, order)
         while (first := next(_scan(state), None)) is not None:
-            before = _objective_key(t, keys, state.vertex)
+            before = ref_objective_key(t, keys, state.vertex)
             gain = _move(state, first[0], first[1] - 1, first[2] - 1)
             assert gain > 0
-            assert gain == _objective_key(t, keys, state.vertex) - before
+            assert gain == ref_objective_key(t, keys, state.vertex) - before
             assert state == _scan_state(t, keys, state.vertex)
             moved += 1
     assert moved

@@ -335,6 +335,17 @@ def test_fallback_witness_without_the_snp_fails_its_check():
     assert checks == {"witness_inequality": False, "fields_match": True}
 
 
+@pytest.mark.parametrize("kind", ["witness_certificate", "certified_order"])
+def test_verifiers_read_the_objective_off_their_feedback_scan(kind, monkeypatch):
+    """Both verifiers take the objective from the scan state that gives the
+    feedback verdict, never from a second pass through order_objective."""
+    docs = [KINDS[kind][0](seed) for seed in range(30)]
+    boom = mock.Mock(side_effect=AssertionError("order_objective called"))
+    monkeypatch.setattr(median_order, "order_objective", boom)
+    monkeypatch.setattr(good_edges, "order_objective", boom, raising=False)
+    assert all(verified(kind, doc) for doc in docs)
+
+
 def test_order_on_a_non_tournament_fails_its_check():
     # a certified order of a 3-cycle, checked against the cycle minus one arc
     doc = local_median_order(Digraph.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), WeightMap.uniform(3))
