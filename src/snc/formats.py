@@ -256,10 +256,12 @@ def _labels(doc: dict, n: int) -> list[str]:
     return list(raw)
 
 
-def _vertex_count(doc) -> int:
-    """The vertex count of a JSON instance, a JSON integer within the cap."""
+def _vertex_count(doc, kind: str) -> int:
+    """The vertex count of a JSON instance of kind, a JSON integer within the cap."""
     if not isinstance(doc, dict):
         raise ParseError("an instance must be a JSON object")
+    if doc.get("kind") != kind:
+        raise ParseError(f"expected a {kind} instance")
     n = doc.get("n")
     if type(n) is not int or n < 0:
         raise ParseError("instance n must be a nonnegative integer")
@@ -289,7 +291,7 @@ def _from_pairs(build, n: int, doc: dict, pairs_key: str):
 
 
 def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
-    n = _vertex_count(doc)
+    n = _vertex_count(doc, "digraph")
     g = _from_pairs(Digraph.from_arcs, n, doc, "arcs")
     raw = doc.get("weights")
     if raw is None:
@@ -302,7 +304,7 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
 
 
 def graph_from_instance_dict(doc: dict) -> tuple[UndirectedGraph, list[str]]:
-    n = _vertex_count(doc)
+    n = _vertex_count(doc, "graph")
     return _from_pairs(UndirectedGraph.from_edges, n, doc, "edges"), _labels(doc, n)
 
 
@@ -329,14 +331,11 @@ def load_instance(text: str, kind: Optional[str] = None) -> tuple:
     """(kind, instance, labels) of a text or JSON input, told apart by the
     leading character.  kind "digraph" or "graph" is the kind the input
     must have; None takes the one it names, its JSON kind or its first
-    directive past comments.  A JSON input of another kind than the one
-    asked for is a ParseError here, a text input's is the parser's header
-    error."""
+    directive past comments.  An input of another kind than the one asked
+    for is the JSON reader's kind error or the text parser's header error."""
     if text.lstrip().startswith("{"):
         source = load_json(text)
-        named = source.get("kind")
-        if kind is not None and named != kind:
-            raise ParseError(f"expected a {kind} instance")
+        named = kind or source.get("kind")
         read_digraph, read_graph = digraph_from_instance_dict, graph_from_instance_dict
     else:
         source = text

@@ -8,14 +8,16 @@ Every sweep checks a proved statement (the gamma inequality of Chen, Shen
 and Yuster included) and must report zero failures; any failure is
 preserved as a replayable counterexample.
 
-One driver runs every sweep: a module-level check(i, *args) returns
-(instances, failures) for instance i (seed XOR i, or code i).  Contiguous
-index blocks, one serially or up to `jobs` on a worker pool, each fold
-their checks into one pair as they run and merge in index order: reports
-do not depend on the worker count, and memory grows with the failures only.
+One driver runs every sweep leg over (count, args) index spaces: a
+module-level check(i, *args) returns (instances, failures) for instance i
+(seed XOR i, or code i).  Contiguous index blocks, serially or on one pool
+of up to min(jobs, cores) workers per leg, fold their checks into one pair
+as they run and merge in index order: reports do not depend on the worker
+count, and memory grows with the failures only.
 """
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -50,6 +52,7 @@ MAX_ENUM_GRAPH_N = 5
 MAX_ORIENTATIONS_N = 4
 MAX_THEOREM2_N = 128
 MAX_GAMMA_DIGITS = 50
+_CORES = os.cpu_count() or 1  # read once: a call costs more than the serial driver itself
 
 def bfs_distances(d: Digraph, source: int) -> list[Optional[int]]:
     """Directed breadth-first distances from source; None when unreachable."""
@@ -136,30 +139,32 @@ def _block(check, lo: int, hi: int, args: tuple) -> tuple[int, list[Counterexamp
     return _merge(check(i, *args) for i in range(lo, hi))
 
 
-def _drive(check, total: int, args: tuple, jobs: int) -> tuple[int, list[CounterexampleReport]]:
+def _drive(check, spaces, jobs: int) -> tuple[int, list[CounterexampleReport]]:
     """The module-level check(i, *args) -> (instances, failures) merged over
-    range(total): one _block when parts = min(jobs, total) <= 1, else a
-    pool's starmap over blocks of ceil(total / parts) indices, each merged
-    in its worker and returned in index order, whatever jobs is.
+    range(count) of each (count, args) space in turn: one _block per space
+    when parts = min(jobs, total, cores) <= 1, else one pool's starmap over
+    blocks of at most ceil(total / parts) indices, merged in index order.
     """
-    if total < 0:
-        raise ValueError(f"instance count must be non-negative, got {total}")
+    for count, _args in spaces:
+        if count < 0:
+            raise ValueError(f"instance count must be non-negative, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    parts = min(jobs, total)
+    total = sum(count for count, _args in spaces)
+    parts = min(jobs, total, _CORES)
     if parts <= 1:
-        return _block(check, 0, total, args)
+        return _merge(_block(check, 0, count, args) for count, args in spaces)
     from multiprocessing import Pool  # lazy: only parallel sweeps pay its import
 
     size = -(-total // parts)
-    blocks = [(check, lo, min(lo + size, total), args) for lo in range(0, total, size)]
-    with Pool(processes=len(blocks)) as pool:  # ceil may leave fewer blocks than parts
+    blocks = [(check, lo, min(lo + size, c), a) for c, a in spaces for lo in range(0, c, size)]
+    with Pool(processes=min(parts, len(blocks))) as pool:  # ceil may leave fewer blocks
         return _merge(pool.starmap(_block, blocks))
 
 
-def _drive_codes(check, sizes, jobs: int) -> tuple[int, list[CounterexampleReport]]:
-    """_drive check(code, k) over every pair code of each size k in turn."""
-    return _merge(_drive(check, 1 << (k * (k - 1) // 2), (k,), jobs) for k in sizes)
+def _pair_codes(sizes) -> list[tuple[int, tuple[int]]]:
+    """The index spaces of every pair code, 2^(k(k-1)/2) of them, per size k."""
+    return [(1 << (k * (k - 1) // 2), (k,)) for k in sizes]
 
 
 def _feed_vertex_check(
@@ -199,7 +204,7 @@ def sweep_theorem1(n: int, cumulative: bool = False, jobs: int = 1) -> SweepRepo
     return SweepReport(
         "theorem1",
         {"n": n, "cumulative": cumulative},
-        *_drive_codes(_theorem1_check, sizes, jobs),
+        *_drive(_theorem1_check, _pair_codes(sizes), jobs),
         {},
     )
 
@@ -233,7 +238,7 @@ def sweep_proposition1(
     return SweepReport(
         "prop1",
         {"samples": samples, "max_n": max_n, "seed": seed, "max_weight": max_weight},
-        *_drive(_proposition1_check, samples, (max_n, seed, max_weight), jobs),
+        *_drive(_proposition1_check, [(samples, (max_n, seed, max_weight))], jobs),
         {},
     )
 
@@ -279,7 +284,7 @@ def sweep_theorem2(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepR
     return SweepReport(
         "theorem2",
         {"samples": samples, "max_n": max_n, "seed": seed},
-        *_drive(_theorem2_check, samples, (max_n, seed), jobs),
+        *_drive(_theorem2_check, [(samples, (max_n, seed))], jobs),
         {},
     )
 
@@ -355,12 +360,12 @@ def sweep_theorem3(
     if not 1 <= random_min_n <= random_max_n:
         raise ValueError("need 1 <= random_min_n <= random_max_n")
     check_cap(random_max_n)
-    routes = _drive_codes(_exhaustive_routes_check, range(1, n + 1), jobs)
+    routes = _drive(_exhaustive_routes_check, _pair_codes(range(1, n + 1)), jobs)
     random_routes = _drive(
-        _random_routes_check, random_samples, (random_min_n, random_max_n, seed), jobs
+        _random_routes_check, [(random_samples, (random_min_n, random_max_n, seed))], jobs
     )
-    orientations = _drive_codes(
-        _orientation_check, range(1, min(n, MAX_ORIENTATIONS_N) + 1), jobs
+    orientations = _drive(
+        _orientation_check, _pair_codes(range(1, min(n, MAX_ORIENTATIONS_N) + 1)), jobs
     )
     return SweepReport(
         "theorem3",
@@ -456,6 +461,6 @@ def sweep_gamma(samples: int, max_n: int, seed: int, jobs: int = 1) -> SweepRepo
     return SweepReport(
         "gamma",
         {"samples": samples, "max_n": max_n, "seed": seed},
-        *_drive(_gamma_check, samples, (max_n, seed), jobs),
+        *_drive(_gamma_check, [(samples, (max_n, seed))], jobs),
         {},
     )

@@ -1426,8 +1426,14 @@ class TestContracts:
             ("witness", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "weights": 5}),
             ("witness", {"kind": "digraph", "n": 3, "arcs": [[0, 1]], "labels": 5}),
             ("recognize", {"kind": "graph", "n": 3, "edges": [[0, 1]], "labels": 5}),
-            ("verify", {"kind": "certified_order", "order": [0], "instance": {"n": 1, "weights": 5}}),
-            ("verify", {"kind": "certified_order", "order": [0], "instance": {"n": 1, "labels": 5}}),
+            (
+                "verify",
+                {"kind": "certified_order", "order": [0], "instance": {"kind": "digraph", "n": 1, "weights": 5}},
+            ),
+            (
+                "verify",
+                {"kind": "certified_order", "order": [0], "instance": {"kind": "digraph", "n": 1, "labels": 5}},
+            ),
         ],
     )
     def test_non_list_weights_or_labels_are_parse_errors(self, command, instance, tmp_path):
@@ -1507,13 +1513,21 @@ class TestContracts:
             ),
             (
                 "verify",
-                {"kind": "certified_order", "order": [0, 1], "instance": {"n": 2, "arcs": [[0, 1], [1, 0]]}},
+                {
+                    "kind": "certified_order",
+                    "order": [0, 1],
+                    "instance": {"kind": "digraph", "n": 2, "arcs": [[0, 1], [1, 0]]},
+                },
                 "DigonRejected",
                 "arc (1,0) would close a digon with (0,1)",
             ),
             (
                 "verify",
-                {"kind": "certified_order", "order": [0, 1], "instance": {"n": 2, "arcs": [[0, 0], "01"]}},
+                {
+                    "kind": "certified_order",
+                    "order": [0, 1],
+                    "instance": {"kind": "digraph", "n": 2, "arcs": [[0, 0], "01"]},
+                },
                 "ParseError",
                 BAD_ARCS,
             ),
@@ -1529,6 +1543,26 @@ class TestContracts:
         code, out, err = run_cli(command, "-i", str(f))
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": error, "message": message}
+
+
+    @pytest.mark.parametrize("kind", ["graph", "weights", 5, None], ids=repr)
+    def test_verify_reads_only_digraph_instances(self, kind, tmp_path):
+        """The embedded instance must be a digraph, as for every command
+        that reads one: a graph, another document or no kind at all fails."""
+        f = tmp_path / "order.json"
+        f.write_text("digraph 2\narc 0 1\n")
+        code, out, _err = run_cli("median-order", "-i", str(f))
+        f.write_text(out)
+        assert code == 0 and run_cli("verify", "-i", str(f))[0] == 0
+        doc = json.loads(out)
+        if kind is None:
+            del doc["instance"]["kind"]
+        else:
+            doc["instance"]["kind"] = kind
+        f.write_text(json.dumps(doc))
+        code, out, err = run_cli("verify", "-i", str(f))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "ParseError", "message": "expected a digraph instance"}
 
     @pytest.mark.parametrize(
         "command, text",

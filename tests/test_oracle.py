@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -41,7 +42,32 @@ from snc.generators import (
     random_weights,
 )
 from snc.digraph import orient_pairs
+from snc.median_order import feed_vertex
 from snc.oracle import gamma_sign, graph_from_code, tournament_from_code
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """multiprocessing.Pool run in process on a machine of 4 cores: the
+    list of each started pool's worker count, filled without forking."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, blocks):
+            return [func(*block) for block in blocks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(oracle, "_CORES", 4)
+    return started
 
 
 def cycle3() -> Digraph:
@@ -112,7 +138,8 @@ class TestSweeps:
         r = sweep_theorem1(4, cumulative=True)
         assert (r.instances, len(r.failures)) == (75, 0)
 
-    def test_theorem1_parallel_matches_serial(self):
+    def test_theorem1_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_CORES", 3)  # three workers on any machine
         serial = sweep_theorem1(4)
         parallel = sweep_theorem1(4, jobs=3)
         assert serial.to_dict() == parallel.to_dict()
@@ -162,7 +189,8 @@ class TestSweeps:
             sweep_theorem3(6)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_reports_do_not_depend_on_jobs(self, jobs):
+    def test_reports_do_not_depend_on_jobs(self, jobs, monkeypatch):
+        monkeypatch.setattr(oracle, "_CORES", jobs)  # as many workers as asked for
         sweeps = [
             lambda j: sweep_proposition1(7, 6, seed=5, jobs=j),
             lambda j: sweep_proposition1(2, 6, seed=5, jobs=j),  # fewer samples than jobs
@@ -190,11 +218,37 @@ class TestSweeps:
     def test_serial_driver_memory_does_not_grow_with_instances(self):
         tracemalloc.start()
         try:
-            assert oracle._drive(lambda i: (1, []), 100000, (), 1) == (100000, [])
+            assert oracle._drive(lambda i: (1, []), [(100000, ())], 1) == (100000, [])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_one_pool_per_sweep_leg(self, fake_pool):
+        """Every size of a leg shares one pool: theorem1 on 1..5 vertices
+        starts one, and theorem3 one per exhaustive leg."""
+        assert sweep_theorem1(5, cumulative=True, jobs=2) == sweep_theorem1(5, cumulative=True)
+        assert fake_pool == [2]
+        fake_pool.clear()
+        assert sweep_theorem3(4, jobs=2) == sweep_theorem3(4)
+        assert fake_pool == [2, 2]
+
+    def test_workers_are_capped_at_the_core_count(self, fake_pool):
+        assert oracle._drive(lambda i: (1, []), [(1000, ())], 100000) == (1000, [])
+        assert oracle._drive(lambda i: (1, []), [(3, ()), (0, ()), (3, ())], 100000) == (6, [])
+        assert sweep_proposition1(12, 5, seed=3, jobs=100000) == sweep_proposition1(12, 5, seed=3)
+        assert fake_pool == [4, 4, 4]
+
+    def test_workers_are_the_fewer_of_parts_and_blocks(self, fake_pool):
+        # 5 indices in blocks of ceil(5 / 4) = 2 make 3 blocks: no idle worker
+        assert oracle._drive(lambda i: (1, []), [(5, ())], 4) == (5, [])
+        # spaces of 1 and 3 indices in blocks of 2 make 3 blocks for 2 workers
+        assert oracle._drive(lambda i: (1, []), [(1, ()), (3, ())], 2) == (4, [])
+        assert fake_pool == [3, 2]
+
+    def test_rejects_a_negative_space_before_any_runs(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            oracle._drive(lambda i: pytest.fail("ran"), [(2, ()), (-1, ())], 1)
 
 
 class TestSweepFailures:
@@ -221,6 +275,28 @@ class TestSweepFailures:
             order = local_median_order(wd.digraph, wd.weights).order
             assert (list(order), order[-1]) == (f.state["order"], f.state["feed"])
             assert not oracle.has_weighted_snp(wd, f.state["feed"]).holds
+
+    def test_theorem1_failures_in_order_across_sizes(self, monkeypatch):
+        """Failures at several sizes merge ordered by (n, code) whatever
+        the worker count: here every feed vertex 0 on 2 or more vertices."""
+        monkeypatch.setattr(
+            oracle, "has_weighted_snp", lambda wd, v: SimpleNamespace(holds=v or wd.digraph.n < 2)
+        )
+        expected = [
+            (n, code)
+            for n in range(2, 5)
+            for code in range(1 << (n * (n - 1) // 2))
+            if feed_vertex(local_median_order(tournament_from_code(n, code), WeightMap.uniform(n))) == 0
+        ]
+        assert len({n for n, _code in expected}) == 3
+        reports = []
+        for jobs in (1, 2, 3):
+            monkeypatch.setattr(oracle, "_CORES", jobs)
+            r = sweep_theorem1(4, cumulative=True, jobs=jobs)
+            assert r.instances == 75
+            assert [(f.state["instance"]["n"], f.state["code"]) for f in r.failures] == expected
+            reports.append(r.to_dict())
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_route_agreement_report_matches_recognize(self, monkeypatch, jobs):
