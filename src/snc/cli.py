@@ -11,12 +11,15 @@ Implementation: the argument parser is built once per process, on the
 first call to main, and documents are written in one pass by
 _write_json, with the bytes of json.dumps(doc, sort_keys=True, indent=2)
 plus a newline.  Fast paths keep the writer at one Python step per
-element where documents grow with the pair count: a list of int pairs
-(an instance's arcs or edges) is one piece per pair, written _BATCH
-pairs at a time; a dict value that is a list of two ints (a status's
-edge, an orientation's arc) is one piece with its key; and a list of
-same-shape dicts (statuses, orientations, checks) sorts and escapes
-their keys once, kept per key tuple and indentation.
+element, or none, where documents grow with the pair count: a list of
+ints or of strs is one joined piece; a list of int pairs (an instance's
+arcs or edges) is one piece per pair, written _BATCH pairs at a time; a
+list of same-shape dicts (statuses, orientations, weights, checks) is
+written by row template, _BATCH dicts at a time, when each key holds all
+str, all int, bool or null, int or null, or all lists of two ints: its
+keys are sorted and escaped once per list, each key's values become
+JSON text in one map, and one % format string per chunk fills a row per
+dict.
 """
 from __future__ import annotations
 
@@ -27,21 +30,76 @@ import json
 import sys
 import time
 from itertools import chain, starmap
+from operator import itemgetter
 from pathlib import Path
 
 from . import formats, generators, good_edges, median_order, oracle, stars
 from .digraph import WeightedDigraph, WeightMap
 from .errors import BadProfile, ParseError, ReportedFailure, SncError
 
-# pieces per write, and pairs per write from a list of int pairs; a piece
-# is mostly a key with its value, about 20 bytes, a pair about 40, and a
-# larger batch raises the peak memory of large documents
-_BATCH = 1024
+# pieces per write, and pairs or same-shape dicts per write from a list of
+# them; a piece is mostly a key with its value, about 20 bytes, a pair
+# about 40 and a status dict about 250, and a larger batch raises the peak
+# RSS of large documents (check-good on the header-only digraph 512 peaks
+# 0.35 MB higher at 512 than at 128, and 0.9 MB higher at 1024)
+_BATCH = 128
 _escape = json.encoder.encode_basestring_ascii
 _LITERALS = {None: "null", True: "true", False: "false"}
 _SEQUENCES = {list, tuple}
 _INT = {int}
+_STR = {str}
+_LIST = {list}
+_DICT = {dict}
 _PAIR = {2}
+_BOOL_OR_NULL = {bool, type(None)}
+_INT_OR_NULL = {int, type(None)}
+_NULL = {None: "null"}
+
+
+def _column(values: list):
+    """One key's values across same-shape dicts as the columns that fill
+    its slots of a row template: one column of JSON texts or exact ints
+    (which %s writes as JSON does), or two int columns for a list of int
+    pairs; None when the values are not all str, all int, bool or null,
+    int or null, or all lists of two ints."""
+    kinds = set(map(type, values))
+    if kinds == _INT:
+        return [values]
+    if kinds == _STR:
+        return [map(_escape, values)]
+    if kinds <= _BOOL_OR_NULL:
+        return [map(_LITERALS.__getitem__, values)]
+    if kinds <= _INT_OR_NULL:
+        return [map(_NULL.get, values, values)]
+    if kinds == _LIST and set(map(len, values)) == _PAIR:
+        ends = list(chain.from_iterable(values))
+        if set(map(type, ends)) == _INT:
+            return [ends[0::2], ends[1::2]]
+    return None
+
+
+def _rows(chunk: list, names: list, prefixes: list, inner: str):
+    """The JSON text of chunk, dicts whose keys are exactly names (in
+    sorted order), as list elements on lines starting with inner, one row
+    template filled per dict; None when some dict has other keys or some
+    key's values fail _column.  prefixes holds each name's line start,
+    with any % in it doubled."""
+    if set(map(len, chunk)) != {len(names)}:
+        return None
+    deep = inner + "  "
+    pair = f"[{deep}  %s,{deep}  %s{deep}]"
+    columns, slots = [], []
+    for k in names:
+        try:
+            column = _column(list(map(itemgetter(k), chunk)))
+        except KeyError:  # another key in its place
+            return None
+        if column is None:
+            return None
+        columns += column
+        slots.append("%s" if len(column) == 1 else pair)
+    template = "{" + ",".join(map(str.__add__, prefixes, slots)) + inner + "}"
+    return ("," + inner).join(map(template.__mod__, zip(*columns)))
 
 
 def _write_json(doc, write) -> None:
@@ -55,7 +113,6 @@ def _write_json(doc, write) -> None:
     """
     pieces: list[str] = []
     put = pieces.append
-    shapes: dict = {}  # (keys in insertion order, nl) -> (sorted keys, their prefixes)
 
     def flush() -> None:
         write("".join(pieces))
@@ -68,29 +125,21 @@ def _write_json(doc, write) -> None:
             if not v:
                 put("{}")
                 return
-            inner = nl + "  "
-            shape = (tuple(v), nl)
-            known = shapes.get(shape)
-            if known is None:
-                keys = sorted(v)
-                # TypeError on a key that is not a str
-                prefixes = [f",{inner}{_escape(k)}: " for k in keys]
-                prefixes[0] = "{" + prefixes[0][1:]
-                known = shapes[shape] = keys, prefixes
-            for k, key in zip(*known):
+            sep, comma = "{" + nl + "  ", "," + nl + "  "
+            for k in sorted(v):
                 x = v[k]
                 t = type(x)
+                key = sep + _escape(k) + ": "  # TypeError on a key that is not a str
+                sep = comma
                 if t is str:
                     put(key + _escape(x))
                 elif t is int:
                     put(key + int.__repr__(x))
                 elif t is bool or x is None:
                     put(key + _LITERALS[x])
-                elif t is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
-                    put(f"{key}[{inner}  {x[0]},{inner}  {x[1]}{inner}]")
                 else:
                     put(key)
-                    value(x, inner)
+                    value(x, nl + "  ")
             put(nl + "}")
         elif t is list or t is tuple:
             if not v:
@@ -98,8 +147,9 @@ def _write_json(doc, write) -> None:
                 return
             inner = nl + "  "
             kinds = set(map(type, v))
-            if kinds == _INT:
-                put("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
+            text = int.__repr__ if kinds == _INT else _escape if kinds == _STR else None
+            if text is not None:
+                put("[" + inner + ("," + inner).join(map(text, v)) + nl + "]")
                 return
             if (
                 kinds <= _SEQUENCES
@@ -119,12 +169,26 @@ def _write_json(doc, write) -> None:
                 put(nl + "]")
                 return
             sep, comma = "[" + inner, "," + inner
-            for x in v:
-                put(sep)
-                value(x, inner)
-                sep = comma
-                if len(pieces) >= _BATCH:
+            names = sorted(v[0]) if kinds == _DICT else None
+            chunks = [v]
+            if names:  # same-shape dicts go by row template, _BATCH at a time
+                # TypeError on a key that is not a str
+                prefixes = [f"{inner}  {_escape(k)}: ".replace("%", "%%") for k in names]
+                chunks = (v[i : i + _BATCH] for i in range(0, len(v), _BATCH))
+            for chunk in chunks:
+                rows = _rows(chunk, names, prefixes, inner) if names else None
+                if rows is not None:
+                    put(sep)
                     flush()
+                    write(rows)
+                    sep = comma
+                    continue
+                for x in chunk:
+                    put(sep)
+                    value(x, inner)
+                    sep = comma
+                    if len(pieces) >= _BATCH:
+                        flush()
             put(nl + "]")
         elif t is str:
             put(_escape(v))
@@ -139,7 +203,7 @@ def _write_json(doc, write) -> None:
         value(doc, "\n")
     finally:
         # value's cell refers to value: empty it, so that reference counting
-        # frees this call's pieces and shapes without the cyclic collector
+        # frees this call's pieces without the cyclic collector
         value = None
     put("\n")
     flush()

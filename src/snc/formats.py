@@ -11,7 +11,15 @@ labels (mapped to dense indices in first-appearance order); mixing the
 two styles in one file is rejected.  Weights default to 1 when omitted.
 Counts, indices and weight terms are ASCII digits only: other scripts'
 digits, superscripts, signs and underscores, which str.isdigit or int()
-would take, are not numbers here.
+would take, are not numbers here.  The weights read from text or JSON
+have a common denominator of at most MAX_WEIGHT_DIGITS decimal digits,
+and so does each weight times it.
+
+One generator reads a text input, line by line: it yields the header's
+vertex count, then each pair as its line is read, straight into the
+graph's builder, and enters weight lines on the way; a vertex token seen
+before is one dict lookup.  The first bad line of a file, whether the
+generator or the builder rejects it, is the one reported.
 
 JSON instances mirror the same content: {"kind": "digraph", "n": ...,
 "arcs": [[u,v],...], "weights": [{"num","den"},...], "labels": [...]}
@@ -39,6 +47,13 @@ from .errors import CounterexampleReport, ParseError, SncError, TooLarge
 # Largest vertex count accepted from a header or a JSON n, checked before
 # anything is allocated (see "Scale limits" in the README).
 MAX_VERTICES = 512
+# Most decimal digits of a read weight map's scale and of its largest
+# scaled weight.  The largest number a command writes, an objective's
+# c0 (up to n^2/2 products of two scaled weights over the scale squared),
+# then has at most 2 * 2000 + 6 digits, under the 4300 digits that Python
+# converts between int and str (see "Scale limits" in the README).
+MAX_WEIGHT_DIGITS = 2000
+_WEIGHT_CAP = 10**MAX_WEIGHT_DIGITS
 
 
 def _decimal(token: str) -> bool:
@@ -48,9 +63,9 @@ def _decimal(token: str) -> bool:
 class _LabelTable:
     """Vertex token resolution: numeric ids or dense symbolic labels.
 
-    A token's mode, range and label count are checked on its first
-    resolution only; its vertex is then read from vertex, which holds
-    every token resolved so far (in symbolic mode, exactly the labels)."""
+    vertex holds every token resolved so far (in symbolic mode, exactly
+    the labels), so a token seen before is one vertex.get; resolve checks
+    a new token's mode, range and label count and enters it."""
 
     def __init__(self, n: int):
         self.n = n
@@ -58,12 +73,7 @@ class _LabelTable:
         self.vertex: dict[str, int] = {}
 
     def resolve(self, token: str, line: int) -> int:
-        v = self.vertex.get(token)
-        if v is None:
-            v = self.vertex[token] = self._first(token, line)
-        return v
-
-    def _first(self, token: str, line: int) -> int:
+        """The vertex of a token not resolved before, entered in vertex."""
         numeric = _decimal(token)
         mode = "numeric" if numeric else "symbolic"
         if self.mode is None:
@@ -76,10 +86,12 @@ class _LabelTable:
             v = int(token)
             if v >= self.n:
                 raise ParseError(f"vertex {v} out of range [0,{self.n})", line)
-            return v
-        if len(self.vertex) >= self.n:
+        elif len(self.vertex) >= self.n:
             raise ParseError(f"more than {self.n} distinct labels", line)
-        return len(self.vertex)
+        else:
+            v = len(self.vertex)
+        self.vertex[token] = v
+        return v
 
     def labels(self) -> list[str]:
         """Each vertex's symbolic label, or its index where it has none."""
@@ -87,31 +99,9 @@ class _LabelTable:
         return [names.get(v, str(v)) for v in range(self.n)]
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def check_cap(n: int) -> None:
     if n > MAX_VERTICES:
         raise TooLarge(f"instances are limited to {MAX_VERTICES} vertices, got {n}")
-
-
-def _parse_header(it, kind: str) -> int:
-    """The vertex count on the first line of it, which must read '<kind> <n>'."""
-    try:
-        lineno, tokens = next(it)
-    except StopIteration:
-        raise ParseError("empty input", 1) from None
-    if len(tokens) != 2 or tokens[0] != kind:
-        raise ParseError(f"expected header '{kind} <n>'", lineno)
-    if not _decimal(tokens[1]):
-        raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
-    n = int(tokens[1])
-    check_cap(n)
-    return n
 
 
 def _weight(num: int, den: int) -> int | Fraction:
@@ -119,33 +109,66 @@ def _weight(num: int, den: int) -> int | Fraction:
     return num if den == 1 else Fraction(num, den)
 
 
+def _capped(w: WeightMap) -> WeightMap:
+    """w, whose scale and scaled weights must have at most MAX_WEIGHT_DIGITS digits."""
+    if w.scale >= _WEIGHT_CAP or max(w.scaled, default=0) >= _WEIGHT_CAP:
+        raise TooLarge(
+            "the common denominator of the weights, and each weight times it, "
+            f"are limited to {MAX_WEIGHT_DIGITS} decimal digits"
+        )
+    return w
+
+
 def _parse(text: str, kind: str):
     """The graph of the text format of kind, "digraph" or "graph", its
-    weights by vertex (a digraph's weight lines) and its labels.  Pairs go
-    to from_arcs or from_edges as they are read, so a file's first bad line
-    is the one reported."""
-    it = _lines(text)
-    n = _parse_header(it, kind)
+    weights by vertex (a digraph's weight lines) and its labels, read by
+    one generator as the module docstring describes."""
     digraph = kind == "digraph"
-    # looked up only once the header has passed the vertex cap
-    build = Digraph.from_arcs if digraph else UndirectedGraph.from_edges
     pair = "arc" if digraph else "edge"
-    table = _LabelTable(n)
     weights: dict[int, int | Fraction] = {}
+    table = None
     at = 0  # the line of the pair being added
 
-    def pairs():
-        nonlocal at
-        for lineno, tokens in it:
+    def read():
+        nonlocal table, at
+        lines = enumerate(text.splitlines(), start=1)
+        for lineno, raw in lines:
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                break
+        else:
+            raise ParseError("empty input", 1)
+        if len(tokens) != 2 or tokens[0] != kind:
+            raise ParseError(f"expected header '{kind} <n>'", lineno)
+        if not _decimal(tokens[1]):
+            raise ParseError(f"bad vertex count {tokens[1]!r}", lineno)
+        n = int(tokens[1])
+        check_cap(n)
+        yield n
+        table = _LabelTable(n)
+        vertex, resolve = table.vertex.get, table.resolve
+        for lineno, raw in lines:
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
             if tokens[0] == pair:
                 if len(tokens) != 3:
                     raise ParseError(f"expected '{pair} <u> <v>'", lineno)
                 at = lineno
-                yield table.resolve(tokens[1], lineno), table.resolve(tokens[2], lineno)
+                _, a, b = tokens
+                u = vertex(a)
+                if u is None:
+                    u = resolve(a, lineno)
+                v = vertex(b)
+                if v is None:
+                    v = resolve(b, lineno)
+                yield u, v
             elif tokens[0] == "weight" and digraph:
                 if len(tokens) != 4:
                     raise ParseError("expected 'weight <v> <num> <den>'", lineno)
-                v = table.resolve(tokens[1], lineno)
+                v = vertex(tokens[1])
+                if v is None:
+                    v = resolve(tokens[1], lineno)
                 if not (_decimal(tokens[2]) and _decimal(tokens[3])):
                     raise ParseError(
                         "weight numerator and denominator must be nonnegative decimal integers",
@@ -160,9 +183,13 @@ def _parse(text: str, kind: str):
             else:
                 raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
 
+    it = read()
+    n = next(it)
+    # looked up only once the header has passed the vertex cap
+    build = Digraph.from_arcs if digraph else UndirectedGraph.from_edges
     try:
-        g = build(n, pairs())
-    except ParseError:  # raised by pairs(), with its own line
+        g = build(n, it)
+    except ParseError:  # raised by read(), with its own line
         raise
     except SncError as exc:  # build rejected the pair at line at
         raise type(exc)(f"line {at}: {exc}") from None
@@ -172,7 +199,7 @@ def _parse(text: str, kind: str):
 def parse_digraph(text: str) -> tuple[WeightedDigraph, list[str]]:
     """Parse the digraph text format; weights default to 1."""
     g, weights, labels = _parse(text, "digraph")
-    return WeightedDigraph(g, WeightMap.from_dict(g.n, weights)), labels
+    return WeightedDigraph(g, _capped(WeightMap.from_dict(g.n, weights))), labels
 
 
 def parse_graph(text: str) -> tuple[UndirectedGraph, list[str]]:
@@ -219,7 +246,7 @@ def digraph_instance_dict(wd: WeightedDigraph, labels: Optional[list[str]] = Non
     return {
         "kind": "digraph",
         "n": d.n,
-        "arcs": [list(a) for a in d.arcs()],
+        "arcs": [[u, v] for u, heads in enumerate(d.out_masks()) for v in bits(heads)],
         "weights": wd.weights.to_dicts(),
         "labels": _names(labels, d.n),
     }
@@ -229,7 +256,9 @@ def graph_instance_dict(g: UndirectedGraph, labels: Optional[list[str]] = None) 
     return {
         "kind": "graph",
         "n": g.n,
-        "edges": [list(e) for e in g.edges()],
+        "edges": [
+            [u, v] for u, nbrs in enumerate(g.neighbor_masks()) for v in bits(_above(nbrs, u))
+        ],
         "labels": _names(labels, g.n),
     }
 
@@ -297,7 +326,7 @@ def digraph_from_instance_dict(doc: dict) -> tuple[WeightedDigraph, list[str]]:
     if raw is None:
         w = WeightMap.uniform(n)
     elif isinstance(raw, list) and len(raw) == n:
-        w = WeightMap([_weight(*rational_terms(r, "weights")) for r in raw])
+        w = _capped(WeightMap([_weight(*rational_terms(r, "weights")) for r in raw]))
     else:
         raise ParseError("weights list must cover every vertex")
     return WeightedDigraph(g, w), _labels(doc, n)
@@ -339,7 +368,8 @@ def load_instance(text: str, kind: Optional[str] = None) -> tuple:
         read_digraph, read_graph = digraph_from_instance_dict, graph_from_instance_dict
     else:
         source = text
-        named = kind or next((tokens[0] for _lineno, tokens in _lines(text)), "")
+        lines = (line.split("#", 1)[0].split() for line in text.splitlines())
+        named = kind or next(filter(None, lines), [""])[0]
         read_digraph, read_graph = parse_digraph, parse_graph
     if named == "digraph":
         return ("digraph", *read_digraph(source))
@@ -368,6 +398,10 @@ def load_json(text: str) -> dict:
     return doc
 
 
+# a label inside a DOT string: a quote or backslash escaped, a newline as \n
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
+
+
 def digraph_to_dot(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> str:
     """Lossy DOT export for human inspection; missing edges are dashed."""
     d = wd.digraph
@@ -375,7 +409,7 @@ def digraph_to_dot(wd: WeightedDigraph, labels: Optional[list[str]] = None) -> s
     out = ["digraph G {"]
     for v in range(d.n):
         w = wd.weights[v]
-        out.append(f'  {v} [label="{name[v]} ({w})"];')
+        out.append(f'  {v} [label="{name[v].translate(_DOT_ESCAPES)} ({w})"];')
     for u, v in d.arcs():
         out.append(f"  {u} -> {v};")
     for u, v in d.missing_pairs():
@@ -388,7 +422,7 @@ def graph_to_dot(g: UndirectedGraph, labels: Optional[list[str]] = None) -> str:
     name = _names(labels, g.n)
     out = ["graph G {"]
     for v in range(g.n):
-        out.append(f'  {v} [label="{name[v]}"];')
+        out.append(f'  {v} [label="{name[v].translate(_DOT_ESCAPES)}"];')
     for u, v in g.edges():
         out.append(f"  {u} -- {v};")
     out.append("}")

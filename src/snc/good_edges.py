@@ -70,13 +70,14 @@ class MissingEdgeStatus(NamedTuple):
         return self.satisfies_i or self.satisfies_ii
 
     def to_dict(self) -> dict:
+        a, b, i, ii, witness_i, witness_ii = self
         return {
-            "edge": [self.a, self.b],
-            "satisfies_i": self.satisfies_i,
-            "satisfies_ii": self.satisfies_ii,
-            "good": self.good,
-            "witness_against_i": self.witness_against_i,
-            "witness_against_ii": self.witness_against_ii,
+            "edge": [a, b],
+            "satisfies_i": i,
+            "satisfies_ii": ii,
+            "good": i or ii,
+            "witness_against_i": witness_i,
+            "witness_against_ii": witness_ii,
         }
 
 
@@ -89,6 +90,8 @@ class ConvenientOrientation(NamedTuple):
 
 
 _ARC = itemgetter(0, 1)  # an orientation's arc, (tail, head)
+_CONDITIONS = itemgetter(2, 3)  # a status's (satisfies_i, satisfies_ii)
+_new = tuple.__new__  # a record from its fields, without the keyword-aware constructor
 
 
 def _reaching(into: Sequence[int], x: int) -> int:
@@ -101,15 +104,26 @@ def _reaching(into: Sequence[int], x: int) -> int:
     return reach
 
 
-def _classify(into: Sequence[int], a: int, b: int, reaching) -> MissingEdgeStatus:
-    """Conditions (i) and (ii) for the missing edge {a,b}, a < b, with
-    into the digraph's in-masks and reaching[x] the _reaching mask of each
-    endpoint x."""
-    against_i = into[a] & ~reaching[b]
-    against_ii = into[b] & ~reaching[a]
-    witness_i = (against_i & -against_i).bit_length() - 1 if against_i else None
-    witness_ii = (against_ii & -against_ii).bit_length() - 1 if against_ii else None
-    return MissingEdgeStatus(a, b, not against_i, not against_ii, witness_i, witness_ii)
+def _statuses(into: Sequence[int], reaching, pairs) -> list[MissingEdgeStatus]:
+    """Conditions (i) and (ii) for each missing edge (a, b), a < b, of
+    pairs, with into the digraph's in-masks and reaching[x] the _reaching
+    mask of each endpoint x: the in-neighbors of a outside reaching[b]
+    fail (i), and the lowest of them is its witness; likewise for (ii)."""
+    return [
+        _new(
+            MissingEdgeStatus,
+            (
+                a,
+                b,
+                not against_i,
+                not against_ii,
+                (against_i & -against_i).bit_length() - 1 if against_i else None,
+                (against_ii & -against_ii).bit_length() - 1 if against_ii else None,
+            ),
+        )
+        for a, b in pairs
+        for against_i, against_ii in [(into[a] & ~reaching[b], into[b] & ~reaching[a])]
+    ]
 
 
 def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
@@ -126,16 +140,15 @@ def classify_missing_edge(d: Digraph, a: int, b: int) -> MissingEdgeStatus:
     if a < 0 or b >= d.n:
         raise ValueError(f"vertex {a if a < 0 else b} out of range [0,{d.n})")
     into = d.in_masks()
-    return _classify(into, a, b, {a: _reaching(into, a), b: _reaching(into, b)})
+    return _statuses(into, {a: _reaching(into, a), b: _reaching(into, b)}, [(a, b)])[0]
 
 
 def all_missing_edges_good(d: Digraph) -> tuple[bool, list[MissingEdgeStatus]]:
     """Goodness of every missing edge, in sorted edge order, from one
     _reaching mask per vertex."""
     into = d.in_masks()
-    reaching = [_reaching(into, x) for x in range(d.n)]
-    statuses = [_classify(into, a, b, reaching) for a, b in d.missing_pairs()]
-    return all(s.good for s in statuses), statuses
+    statuses = _statuses(into, [_reaching(into, x) for x in range(d.n)], d.missing_pairs())
+    return all(map(any, map(_CONDITIONS, statuses))), statuses
 
 
 def complete_to_tournament(

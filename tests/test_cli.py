@@ -48,6 +48,7 @@ from snc.generators import (
 )
 from snc.formats import (
     MAX_VERTICES,
+    MAX_WEIGHT_DIGITS,
     digraph_instance_dict,
     fields_match,
     graph_instance_dict,
@@ -95,6 +96,39 @@ _DOCUMENTS = st.recursive(
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_TEXT, inner),
     max_leaves=20,
 )
+
+
+class _Int(int):
+    """An int subclass: the writer's exact type tests refuse it."""
+
+
+_KEYS = st.text(st.sampled_from('a%"\\\xe9\u20ac\U0001f600s'), max_size=4)
+# what one key holds across a list of same-key dicts: one kind, as the
+# row path writes, or a mix that it hands to the per-dict path
+_COLUMNS = [
+    _TEXT,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans() | st.none(),
+    st.integers() | st.none(),
+    st.lists(st.integers(), min_size=2, max_size=2),
+    st.integers() | st.booleans(),
+    st.integers() | _TEXT,
+    st.lists(st.integers(), min_size=2, max_size=3),
+    st.integers() | st.floats(allow_nan=False),
+    st.integers() | st.integers().map(_Int),
+]
+
+
+@st.composite
+def _same_key_dicts(draw):
+    """A list of dicts with one key set, each inserting its keys in its own order."""
+    keys = draw(st.lists(_KEYS, unique=True, max_size=5))
+    columns = [draw(st.sampled_from(_COLUMNS)) for _ in keys]
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        order = draw(st.permutations(range(len(keys))))
+        rows.append({keys[i]: draw(columns[i]) for i in order})
+    return rows
 
 
 # SHA-256 of the concatenated stdout of _local_search_runs().
@@ -316,6 +350,7 @@ def _gen_runs(graph_file) -> list[list[str]]:
 
 
 BAD_ARCS = "instance arcs must be a list of integer pairs"
+_CAP = 10**MAX_WEIGHT_DIGITS  # the least weight with one digit past the cap
 
 
 def run_cli(*argv: str):
@@ -352,6 +387,10 @@ class TestParsing:
             (parse_digraph, "digraph 3\nweight 1 x 1\narc 0 0\n", ParseError, "line 2: weight"),
             (parse_graph, "graph 3\nedge 0 1\nedge 1 0\nfoo 1\n", DuplicateArc, "line 3: edge (1,0)"),
             (parse_graph, "graph 3\nedge 2 2\nedge 0 1\n", LoopRejected, "line 2: loop edge (2,2)"),
+            (parse_digraph, "digraph 3\narc 0 1\narc 1 0\nfoo 1\n", DigonRejected, "line 3: arc (1,0)"),
+            (parse_digraph, "digraph 3\nfoo 1\narc 0 1\narc 1 0\n", ParseError, "line 2: unknown directive"),
+            (parse_graph, "graph 3\nedge 0 1 2\nedge 1 1\n", ParseError, "line 2: expected 'edge <u> <v>'"),
+            (parse_graph, "graph 3\nedge 1 1\nedge 0 1 2\n", LoopRejected, "line 2: loop edge (1,1)"),
         ],
     )
     def test_first_bad_line_is_reported(self, parse, text, error, message):
@@ -370,6 +409,30 @@ class TestParsing:
     def test_comments_and_blank_lines(self):
         wd, _ = parse_digraph("# a digraph\ndigraph 2\n\narc 0 1  # forward\n")
         assert wd.digraph.arcs() == [(0, 1)]
+
+    def test_comment_and_blank_lines_between_pairs(self):
+        text = "digraph 4\narc 0 1\n# one\n\n   \n\t# two\narc 1 2#glued\n  \narc 2 3\n# last"
+        wd, _ = parse_digraph(text)
+        assert wd.digraph.arcs() == [(0, 1), (1, 2), (2, 3)]
+        with pytest.raises(LoopRejected, match="^line 12: "):
+            parse_digraph(text + "\n\narc 3 3\n")
+        g, _ = parse_graph("graph 3\n\n# x\nedge 0 1 # y\n\n# z\nedge 1 2\n")
+        assert g.edges() == [(0, 1), (1, 2)]
+
+    def test_a_label_first_seen_in_a_weight_line(self):
+        wd, labels = parse_digraph("digraph 3\narc a b\nweight c 5 2\narc c a\n")
+        assert labels == ["a", "b", "c"]
+        assert wd.digraph.arcs() == [(0, 1), (2, 0)]
+        assert list(wd.weights) == [1, 1, Fraction(5, 2)]
+
+    def test_zero_padded_indices_are_one_vertex(self):
+        wd, labels = parse_digraph("digraph 8\narc 007 1\narc 2 7\nweight 0007 3 1\n")
+        assert wd.digraph.arcs() == [(2, 7), (7, 1)] and wd.weights[7] == 3
+        assert labels == [str(v) for v in range(8)]
+        with pytest.raises(DuplicateArc, match="^line 3: "):
+            parse_digraph("digraph 8\narc 007 1\narc 7 01\n")
+        with pytest.raises(ParseError, match="^line 3: duplicate weight"):
+            parse_digraph("digraph 8\nweight 7 1 1\nweight 007 2 1\n")
 
     def test_symbolic_labels(self):
         wd, labels = parse_digraph("digraph 3\narc a b\narc b c\nweight a 2 1\n")
@@ -790,6 +853,32 @@ class TestCommands:
         code, from_json, _ = run_cli("dot", "-i", str(f))
         assert code == 0 and from_json == from_text
 
+    @pytest.mark.parametrize(
+        "source, lines",
+        [
+            (
+                'digraph 2\narc a"b c\\d\n',
+                ['  0 [label="a\\"b (1)"];', '  1 [label="c\\\\d (1)"];'],
+            ),
+            ('graph 2\nedge a"b c\\d\n', ['  0 [label="a\\"b"];', '  1 [label="c\\\\d"];']),
+            (
+                json.dumps({"kind": "graph", "n": 2, "edges": [[0, 1]], "labels": ['x"; evil="1', "y"]}),
+                ['  0 [label="x\\"; evil=\\"1"];', '  1 [label="y"];'],
+            ),
+            (
+                json.dumps({"kind": "digraph", "n": 2, "arcs": [[0, 1]], "labels": ["a\nb", "c\\"]}),
+                ['  0 [label="a\\nb (1)"];', '  1 [label="c\\\\ (1)"];'],
+            ),
+        ],
+        ids=["digraph-text", "graph-text", "graph-json", "digraph-json-newline"],
+    )
+    def test_dot_escapes_labels(self, source, lines, tmp_path):
+        f = tmp_path / "in.txt"
+        f.write_text(source)
+        code, out, _ = run_cli("dot", "-i", str(f))
+        assert code == 0
+        assert out.splitlines()[1:3] == lines
+
     @pytest.mark.parametrize("text, head", [(TRIANGLE_DG, "digraph G {"), (NESTED_G, "graph G {")])
     def test_dot_skips_leading_comments(self, text, head, tmp_path):
         f = tmp_path / "in.txt"
@@ -975,7 +1064,8 @@ class TestContracts:
                 cli._write_json(doc, chunks.append)
             assert "".join(chunks) == expected
 
-    @pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
+    # 1024 is a batch larger than the whole list: every pair goes in one write
+    @pytest.mark.parametrize("batch", [1, 3, cli._BATCH, 1024])
     def test_writer_writes_at_most_a_batch_of_pairs(self, batch):
         pairs = [[v, v + 1] for v in range(3 * cli._BATCH + 5)]
         doc = {"arcs": pairs, "edges": [tuple(p) for p in pairs[:7]], "n": 5}
@@ -986,6 +1076,70 @@ class TestContracts:
         per_write = [len(re.findall(r"\[\s*\d+,\s*\d+\s*\]", chunk)) for chunk in chunks]
         assert sum(per_write) == len(pairs) + 7
         assert max(per_write) <= batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_same_key_dicts())
+    def test_writer_rows_match_dumps(self, rows):
+        refused = any(type(x) in (float, _Int) for row in rows for x in row.values())
+        expected = None if refused else json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        for batch in (cli._BATCH, 1, 3):
+            chunks = []
+            with mock.patch.object(cli, "_BATCH", batch):
+                if refused:
+                    with pytest.raises(TypeError):
+                        cli._write_json(rows, chunks.append)
+                else:
+                    cli._write_json(rows, chunks.append)
+                    assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{}, {}],
+            [{"a": 1}],
+            [{"a": [1, 2], "b": None}],
+            [{"%s": 1, "%%": "%d"}, {"%%": "%", "%s": 2}],
+            [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+            [{"a": 1, "b": 2}, {"a": 3}],
+            [{"a": 1}, {"a": True}],
+            [{"a": None}, {"a": False}, {"a": 1}],
+            {"x": [{"a": [1, 2]}, {"a": (1, 2)}], "y": [{"b": {"c": 1}}, {"b": {"c": 2}}]},
+        ],
+        ids=[
+            "empty-dicts",
+            "one-dict",
+            "one-dict-pair",
+            "percent-keys",
+            "other-key",
+            "fewer-keys",
+            "int-then-bool",
+            "null-bool-int",
+            "tuple-pair-and-nested",
+        ],
+    )
+    def test_writer_row_cases_match_dumps(self, doc):
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        for batch in (cli._BATCH, 1, 3):
+            chunks = []
+            with mock.patch.object(cli, "_BATCH", batch):
+                cli._write_json(doc, chunks.append)
+            assert "".join(chunks) == expected
+
+    @pytest.mark.parametrize("batch", [1, 3, cli._BATCH])
+    def test_writer_writes_at_most_a_batch_of_rows(self, batch):
+        rows = [
+            {"edge": [v, v + 1], "good": v % 2 == 0, "name": f"r{v}", "witness": v if v % 3 else None}
+            for v in range(3 * cli._BATCH + 5)
+        ]
+        doc = {"edges": rows, "checks": [{"name": "a", "ok": True}] * 7, "n": 5}
+        chunks = []
+        with mock.patch.object(cli, "_BATCH", batch):
+            cli._write_json(doc, chunks.append)
+        assert "".join(chunks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        per_write = [chunk.count('"edge"') for chunk in chunks]
+        assert sum(per_write) == len(rows)
+        assert max(per_write) <= batch
+        assert sum(1 for k in per_write if k) == -(-len(rows) // batch)
 
     @pytest.mark.parametrize(
         "doc",
@@ -1011,12 +1165,44 @@ class TestContracts:
             [{"a": 1, "b": 2}, {"a": 1, 2: "b"}],
             [{"a": 1}, {"a": 1.5}],
             {"a": [[0, 1], [2, 1.5]]},
+            [{"a": 1, "b": "x"}, {"b": "y", "a": _Int(2)}, {"a": 3, "b": "z"}],
+            [{"e": [0, 1]}, {"e": [2, 3.0]}],
+            [{"a": None}, {"a": 1.5}],
+            [{"a": "x"}, {"a": Fraction(1, 2)}],
+            [{"a": 1}, {"a": 2}, {"a": 3}, {"a": 4}, {"a": 5.0}],
         ],
-        ids=["int-key", "mixed-keys", "float-value", "float-in-pair"],
+        ids=[
+            "int-key",
+            "mixed-keys",
+            "float-value",
+            "float-in-pair",
+            "int-subclass-in-row",
+            "float-in-row-pair",
+            "float-after-null",
+            "fraction-after-str",
+            "float-in-second-chunk",
+        ],
     )
     def test_writer_rejects_the_odd_one_among_same_shapes(self, doc):
-        with pytest.raises(TypeError):
-            cli._write_json(doc, io.StringIO().write)
+        for batch in (cli._BATCH, 3):
+            with mock.patch.object(cli, "_BATCH", batch), pytest.raises(TypeError):
+                cli._write_json(doc, io.StringIO().write)
+
+    def test_check_good_statuses_take_the_row_path(self, tmp_path):
+        """A seeded check-good document written with _BATCH at 3 carries at
+        most 3 status rows per write, in ceil(rows / 3) writes: a status that
+        left the row path (a float in to_dict, say) takes one write per dict."""
+        g, _ = gen_generalized_star(spec=random_star_profile(12, Rng(7)))
+        f = tmp_path / "d.dg"
+        f.write_text(serialize_digraph(WeightedDigraph(random_digraph_missing(g, 3), WeightMap.uniform(12))))
+        chunks = []
+        with mock.patch.object(cli, "_BATCH", 3), redirect_stdout(SimpleNamespace(write=chunks.append)):
+            assert main(["check-good", "-i", str(f)]) == 0
+        rows = len(json.loads("".join(chunks))["edges"])
+        per_write = [chunk.count('"witness_against_ii"') for chunk in chunks]
+        assert rows >= 10 and sum(per_write) == rows
+        assert max(per_write) <= 3
+        assert sum(1 for k in per_write if k) == -(-rows // 3)
 
     def test_writer_leaves_no_cyclic_garbage(self):
         """Reference counting frees all that a call made: cyclic garbage
@@ -1588,6 +1774,63 @@ class TestContracts:
         assert code == 1 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "TooLarge" and str(MAX_VERTICES) in doc["message"]
+
+    @pytest.mark.parametrize(
+        "command", ["witness", "check-good", "median-order", "median-order --exact", "dot"]
+    )
+    @pytest.mark.parametrize("form", ["text", "json"])
+    @pytest.mark.parametrize(
+        "weights, capped",
+        [
+            ([(_CAP - 1, 1), (_CAP - 1, 1), (0, 1)], False),
+            ([(_CAP - 2, _CAP - 1), (1, _CAP - 1), (1, 1)], False),
+            ([(_CAP, 1), (1, 1), (1, 1)], True),
+            ([(1, _CAP), (1, 1), (1, 1)], True),
+            # each denominator within the cap, their common one past it
+            ([(1, _CAP // 10), (1, _CAP // 10 - 1), (1, 1)], True),
+        ],
+        ids=["ints-at-cap", "scale-at-cap", "int-past", "den-past", "lcm-past"],
+    )
+    def test_weight_cap(self, command, form, weights, capped, tmp_path):
+        """Weights within MAX_WEIGHT_DIGITS give documents whose every number
+        converts to and from str; past it, TooLarge and an empty stdout."""
+        f = tmp_path / "in.txt"
+        if form == "text":
+            f.write_text(
+                "digraph 3\narc 0 1\narc 1 2\narc 0 2\n"
+                + "".join(f"weight {v} {num} {den}\n" for v, (num, den) in enumerate(weights))
+            )
+        else:
+            f.write_text(
+                json.dumps(
+                    {
+                        "kind": "digraph",
+                        "n": 3,
+                        "arcs": [[0, 1], [1, 2], [0, 2]],
+                        "weights": [{"num": num, "den": den} for num, den in weights],
+                    }
+                )
+            )
+        code, out, err = run_cli(*command.split(), "-i", str(f))
+        if capped:
+            assert code == 1 and out == ""
+            doc = json.loads(err)
+            assert doc["error"] == "TooLarge" and str(MAX_WEIGHT_DIGITS) in doc["message"]
+            return
+        assert code == 0
+        if command == "dot":
+            return
+        doc = json.loads(out)
+        if command.startswith("median-order") or command == "witness":
+            cert = tmp_path / "cert.json"
+            cert.write_text(out)
+            code, out, _ = run_cli("verify", "-i", str(cert))
+            assert code == 0 and json.loads(out)["verified"] is True
+            # past the cap, verify reads no further than the instance
+            doc["instance"]["weights"][0] = {"num": _CAP, "den": 1}
+            cert.write_text(json.dumps(doc))
+            code, out, err = run_cli("verify", "-i", str(cert))
+            assert code == 1 and out == "" and json.loads(err)["error"] == "TooLarge"
 
     @pytest.mark.parametrize("command", ["verify", "witness", "dot"])
     def test_deeply_nested_json_is_a_parse_error(self, command, tmp_path):

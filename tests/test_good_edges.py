@@ -116,9 +116,19 @@ def test_classification_matches_set_reference():
         expect = [reference_status(d, a, b) for a, b in d.missing_pairs()]
         ok, statuses = all_missing_edges_good(d)
         assert statuses == expect
+        assert all(type(s) is MissingEdgeStatus for s in statuses)
         assert ok == all(s.good for s in expect)
         for s in expect:
             assert classify_missing_edge(d, s.a, s.b) == classify_missing_edge(d, s.b, s.a) == s
+            assert type(classify_missing_edge(d, s.a, s.b)) is MissingEdgeStatus
+            assert s.to_dict() == {
+                "edge": [s.a, s.b],
+                "satisfies_i": s.satisfies_i,
+                "satisfies_ii": s.satisfies_ii,
+                "good": s.good,
+                "witness_against_i": s.witness_against_i,
+                "witness_against_ii": s.witness_against_ii,
+            }
 
 
 def test_all_missing_edges_good_examples():
